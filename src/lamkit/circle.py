@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 Angle = Fraction
 
@@ -94,13 +94,6 @@ def sigma(a: Angle, d: int) -> Angle:
     return mod1(Fraction(a) * d)
 
 
-def sigma_iter(a: Angle, d: int, k: int) -> Angle:
-    out = mod1(a)
-    for _ in range(k):
-        out = (out * d) % 1
-    return out
-
-
 def preimages(a: Angle, d: int) -> list[Angle]:
     """The d preimages (a+k)/d for k = 0..d-1, sorted ascending."""
     check_degree(d)
@@ -120,10 +113,6 @@ def orbit_info(a: Angle, d: int) -> OrbitInfo:
         i += 1
     first = seen[cur]
     return OrbitInfo(preperiod=first, period=i - first)
-
-
-def is_periodic(a: Angle, d: int) -> bool:
-    return orbit_info(a, d).preperiod == 0
 
 
 def format_itinerary(a: Angle, d: int) -> str:
@@ -173,8 +162,3 @@ def circle_dist(a: Angle, b: Angle) -> Fraction:
     """Shorter arc length between two circle points."""
     diff = (Fraction(a) - Fraction(b)) % 1
     return min(diff, 1 - diff)
-
-
-def cyclic_sort(points: Iterable[Angle], anchor: Angle = Fraction(0)) -> list[Angle]:
-    """Sort points in counterclockwise order starting from ``anchor``."""
-    return sorted((mod1(p) for p in points), key=lambda p: (p - anchor) % 1)

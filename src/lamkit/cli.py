@@ -14,6 +14,7 @@ from .circle import AngleError, parse_angle
 from .core import LaminationError
 from .fdl import (
     FDL,
+    FdlError,
     build_pullback_tree,
     canonical_form,
     enumerate_children,
@@ -32,7 +33,7 @@ from .io import (
     save_lamination,
     write_atomic,
 )
-from .paramgraph import closure_is_refinement, generational_graph
+from .paramgraph import ParamGraphError, closure_is_refinement, generational_graph
 from .portraits import (
     PortraitError,
     count_all,
@@ -53,7 +54,9 @@ from .pullback import (
 VALIDATION_ERRORS = (
     AngleError,
     DocumentError,
+    FdlError,
     LaminationError,
+    ParamGraphError,
     PortraitError,
     PullbackError,
     OSError,
@@ -185,6 +188,9 @@ def cmd_proper(args) -> int:
     print(f"unclean points: {len(report.unclean_points)}")
     for v, k in report.unclean_points:
         print(f"  {v}: {k} leaves")
+    print(f"period mismatch leaves: {len(report.period_mismatch_leaves)}")
+    for c in report.period_mismatch_leaves:
+        print(f"  {c}")
     print(f"proper so far: {report.proper_so_far}")
     return 0
 
@@ -231,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("portraits", help="count or list sibling portraits")
     s.add_argument("--i", type=int, required=True, help="ambient degree of the region")
     s.add_argument("--n", type=int, required=True, help="target polygon size")
-    s.add_argument("--count", action="store_true", help="print the closed-form counts (default)")
     s.add_argument("--list", action="store_true", help="list one-to-one portraits")
     s.add_argument("--all", action="store_true", help="list all portraits")
     s.set_defaults(func=cmd_portraits)

@@ -183,9 +183,6 @@ class ClassLamination:
     def as_chordset(self) -> "ChordSet":
         return ChordSet(self.degree, frozenset(self.all_edges()))
 
-    def with_classes(self, extra: Iterable[PolygonClass]) -> "ClassLamination":
-        return ClassLamination(self.degree, self.classes | frozenset(extra))
-
     def __str__(self):
         return f"ClassLamination(d={self.degree}, {len(self.classes)} classes)"
 

@@ -22,8 +22,21 @@ from math import lcm
 from typing import Iterable, Iterator, Optional
 
 from .circle import Angle, format_angle
-from .core import Chord, ClassLamination, LaminationError, PolygonClass
-from .portraits import enumerate_all_portraits
+from .core import (
+    COVERING,
+    Chord,
+    ClassLamination,
+    LaminationError,
+    PolygonClass,
+    covering_degree,
+)
+from .portraits import (
+    _ranks_cross,
+    bind_shape,
+    enumerate_all_portraits,
+    portrait_points,
+    rank_context,
+)
 
 
 class FdlError(ValueError):
@@ -79,52 +92,6 @@ def classes_from_chords(degree: int, chords: Iterable[Chord]) -> list[PolygonCla
     return classes
 
 
-# --- class orbit structure -----------------------------------------------------
-
-
-class _Orbits:
-    """Image map, periodicity, and depth for every class of a lamination."""
-
-    def __init__(self, lam: ClassLamination):
-        self.lam = lam
-        d = lam.degree
-        self.by_vertices = {c.vertices: c for c in lam.classes}
-        self.image: dict[PolygonClass, Optional[PolygonClass]] = {}
-        for c in lam.classes:
-            img = c.image(d)
-            self.image[c] = (
-                self.by_vertices.get(img.vertices) if img is not None else None
-            )
-        self.depth: dict[PolygonClass, Optional[int]] = {}
-        for c in lam.classes:
-            self.depth[c] = self._depth(c)
-
-    def _depth(self, c: PolygonClass) -> Optional[int]:
-        # walk the image chain; None when it leaves the lamination
-        seen: dict[PolygonClass, int] = {}
-        cur: Optional[PolygonClass] = c
-        chain = []
-        while cur is not None and cur not in seen:
-            seen[cur] = len(chain)
-            chain.append(cur)
-            cur = self.image.get(cur)
-        if cur is None:
-            return None
-        return seen[cur]  # steps from c to the cycle entry
-
-    def is_periodic(self, c: PolygonClass) -> bool:
-        return self.depth.get(c) == 0
-
-    def periodic_classes(self) -> list[PolygonClass]:
-        return [c for c in self.lam.sorted_classes() if self.is_periodic(c)]
-
-    def max_depth(self) -> Optional[int]:
-        depths = list(self.depth.values())
-        if any(x is None for x in depths):
-            return None
-        return max(depths) if depths else 0
-
-
 # --- validation ------------------------------------------------------------------
 
 
@@ -144,6 +111,12 @@ class FdlReport:
     def failures(self) -> dict:
         return {k: v for k, v in self.axioms.items() if not v.passed}
 
+    def failure_text(self) -> str:
+        """Witnesses of the failed axioms, as ``axiom k: witness; ...``."""
+        return "; ".join(
+            f"axiom {k}: {w}" for k, r in sorted(self.failures().items()) for w in r.witnesses
+        )
+
 
 class _IntModel:
     """Integer coordinates for a finite lamination.
@@ -161,11 +134,11 @@ class _IntModel:
             for v in c.vertices:
                 D = lcm(D, v.denominator)
         self.D = D
+        polys = lam.sorted_classes()
         self.classes = [
-            tuple(v.numerator * (D // v.denominator) for v in c.vertices)
-            for c in lam.sorted_classes()
+            tuple(v.numerator * (D // v.denominator) for v in c.vertices) for c in polys
         ]
-        self.poly = {c: p for c, p in zip(self.classes, lam.sorted_classes())}
+        self.poly = dict(zip(self.classes, polys))
 
     def sigma(self, x: int) -> int:
         return (x * self.d) % self.D
@@ -185,42 +158,42 @@ class _IntModel:
     def edge_str(self, e: tuple[int, int]) -> str:
         return f"({self.angle(e[0])},{self.angle(e[1])})"
 
+    def depths(self) -> dict[tuple[int, ...], Optional[int]]:
+        """Steps from each class along its image chain to a periodic class,
+        or None when the chain leaves the lamination."""
+        known = set(self.classes)
+        image_class: dict[tuple, Optional[tuple]] = {}
+        for c in self.classes:
+            img = tuple(sorted({self.sigma(v) for v in c}))
+            image_class[c] = img if img in known else None
 
-def _int_covering_degree(cls: tuple[int, ...], model: _IntModel):
-    """Covering classification on integer coordinates; mirrors
-    :func:`lamkit.core.covering_degree`."""
-    imgs = [model.sigma(v) for v in cls]
-    distinct = sorted(set(imgs))
-    if len(distinct) == 1:
-        return "point", len(cls)
-    if len(distinct) == 2:
-        if len(cls) == 2:
-            return "covering", 1
-        if len(cls) % 2 == 0 and all(imgs[i] != imgs[i + 1] for i in range(len(imgs) - 1)):
-            return "leaf", len(cls) // 2
-        return "none", None
-    if len(imgs) % len(distinct) != 0:
-        return "none", None
-    k = len(imgs) // len(distinct)
-    base = imgs[0]
-    cycle = sorted(distinct, key=lambda p: (p - base) % model.D)
-    return ("covering", k) if imgs == cycle * k else ("none", None)
+        depth: dict[tuple, Optional[int]] = {}
+        for c in self.classes:
+            seen: dict[tuple, int] = {}
+            cur, chain = c, []
+            while cur is not None and cur not in seen:
+                seen[cur] = len(chain)
+                chain.append(cur)
+                cur = image_class[cur]
+            if cur is None:
+                depth.update(dict.fromkeys(chain))
+                continue
+            # nodes before the cycle sit at their distance to the cycle entry
+            cycle_start = seen[cur]
+            for idx, node in enumerate(chain):
+                depth[node] = max(0, cycle_start - idx)
+        return depth
 
 
-def validate_fdl(lam: ClassLamination, trust_invariants: bool = False) -> FdlReport:
-    """Check the seven defining axioms and report per-axiom witnesses.
-
-    ``trust_invariants`` skips the quadratic non-crossing re-check when the
-    caller constructed the lamination from already-validated parts.
-    """
+def validate_fdl(lam: ClassLamination) -> FdlReport:
+    """Check the seven defining axioms and report per-axiom witnesses."""
     d = lam.degree
     axioms: dict[int, AxiomResult] = {}
-    if not trust_invariants:
-        try:
-            lam.check()
-        except LaminationError as exc:
-            axioms[0] = AxiomResult(False, (str(exc),))
-            return FdlReport(False, axioms, None)
+    try:
+        lam.check()
+    except LaminationError as exc:
+        axioms[0] = AxiomResult(False, (str(exc),))
+        return FdlReport(False, axioms, None)
 
     model = _IntModel(lam)
 
@@ -257,31 +230,8 @@ def validate_fdl(lam: ClassLamination, trust_invariants: bool = False) -> FdlRep
     ]
     axioms[3] = AxiomResult(not bad3, tuple(bad3))
 
-    # class image chains and depths
-    by_vertices = {tuple(sorted(set(c))): c for c in model.classes}
-    image_class: dict[tuple, Optional[tuple]] = {}
-    for c in model.classes:
-        img = tuple(sorted({model.sigma(v) for v in c}))
-        image_class[c] = by_vertices.get(img) if len(img) >= 2 else None
-
-    depth: dict[tuple, Optional[int]] = {}
-    for c in model.classes:
-        seen: dict[tuple, int] = {}
-        cur, chain = c, []
-        while cur is not None and cur not in seen:
-            seen[cur] = len(chain)
-            chain.append(cur)
-            cur = image_class.get(cur)
-        if cur is None:
-            for node in chain:
-                depth.setdefault(node, None)
-            continue
-        # nodes before the cycle sit at their distance to the cycle entry
-        cycle_start = seen[cur]
-        for idx, node in enumerate(chain):
-            depth[node] = max(0, cycle_start - idx)
-
-    periodic = tuple(model.poly[c] for c in model.classes if depth.get(c) == 0)
+    depth = model.depths()
+    periodic = tuple(model.poly[c] for c in model.classes if depth[c] == 0)
 
     # 6: every leaf is a hull edge of its class (structural in this
     # representation; raw chord imports go through classes_from_chords)
@@ -289,11 +239,10 @@ def validate_fdl(lam: ClassLamination, trust_invariants: bool = False) -> FdlRep
 
     # 7: periodic classes cover with positive orientation
     bad7 = []
-    for c in model.classes:
-        if depth.get(c) == 0:
-            kind, _ = _int_covering_degree(c, model)
-            if kind != "covering":
-                bad7.append(f"periodic class {model.poly[c]} has boundary map {kind}")
+    for poly in periodic:
+        kind = covering_degree(poly, d).kind
+        if kind != COVERING:
+            bad7.append(f"periodic class {poly} has boundary map {kind}")
     axioms[7] = AxiomResult(not bad7, tuple(bad7))
 
     if any(v is None for v in depth.values()) or not axioms[3].passed:
@@ -388,7 +337,7 @@ class FDL:
     def validate(cls, lam: ClassLamination) -> "FDL":
         report = validate_fdl(lam)
         if not report.valid:
-            raise FdlError(f"not a finite dynamical lamination: {report.failures()}")
+            raise FdlError(f"not a finite dynamical lamination: {report.failure_text()}")
         return cls(lam, report.depth_n)
 
     @property
@@ -408,76 +357,31 @@ class FDL:
 
 
 def deepest_classes(fdl: FDL) -> list[PolygonClass]:
-    orbits = _Orbits(fdl.lamination)
-    if fdl.depth_n == 0:
-        return orbits.periodic_classes()
-    return [
-        c for c in fdl.lamination.sorted_classes() if orbits.depth[c] == fdl.depth_n
-    ]
-
-
-def _ranked_cross(e1: tuple[int, int], e2: tuple[int, int]) -> bool:
-    # crossing depends only on circular order, encoded as integer ranks
-    a1, b1 = e1
-    a2, b2 = e2
-    if a1 == a2 or a1 == b2 or b1 == a2 or b1 == b2:
-        return False
-    return (a1 < a2 < b1) != (a1 < b2 < b1)
-
-
-def _bind_ranked(shape, points, rank, existing, context_vertex_set, ctx_edges_r):
-    """Rank-based variant of portrait binding used by child enumeration.
-
-    Returns (new vertex tuples, their rank edges) or None on conflict.
-    """
-    new_vertex_tuples = []
-    new_edges_r = []
-    for block in shape.blocks:
-        vs = tuple(sorted(points[p] for p in block))
-        if vs in existing:
-            continue  # exact reuse of an existing class
-        if any(v in context_vertex_set for v in vs):
-            return None
-        rs = [rank[v] for v in vs]
-        if len(rs) == 2:
-            edges = [(rs[0], rs[1])]
-        else:
-            edges = [(rs[i], rs[i + 1]) for i in range(len(rs) - 1)]
-            edges.append((rs[0], rs[-1]))
-        for e in edges:
-            if any(_ranked_cross(e, ce) for ce in ctx_edges_r):
-                return None
-        new_vertex_tuples.append(vs)
-        new_edges_r.extend(edges)
-    return new_vertex_tuples, new_edges_r
+    """Classes at depth ``fdl.depth_n``: the periodic ones when it is 0."""
+    model = _IntModel(fdl.lamination)
+    depth = model.depths()
+    return [model.poly[c] for c in model.classes if depth[c] == fdl.depth_n]
 
 
 def enumerate_children(fdl: FDL) -> list[FDL]:
     """All laminations one pullback level deeper whose image is this one.
 
-    Per deepest class, disk-wide sibling portraits are instantiated over
-    its vertex preimages (reusing classes the portrait reproduces); all
-    mutually compatible combinations are assembled and filtered through the
-    full validator.  Children come back canonically ordered.
+    Per deepest class, disk-wide sibling portraits are bound to its vertex
+    preimages (reusing classes the portrait reproduces); all mutually
+    compatible combinations are assembled and filtered through the full
+    validator.  Children come back canonically ordered.
     """
-    from .portraits import portrait_points
-
     lam = fdl.lamination
     d = lam.degree
     targets = deepest_classes(fdl)
-    target_points = {t: portrait_points(t, d, None) for t in targets}
-    context_vertices = lam.all_vertices()
-    all_angles = sorted(context_vertices | {p for pts in target_points.values() for p in pts})
-    rank = {a: i for i, a in enumerate(all_angles)}
-    ctx_edges_r = tuple((rank[e.a], rank[e.b]) for e in lam.all_edges())
-    existing = {c.vertices for c in lam.classes}
+    target_points = [portrait_points(t, d, None) for t in targets]
+    context = rank_context(lam, (p for pts in target_points for p in pts))
 
     options = []
-    for t in targets:
-        pts = target_points[t]
+    for t, pts in zip(targets, target_points):
         placed_list = []
         for shape in enumerate_all_portraits(d, len(t)):
-            placed = _bind_ranked(shape, pts, rank, existing, context_vertices, ctx_edges_r)
+            placed = bind_shape(shape, pts, context)
             if placed is not None and placed[0]:
                 placed_list.append(placed)
         if not placed_list:
@@ -488,20 +392,20 @@ def enumerate_children(fdl: FDL) -> list[FDL]:
     for combo in product(*options):
         # blocks for distinct targets use disjoint fibers, so only crossing
         # between placements needs a check
-        if len(combo) > 1:
-            ok = True
-            for (_, e1), (_, e2) in combinations(combo, 2):
-                if any(_ranked_cross(a, b) for a in e1 for b in e2):
-                    ok = False
-                    break
-            if not ok:
-                continue
-        new_classes = [PolygonClass(vs) for placed in combo for vs in placed[0]]
-        candidate = ClassLamination(d, frozenset(lam.classes) | frozenset(new_classes))
+        if any(
+            _ranks_cross(a, b)
+            for (_, _, e1), (_, _, e2) in combinations(combo, 2)
+            for a in e1
+            for b in e2
+        ):
+            continue
+        new_classes = [PolygonClass(vs) for new, _, _ in combo for vs in new]
+        candidate = ClassLamination(d, lam.classes | frozenset(new_classes))
         # invariants hold by construction: the parent was valid and every
-        # new block was screened against the context and its peers
+        # new block was screened against the context and its peers, so
+        # validate_fdl's lam.check() returns at once
         candidate._mark_checked()
-        report = validate_fdl(candidate, trust_invariants=True)
+        report = validate_fdl(candidate)
         if not report.valid or report.depth_n != fdl.depth_n + 1:
             continue
         child = FDL(candidate, report.depth_n)
@@ -540,36 +444,22 @@ def root_fdl(degree: int, periodic: Iterable[PolygonClass]) -> FDL:
     lam = ClassLamination.create(degree, set(periodic))
     report = validate_fdl(lam)
     if not report.valid:
-        raise FdlError(f"root rejected: {report.failures()}")
+        raise FdlError(f"root rejected: {report.failure_text()}")
     if report.depth_n != 0:
         raise FdlError(f"root must be its own image; depth parameter is {report.depth_n}")
     return FDL(lam, 0)
 
 
-def iter_pullback_levels(root: FDL, depth: int) -> Iterator[list[FDL]]:
-    """Yield tree levels 0..depth as they complete."""
-    level = [root]
-    yield level
-    for _ in range(depth):
-        nxt: dict[str, FDL] = {}
-        for node in level:
-            for child in enumerate_children(node):
-                nxt[child.key()] = child
-        level = [nxt[k] for k in sorted(nxt)]
-        yield level
-
-
 def build_pullback_tree(root: FDL, depth: int) -> PullbackTree:
     """Breadth-first tree of all descendants down to ``depth``."""
-    tree = PullbackTree(root)
-    level = [root]
-    tree.levels.append(level)
+    tree = PullbackTree(root, [[root]])
     for _ in range(depth):
         nxt: dict[str, FDL] = {}
-        for node in level:
+        for node in tree.levels[-1]:
+            node_key = node.key()
             for child in enumerate_children(node):
-                nxt[child.key()] = child
-                tree.parent[child.key()] = node.key()
-        level = [nxt[k] for k in sorted(nxt)]
-        tree.levels.append(level)
+                key = child.key()
+                nxt[key] = child
+                tree.parent[key] = node_key
+        tree.levels.append([nxt[k] for k in sorted(nxt)])
     return tree

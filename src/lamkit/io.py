@@ -30,13 +30,18 @@ class DocumentError(ValueError):
 # --- lamination documents -------------------------------------------------------
 
 
-def load_lamination(doc) -> ClassLamination:
-    """Parse a lamination document (dict or JSON text) into classes."""
+def _parse(doc):
+    """A document given as JSON text or as an already parsed value."""
     if isinstance(doc, str):
         try:
-            doc = json.loads(doc)
+            return json.loads(doc)
         except json.JSONDecodeError as exc:
             raise DocumentError(f"invalid JSON: {exc}") from exc
+    return doc
+
+
+def _object_degree(doc) -> int:
+    """The checked degree of a JSON object document."""
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     if "degree" not in doc:
@@ -45,9 +50,15 @@ def load_lamination(doc) -> ClassLamination:
     if not isinstance(d, int):
         raise DocumentError(f"'degree' must be an integer, got {d!r}")
     try:
-        check_degree(d)
+        return check_degree(d)
     except AngleError as exc:
         raise DocumentError(str(exc)) from exc
+
+
+def load_lamination(doc) -> ClassLamination:
+    """Parse a lamination document (dict or JSON text) into classes."""
+    doc = _parse(doc)
+    d = _object_degree(doc)
     raw = doc.get("classes")
     if not isinstance(raw, list):
         raise DocumentError("document lacks a 'classes' list")
@@ -95,11 +106,7 @@ def lamination_from_document(doc) -> ClassLamination:
     """
     from .fdl import FdlError, classes_from_chords
 
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"invalid JSON: {exc}") from exc
+    doc = _parse(doc)
     if isinstance(doc, dict) and "chords" in doc:
         cs = load_chordset(doc)
         try:
@@ -115,22 +122,10 @@ def lamination_from_document(doc) -> ClassLamination:
 
 def load_chordset(doc) -> ChordSet:
     """Parse a chord-set document; falls back to class edges when given classes."""
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DocumentError("document must be a JSON object")
-    if "chords" not in doc:
+    doc = _parse(doc)
+    if not isinstance(doc, dict) or "chords" not in doc:
         return load_lamination(doc).as_chordset()
-    d = doc.get("degree")
-    if not isinstance(d, int):
-        raise DocumentError("'degree' must be an integer")
-    try:
-        check_degree(d)
-    except AngleError as exc:
-        raise DocumentError(str(exc)) from exc
+    d = _object_degree(doc)
     chords = []
     for i, pair in enumerate(doc["chords"]):
         if not isinstance(pair, list) or len(pair) != 2:

@@ -14,7 +14,6 @@ from typing import Optional
 
 from .core import (
     DEGREE_KNOWN,
-    ClassLamination,
     covering_degree,
     gap_decomposition,
     gap_degree,

@@ -10,7 +10,9 @@ Shapes are enumerated by backtracking over the cyclic point sequence (the
 first unused point starts a block; each extension splits off independent
 segments), counted in closed form by the Fuss-Catalan formula, put in
 bijection with full n-ary trees, reduced across label removal, and finally
-bound to concrete circle geometry by :func:`instantiate_portrait`.
+bound to concrete circle geometry by :func:`bind_shape`, which decides
+crossings on integer ranks of the points in circular order.  Child
+enumeration and :func:`instantiate_portrait` share that binder.
 """
 
 from __future__ import annotations
@@ -19,12 +21,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import comb
-from typing import Optional, Sequence
-
-from typing import Iterable
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .circle import Angle, check_degree, preimages, sigma
-from .core import Chord, ClassLamination, PolygonClass, RoundGap, chords_cross
+from .core import ClassLamination, PolygonClass, RoundGap
 
 
 class PortraitError(ValueError):
@@ -260,10 +260,6 @@ class Placement:
     new_classes: tuple[PolygonClass, ...]
     reused: tuple[PolygonClass, ...]
 
-    @property
-    def classes(self) -> tuple[PolygonClass, ...]:
-        return tuple(sorted(self.new_classes + self.reused, key=lambda c: c.vertices))
-
 
 def portrait_points(target: PolygonClass, d: int, region: Optional[RoundGap] = None) -> list[Angle]:
     """Preimages of the target's vertices available for a portrait.
@@ -296,26 +292,68 @@ def portrait_points(target: PolygonClass, d: int, region: Optional[RoundGap] = N
     return ordered
 
 
+class RankedContext(NamedTuple):
+    """Fixed lamination data a placement must respect, in integer ranks.
+
+    Crossing depends only on circular order, so ``rank`` numbers the
+    context vertices and the portrait points in increasing order and the
+    context's hull edges become rank pairs.
+    """
+
+    rank: dict[Angle, int]
+    existing: set[tuple[Angle, ...]]  # vertex tuples of the context classes
+    vertices: set[Angle]
+    edges: tuple[tuple[int, int], ...]
+
+
+def rank_context(context: ClassLamination, points: Iterable[Angle]) -> RankedContext:
+    """Rank the context's vertices together with the given portrait points."""
+    vertices = context.all_vertices()
+    rank = {a: i for i, a in enumerate(sorted(vertices | set(points)))}
+    return RankedContext(
+        rank,
+        {c.vertices for c in context.classes},
+        vertices,
+        tuple((rank[e.a], rank[e.b]) for e in context.all_edges()),
+    )
+
+
+def _ranks_cross(e1: tuple[int, int], e2: tuple[int, int]) -> bool:
+    # chords as increasing rank pairs; sharing an endpoint is not crossing
+    a1, b1 = e1
+    a2, b2 = e2
+    if a1 == a2 or a1 == b2 or b1 == a2 or b1 == b2:
+        return False
+    return (a1 < a2 < b1) != (a1 < b2 < b1)
+
+
 def bind_shape(
-    shape: PortraitShape,
-    points: Sequence[Angle],
-    existing: set[tuple[Angle, ...]],
-    context_vertices: set[Angle],
-    context_edges: Iterable[Chord],
-) -> Optional[Placement]:
-    """Place a shape's blocks onto concrete points against fixed context data."""
-    new, reused = [], []
+    shape: PortraitShape, points: Sequence[Angle], context: RankedContext
+) -> Optional[tuple[list, list, list]]:
+    """Place a shape's blocks onto concrete points against fixed context data.
+
+    A block that exactly reproduces a context class is reused; one that
+    otherwise touches a context vertex or crosses a context edge makes the
+    placement fail.  Returns ``(new vertex tuples, reused vertex tuples,
+    rank edges of the new blocks)``, or None on conflict.
+    """
+    new, reused, new_edges = [], [], []
     for block in shape.blocks:
-        poly = PolygonClass(tuple(points[p] for p in block))
-        if poly.vertices in existing:
-            reused.append(poly)
+        vs = tuple(sorted(points[p] for p in block))
+        if vs in context.existing:
+            reused.append(vs)
             continue
-        if set(poly.vertices) & context_vertices:
+        if any(v in context.vertices for v in vs):
             return None
-        if any(chords_cross(e, ce) for e in poly.edges() for ce in context_edges):
+        rs = [context.rank[v] for v in vs]
+        edges = list(zip(rs, rs[1:]))
+        if len(rs) > 2:
+            edges.append((rs[0], rs[-1]))
+        if any(_ranks_cross(e, ce) for e in edges for ce in context.edges):
             return None
-        new.append(poly)
-    return Placement(tuple(new), tuple(reused))
+        new.append(vs)
+        new_edges.extend(edges)
+    return new, reused, new_edges
 
 
 def instantiate_portrait(
@@ -340,10 +378,8 @@ def instantiate_portrait(
         )
     if shape.n != len(target):
         raise PortraitError(f"shape is for {shape.n}-gons, target has {len(target)} vertices")
-    return bind_shape(
-        shape,
-        points,
-        {c.vertices for c in context.classes},
-        context.all_vertices(),
-        tuple(context.all_edges()),
-    )
+    placed = bind_shape(shape, points, rank_context(context, points))
+    if placed is None:
+        return None
+    new, reused, _ = placed
+    return Placement(tuple(map(PolygonClass, new)), tuple(map(PolygonClass, reused)))

@@ -28,7 +28,6 @@ from .circle import (
     circle_dist,
     in_closed_arc,
     in_open_arc,
-    mod1,
     orbit_info,
     preimages,
     sigma,
@@ -38,7 +37,6 @@ from .core import (
     Chord,
     ChordSet,
     ClassLamination,
-    PolygonClass,
     RoundGap,
     chords_cross,
     covering_degree,
@@ -179,7 +177,7 @@ def place_critical_chords(lam: ClassLamination, enumerate_all: bool = False) -> 
             raise PullbackError(f"polygon {poly} has no degree; cannot place chords")
         if cov.degree < 2:
             continue
-        anchors = [poly.smallest_angle()] if not enumerate_all else list(poly.vertices)
+        anchors = [poly.vertices[0]] if not enumerate_all else list(poly.vertices)
         gap_anchor_options.append(
             _chains(anchors, cov.degree, d, lambda p, poly=poly: p in set(poly.vertices))
         )
@@ -216,13 +214,6 @@ def place_critical_chords(lam: ClassLamination, enumerate_all: bool = False) -> 
             seen.add(cs.chords)
             out.append(cs)
     return out
-
-
-def _smallest_angle_of(poly: PolygonClass) -> Angle:
-    return poly.vertices[0]
-
-
-PolygonClass.smallest_angle = _smallest_angle_of  # reused by placement
 
 
 def _chains(anchors, k: int, d: int, contains) -> list[list[Chord]]:

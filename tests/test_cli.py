@@ -163,6 +163,25 @@ def test_proper(level1_file, capsys):
     assert "proper so far: True" in capsys.readouterr().out
 
 
+def test_proper_lists_period_mismatch_leaves(tmp_path, capsys):
+    # 1/7 has period 3 and 1/3 has period 2
+    p = tmp_path / "mismatch.json"
+    p.write_text('{"degree":2,"chords":[["1/7","1/3"]]}')
+    assert main(["proper", str(p)]) == 0
+    out = capsys.readouterr().out
+    assert "period mismatch leaves: 1\n  (1/7,1/3)\n" in out
+
+
+def test_children_of_invalid_lamination_is_classified(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text('{"degree":2,"classes":[["1/5","2/5"]]}')
+    assert main(["children", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "image of (1/5,2/5) is not a leaf" in err
+    assert "AxiomResult(" not in err and "internal error" not in err
+
+
 def test_render_stdout(rabbit_file, capsys):
     assert main(["render", rabbit_file, "--geodesics", "arc"]) == 0
     assert capsys.readouterr().out.startswith("<svg")

@@ -8,6 +8,7 @@ from lamkit.core import Chord, ClassLamination, LaminationError, PolygonClass
 from lamkit.fdl import (
     FDL,
     FdlError,
+    build_pullback_tree,
     canonical_form,
     classes_from_chords,
     deepest_classes,
@@ -57,6 +58,14 @@ def test_validate_orientation_reversing_periodic():
     rev = PolygonClass((F(1, 7), F(2, 7), F(4, 7), F(9, 14)))
     report = validate_fdl(ClassLamination.create(2, [rev]))
     assert not report.valid
+    # a fixed triangle of sigma_3 whose boundary map reverses orientation:
+    # 0 -> 0, 1/8 -> 3/8, 3/8 -> 1/8
+    fixed = PolygonClass((F(0), F(1, 8), F(3, 8)))
+    report = validate_fdl(ClassLamination.create(3, [fixed]))
+    assert report.failures() == {7: report.axioms[7]}
+    assert report.axioms[7].witnesses == (
+        "periodic class {0,1/8,3/8} has boundary map not_covering",
+    )
 
 
 def test_canonical_form():
@@ -79,7 +88,7 @@ def test_classes_from_chords():
 def test_root_rejects_non_self_image():
     with pytest.raises(FdlError):
         root_fdl(2, [RABBIT, SIBLING])
-    with pytest.raises(FdlError):
+    with pytest.raises(FdlError, match=r"axiom 3: image of \(2/7,4/7\) is not a leaf"):
         root_fdl(2, [PolygonClass((F(1, 7), F(2, 7), F(4, 7), F(9, 14)))])
 
 
@@ -178,8 +187,22 @@ def test_children_match_unconstrained_oracle(rabbit_root, basilica_root):
         node = kids[0]
 
 
-def test_level_counts_stream(rabbit_root):
-    from lamkit.fdl import iter_pullback_levels
+def _expected_deepest(node):
+    # periodic classes at depth 0; deeper, the non-periodic classes that
+    # are no class's image, since axiom 4 gives every shallower leaf a
+    # preimage
+    lam = node.lamination
+    periodic = list(validate_fdl(lam).periodic_classes)
+    if node.depth_n == 0:
+        return periodic
+    d = lam.degree
+    images = {c.image(d) for c in lam.classes}
+    return [c for c in lam.sorted_classes() if c not in periodic and c not in images]
 
-    counts = [len(lv) for lv in iter_pullback_levels(rabbit_root, 4)]
-    assert counts == [1, 1, 1, 1, 4]
+
+def test_deepest_classes_match_independent_answer(rabbit_tree, basilica_root):
+    trees = [rabbit_tree, build_pullback_tree(basilica_root, 6)]
+    assert [len(t.levels) for t in trees] == [6, 7]
+    for tree in trees:
+        for node in tree.all_nodes():
+            assert deepest_classes(node) == _expected_deepest(node), node.key()

@@ -2,8 +2,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from lamkit.core import ClassLamination, PolygonClass, gap_decomposition, gap_degree
+from lamkit.core import (
+    ClassLamination,
+    PolygonClass,
+    gap_decomposition,
+    gap_degree,
+    polygons_conflict,
+)
+from lamkit.fdl import deepest_classes
 from lamkit.portraits import (
+    Placement,
     PortraitError,
     PortraitShape,
     count_all,
@@ -191,3 +199,32 @@ def test_instantiate_region_degree_mismatch():
     two_shape = enumerate_injective_portraits(2, 3)[0]
     with pytest.raises(PortraitError):
         instantiate_portrait(two_shape, target, deg1, lam)
+
+
+def _fraction_bind(shape, points, lam):
+    # reference binder on exact Fraction geometry: a block reproducing a
+    # class is reused, any other contact with a class rejects the placement
+    new, reused = [], []
+    for block in shape.blocks:
+        poly = PolygonClass(tuple(points[p] for p in block))
+        if poly in lam.classes:
+            reused.append(poly)
+        elif any(polygons_conflict(poly, c) for c in lam.classes):
+            return None
+        else:
+            new.append(poly)
+    return Placement(tuple(new), tuple(reused))
+
+
+def test_rank_binding_matches_fraction_geometry(rabbit_tree, cubic_root):
+    nodes = [n for level in rabbit_tree.levels[:4] for n in level] + [cubic_root]
+    checked = 0
+    for node in nodes:
+        lam = node.lamination
+        for target in deepest_classes(node):
+            points = portrait_points(target, lam.degree, None)
+            for shape in enumerate_all_portraits(lam.degree, len(target)):
+                placed = instantiate_portrait(shape, target, None, lam)
+                assert placed == _fraction_bind(shape, points, lam)
+                checked += placed is not None
+    assert checked > 0
