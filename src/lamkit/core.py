@@ -6,7 +6,9 @@ A finite lamination is stored either as disjoint polygon classes
 and unclean points).  The complement of a class lamination decomposes into
 polygon gaps (the hulls themselves) and round gaps (components carrying
 circle arcs); round gaps are found by an exact boundary walk, and each gap
-gets a covering degree by preimage counting at generic rational samples.
+gets a covering degree by exact preimage counting, one point per interval
+between images of its basis endpoints.  Non-crossing is decided by one
+stack sweep over the sorted endpoints.
 The criticality audit checks the excess-degree identity
 ``sum_i (d_i - 1) = d - 1`` over all gaps.
 """
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Optional
 
 from .circle import (
@@ -126,11 +127,30 @@ class PolygonClass:
         return "{" + ",".join(str(v) for v in self.vertices) + "}"
 
 
-def polygons_conflict(p1: PolygonClass, p2: PolygonClass) -> bool:
-    """True if the classes share a vertex or their hull edges cross."""
-    if set(p1.vertices) & set(p2.vertices):
-        return True
-    return any(chords_cross(e1, e2) for e1 in p1.edges() for e2 in p2.edges())
+def _first_crossing(edges: Iterable[tuple]) -> Optional[tuple[tuple, tuple]]:
+    """One crossing pair among ``(a, b)`` edges with ``a < b``, or None.
+
+    Any ordered coordinates work (angles or integer ranks).  Endpoints are
+    swept in increasing order; at each point edges close innermost first,
+    then open outermost first, so sharing an endpoint is not crossing.
+    Non-crossing edges nest like brackets, so an edge that closes while
+    another edge is on top of the stack crosses that edge.  The pair comes
+    back ordered by first endpoint.
+    """
+    events = []
+    for a, b in edges:
+        events.append((b, 0, -a, a, b))
+        events.append((a, 1, -b, a, b))
+    events.sort()
+    stack: list[tuple] = []
+    for _, opening, _, a, b in events:
+        if opening:
+            stack.append((a, b))
+        elif stack[-1] != (a, b):
+            return (a, b), stack[-1]
+        else:
+            stack.pop()
+    return None
 
 
 @dataclass(frozen=True)
@@ -155,11 +175,16 @@ class ClassLamination:
         # immutable, so one successful check is enough for a lifetime
         if getattr(self, "_checked", False):
             return
-        for p1, p2 in combinations(self.sorted_classes(), 2):
-            if set(p1.vertices) & set(p2.vertices):
-                raise LaminationError(f"classes {p1} and {p2} share a vertex")
-            if polygons_conflict(p1, p2):
-                raise LaminationError(f"classes {p1} and {p2} cross")
+        owner: dict[Angle, PolygonClass] = {}
+        for p in self.sorted_classes():
+            for v in p.vertices:
+                if v in owner:
+                    raise LaminationError(f"classes {owner[v]} and {p} share a vertex")
+                owner[v] = p
+        hit = _first_crossing((e.a, e.b) for e in self.all_edges())
+        if hit is not None:
+            p1, p2 = sorted(owner[a] for a, _ in hit)
+            raise LaminationError(f"classes {p1} and {p2} cross")
         self._mark_checked()
 
     def _mark_checked(self):
@@ -205,9 +230,9 @@ class ChordSet:
         return cs
 
     def check(self):
-        for c1, c2 in combinations(sorted(self.chords), 2):
-            if chords_cross(c1, c2):
-                raise LaminationError(f"chords {c1} and {c2} cross")
+        hit = _first_crossing((c.a, c.b) for c in self.chords)
+        if hit is not None:
+            raise LaminationError(f"chords {Chord(*hit[0])} and {Chord(*hit[1])} cross")
 
     def sorted_chords(self) -> list[Chord]:
         return sorted(self.chords)
@@ -399,96 +424,30 @@ def gap_decomposition(lam: ClassLamination) -> GapDecomposition:
     return decomp
 
 
-def _merge_cyclic_arcs(arcs: list[tuple[Angle, Angle]]) -> Optional[list[tuple[Angle, Angle]]]:
-    """Union of closed arcs on the circle; None means the union is everything."""
-    events = []
-    for s, e in arcs:
-        ln = arc_len(s, e)
-        if ln >= 1:
-            return None
-        events.append((mod1(s), ln))
-    events.sort()
-    merged: list[list[Fraction]] = []
-    for s, ln in events:
-        if merged and (s - merged[-1][0]) % 1 <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], ((s - merged[-1][0]) % 1) + ln)
-        else:
-            merged.append([s, ln])
-    if len(merged) > 1:
-        # wrap: last component may absorb the first
-        s0, l0 = merged[0]
-        sl, ll = merged[-1]
-        if ((s0 - sl) % 1) <= ll:
-            ll = max(ll, ((s0 - sl) % 1) + l0)
-            merged[-1][1] = ll
-            merged.pop(0)
-    if any(ln >= 1 for _, ln in merged):
-        return None
-    return [(s, mod1(s + ln)) for s, ln in merged]
-
-
 def gap_degree(gap: RoundGap, d: int) -> DegreeStatus:
     """Degree of sigma on a round gap, by exact preimage counting.
 
-    Samples are the midpoints of the image-arc components plus one extra
-    independent sample, nudged off any image of a basis endpoint.  A gap
-    has degree k when every sample has exactly k preimages in the basis and
-    every basis arc maps injectively (length <= 1/d); a gap whose basis
-    image wraps the whole circle without meeting that bar is partly
-    critical; anything else has no degree.
+    A point's number of preimages in the closed basis is constant on each
+    open interval between consecutive images of basis endpoints, so the
+    midpoint of every such interval gives every count.  A gap has degree k
+    when every nonzero count is k and every basis arc maps injectively
+    (length <= 1/d); a gap whose basis image is the whole circle (no count
+    is 0) without meeting that bar is partly critical; anything else has
+    no degree.
     """
     check_degree(d)
     if gap.is_full_circle:
         return DegreeStatus(DEGREE_KNOWN, d)
 
-    arcs = list(gap.arcs)
-    arcs_inject = all(arc_len(s, e) <= Fraction(1, d) for s, e in arcs)
-    image_arcs = []
-    covers = False
-    for s, e in arcs:
-        if arc_len(s, e) >= Fraction(1, d):
-            covers = True
-        else:
-            image_arcs.append((sigma(s, d), sigma(e, d)))
-    if not covers:
-        components = _merge_cyclic_arcs(image_arcs)
-        if components is None:
-            covers = True
-            components = []
-    else:
-        components = []
-
-    endpoint_images = {sigma(p, d) for s, e in arcs for p in (s, e)}
-
-    def pick_sample(s: Angle, ln: Fraction, skip: set) -> Angle:
-        # midpoint first, then ever finer rational offsets; endpoint_images
-        # is finite, so this terminates
-        den = 2
-        while True:
-            cand = mod1(s + ln / den)
-            if cand not in endpoint_images and cand not in skip:
-                return cand
-            den += 1
-
-    def generic_samples() -> list[Angle]:
-        if covers or not components:
-            base = [(Fraction(0), Fraction(1))]
-        else:
-            base = [(s, arc_len(s, e)) for s, e in components]
-        samples = [pick_sample(s, ln, set()) for s, ln in base]
-        # one extra independent sample off the first component
-        s, ln = base[0]
-        samples.append(pick_sample(s + ln / 7, ln, set(samples)))
-        return samples
-
-    def count_basis_preimages(theta: Angle) -> int:
-        return sum(1 for k in range(d) if gap.contains_point((theta + k) / d))
-
-    counts = {count_basis_preimages(t) for t in generic_samples()}
-    uniform = len(counts) == 1
-    if uniform and arcs_inject:
-        return DegreeStatus(DEGREE_KNOWN, counts.pop())
-    if covers:
+    images = sorted({sigma(p, d) for arc in gap.arcs for p in arc})
+    counts = set()
+    for x, y in zip(images, images[1:] + images[:1]):
+        mid = mod1(x + arc_len(x, y) / 2)
+        counts.add(sum(1 for k in range(d) if gap.contains_point((mid + k) / d)))
+    nonzero = counts - {0}
+    if len(nonzero) == 1 and all(arc_len(s, e) <= Fraction(1, d) for s, e in gap.arcs):
+        return DegreeStatus(DEGREE_KNOWN, nonzero.pop())
+    if 0 not in counts:
         return DegreeStatus(PARTLY_CRITICAL)
     return DegreeStatus(DEGREE_UNDEFINED)
 

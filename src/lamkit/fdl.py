@@ -17,7 +17,8 @@ canonical form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from fractions import Fraction
+from itertools import product
 from math import lcm
 from typing import Iterable, Iterator, Optional
 
@@ -28,10 +29,10 @@ from .core import (
     ClassLamination,
     LaminationError,
     PolygonClass,
+    _first_crossing,
     covering_degree,
 )
 from .portraits import (
-    _ranks_cross,
     bind_shape,
     enumerate_all_portraits,
     portrait_points,
@@ -151,8 +152,6 @@ class _IntModel:
         return out
 
     def angle(self, x: int):
-        from fractions import Fraction
-
         return Fraction(x, self.D)
 
     def edge_str(self, e: tuple[int, int]) -> str:
@@ -332,6 +331,10 @@ class FDL:
 
     lamination: ClassLamination
     depth_n: int
+    _key: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_key", canonical_form(self.lamination))
 
     @classmethod
     def validate(cls, lam: ClassLamination) -> "FDL":
@@ -345,7 +348,7 @@ class FDL:
         return self.lamination.degree
 
     def key(self) -> str:
-        return canonical_form(self.lamination)
+        return self._key
 
     def image(self) -> ClassLamination:
         d = self.degree
@@ -368,7 +371,7 @@ def enumerate_children(fdl: FDL) -> list[FDL]:
 
     Per deepest class, disk-wide sibling portraits are bound to its vertex
     preimages (reusing classes the portrait reproduces); all mutually
-    compatible combinations are assembled and filtered through the full
+    compatible choices are assembled and filtered through the full
     validator.  Children come back canonically ordered.
     """
     lam = fdl.lamination
@@ -390,14 +393,10 @@ def enumerate_children(fdl: FDL) -> list[FDL]:
 
     children: dict[str, FDL] = {}
     for combo in product(*options):
-        # blocks for distinct targets use disjoint fibers, so only crossing
-        # between placements needs a check
-        if any(
-            _ranks_cross(a, b)
-            for (_, _, e1), (_, _, e2) in combinations(combo, 2)
-            for a in e1
-            for b in e2
-        ):
+        # each placement comes from a non-crossing shape and blocks for
+        # distinct targets use disjoint fibers, so a crossing among the new
+        # rank edges is one between placements
+        if _first_crossing(e for _, _, edges in combo for e in edges) is not None:
             continue
         new_classes = [PolygonClass(vs) for new, _, _ in combo for vs in new]
         candidate = ClassLamination(d, lam.classes | frozenset(new_classes))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Optional
 
 from .circle import (
@@ -38,6 +39,7 @@ from .core import (
     ChordSet,
     ClassLamination,
     RoundGap,
+    _first_crossing,
     chords_cross,
     covering_degree,
     gap_decomposition,
@@ -84,10 +86,10 @@ class CriticalChordSet:
         for c in self.chords:
             if not c.is_critical(d):
                 raise PullbackError(f"chord {c} is not critical in degree {d}")
-        for i, c1 in enumerate(self.chords):
-            for c2 in self.chords[i + 1 :]:
-                if chords_cross(c1, c2):
-                    raise PullbackError(f"critical chords {c1} and {c2} cross")
+        hit = _first_crossing((c.a, c.b) for c in self.chords)
+        if hit is not None:
+            c1, c2 = Chord(*hit[0]), Chord(*hit[1])
+            raise PullbackError(f"critical chords {c1} and {c2} cross")
         if self._has_loop():
             raise PullbackError("critical chords close a loop")
         for branch in self.branches():
@@ -201,8 +203,6 @@ def place_critical_chords(lam: ClassLamination, enumerate_all: bool = False) -> 
         raise PullbackError("no critical gaps; nothing to place")
 
     results = []
-    from itertools import product
-
     for combo in product(*gap_anchor_options):
         chords = [c for chain in combo for c in chain]
         results.append(CriticalChordSet.create(d, chords))

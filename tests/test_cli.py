@@ -182,6 +182,21 @@ def test_children_of_invalid_lamination_is_classified(tmp_path, capsys):
     assert "AxiomResult(" not in err and "internal error" not in err
 
 
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("validate", '{"degree":2,"classes":[["0","1/2"],["1/4","3/4"]]}'),
+        ("proper", '{"degree":2,"chords":[["0","1/2"],["1/4","3/4"]]}'),
+    ],
+)
+def test_crossing_documents_are_classified(tmp_path, capsys, command, doc):
+    p = tmp_path / "cross.json"
+    p.write_text(doc)
+    assert main([command, str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.rstrip().endswith("cross")
+
+
 def test_render_stdout(rabbit_file, capsys):
     assert main(["render", rabbit_file, "--geodesics", "arc"]) == 0
     assert capsys.readouterr().out.startswith("<svg")

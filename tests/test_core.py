@@ -1,5 +1,8 @@
 import random
+import re
 from fractions import Fraction as F
+from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -9,11 +12,13 @@ from lamkit.core import (
     COLLAPSES_TO_POINT,
     COVERING,
     DEGREE_KNOWN,
+    DEGREE_UNDEFINED,
     NOT_COVERING,
     PARTLY_CRITICAL,
     Chord,
     ChordSet,
     ClassLamination,
+    DegreeStatus,
     LaminationError,
     PolygonClass,
     chords_cross,
@@ -127,6 +132,89 @@ def test_gap_degree_long_arc_is_partly_critical():
     assert by_start[F(3, 26)].degree == 1
 
 
+def _dense_gap_degree(gap, d):
+    """Reference gap degree: preimage counts at every point (2j+1)/(2Q).
+
+    Q is the lcm of the denominators of the basis endpoint images, so every
+    interval between consecutive images holds at least one of these points
+    and none of them is an image.  Basis endpoints and the preimages of
+    these points are multiples of 1/m with m = 2Qd, so counting runs on
+    integers.
+    """
+    if gap.is_full_circle:
+        return DegreeStatus(DEGREE_KNOWN, d)
+    q = lcm(*(sigma(p, d).denominator for arc in gap.arcs for p in arc))
+    m = 2 * q * d
+    arcs = [(int(s * m), (e - s) % 1 * m or m) for s, e in gap.arcs]
+    counts = {
+        sum(
+            1
+            for k in range(d)
+            if any((2 * j + 1 + 2 * q * k - s) % m <= length for s, length in arcs)
+        )
+        for j in range(q)
+    }
+    nonzero = counts - {0}
+    if len(nonzero) == 1 and all((e - s) % 1 <= F(1, d) for s, e in gap.arcs):
+        return DegreeStatus(DEGREE_KNOWN, nonzero.pop())
+    if 0 not in counts:
+        return DegreeStatus(PARTLY_CRITICAL)
+    return DegreeStatus(DEGREE_UNDEFINED)
+
+
+def _random_classes(rng, max_classes):
+    den = rng.randrange(4, 30)
+    return [
+        PolygonClass(tuple({F(rng.randrange(den), den) for _ in range(rng.randrange(2, 5))}))
+        for _ in range(rng.randrange(1, max_classes + 1))
+    ]
+
+
+def _random_laminations(seed, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        try:
+            lam = ClassLamination.create(rng.choice([2, 3, 4]), _random_classes(rng, 3))
+        except LaminationError:
+            continue  # a single-vertex draw, a shared vertex or a crossing
+        out.append(lam)
+    return out
+
+
+def test_gap_degree_matches_dense_oracle(rabbit_tree, basilica_tree, cubic_root):
+    lams = [n.lamination for n in rabbit_tree.all_nodes()]
+    lams += [n.lamination for level in basilica_tree.levels[:7] for n in level]
+    lams += [cubic_root.lamination] + _random_laminations(11, 600)
+    kinds = set()
+    for lam in lams:
+        for gap in gap_decomposition(lam).round_gaps:
+            status = gap_degree(gap, lam.degree)
+            assert status == _dense_gap_degree(gap, lam.degree), (lam.classes, str(gap))
+            kinds.add(status.kind)
+    assert kinds == {DEGREE_KNOWN, PARTLY_CRITICAL, DEGREE_UNDEFINED}
+
+
+def test_gap_degree_where_sampling_was_wrong():
+    def status(classes, arcs):
+        lam = ClassLamination.create(3, [PolygonClass(tuple(map(F, c))) for c in classes])
+        arcs = tuple((F(s), F(e)) for s, e in arcs)
+        (gap,) = [g for g in gap_decomposition(lam).round_gaps if g.arcs == arcs]
+        return gap_degree(gap, 3)
+
+    # the cubic root: the two arcs' images overlap and together cover the
+    # circle, so counts are 1 and 2 and never 0
+    assert status(
+        [["1/26", "3/26", "9/26"], ["7/13", "8/13", "11/13"]],
+        [("9/26", "7/13"), ("11/13", "1/26")],
+    ) == DegreeStatus(PARTLY_CRITICAL)
+    # counts are 0, 1 and 2
+    assert status(
+        [["3/14", "9/14", "6/7"], ["2/7", "4/7"]],
+        [("3/14", "2/7"), ("4/7", "9/14")],
+    ) == DegreeStatus(DEGREE_UNDEFINED)
+
+
 def test_criticality_audit():
     empty = criticality_audit(ClassLamination.create(2, []))
     assert empty.passed and empty.excess == 1
@@ -163,6 +251,64 @@ def test_lamination_invariants():
     ChordSet.create(2, [Chord(F(0), F(1, 4)), Chord(F(0), F(3, 4))])
     with pytest.raises(LaminationError):
         ChordSet.create(2, [Chord(F(0), F(1, 2)), Chord(F(1, 4), F(3, 4))])
+
+
+def _named(pattern, message):
+    return [tuple(map(F, m.split(","))) for m in re.findall(pattern, message)]
+
+
+def test_chordset_check_matches_pairwise_oracle():
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(3000):
+        # few points, so shared endpoints and wedges are common
+        den = rng.randrange(4, 16)
+        chords = set()
+        for _ in range(rng.randrange(1, 7)):
+            a, b = rng.sample(range(den), 2)
+            chords.add(Chord(F(a, den), F(b, den)))
+        crossing = any(chords_cross(c1, c2) for c1, c2 in combinations(chords, 2))
+        outcomes.add(crossing)
+        if not crossing:
+            ChordSet.create(2, chords)
+            continue
+        with pytest.raises(LaminationError, match="cross") as err:
+            ChordSet.create(2, chords)
+        c1, c2 = (Chord(*p) for p in _named(r"\(([^()]+)\)", str(err.value)))
+        assert c1 in chords and c2 in chords and chords_cross(c1, c2)
+    assert outcomes == {False, True}
+
+
+def test_class_lamination_check_matches_pairwise_oracle():
+    def conflict(p1, p2):
+        return set(p1.vertices) & set(p2.vertices) or any(
+            chords_cross(e1, e2) for e1 in p1.edges() for e2 in p2.edges()
+        )
+
+    rng = random.Random(37)
+    outcomes = set()
+    tried = 0
+    while tried < 3000:
+        try:
+            classes = set(_random_classes(rng, 4))
+        except LaminationError:
+            continue  # a single-vertex draw
+        tried += 1
+        bad = any(conflict(p1, p2) for p1, p2 in combinations(classes, 2))
+        outcomes.add(bad)
+        if not bad:
+            ClassLamination.create(2, classes)
+            continue
+        with pytest.raises(LaminationError) as err:
+            ClassLamination.create(2, classes)
+        p1, p2 = (PolygonClass(v) for v in _named(r"\{([^{}]+)\}", str(err.value)))
+        assert p1 in classes and p2 in classes
+        if str(err.value).endswith("share a vertex"):
+            assert set(p1.vertices) & set(p2.vertices)
+        else:
+            assert str(err.value).endswith("cross")
+            assert any(chords_cross(e1, e2) for e1 in p1.edges() for e2 in p2.edges())
+    assert outcomes == {False, True}
 
 
 def test_sibling_count_balance_quick():

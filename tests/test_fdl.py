@@ -109,6 +109,16 @@ def test_basilica_children(basilica_root):
     assert kids[0].key() == "2|1/6,5/6|1/3,2/3"
 
 
+def test_tree_nodes_pass_the_full_lamination_check(basilica_tree, rabbit_tree, cubic_tree):
+    # children skip ClassLamination.check, relying on the placement filter
+    # of enumerate_children, so every node is checked again from scratch
+    for tree in (basilica_tree, rabbit_tree, cubic_tree):
+        for node in tree.all_nodes():
+            ClassLamination.create(node.degree, node.lamination.classes)
+    # the local A152046 b-file, indices 0-8
+    assert basilica_tree.level_counts() == [1, 1, 1, 3, 5, 11, 21, 43, 85]
+
+
 def test_rabbit_tree_structure(rabbit_tree):
     assert rabbit_tree.level_counts() == [1, 1, 1, 1, 4, 7]
     for lv, nodes in enumerate(rabbit_tree.levels):

@@ -5,9 +5,9 @@ import pytest
 from lamkit.core import (
     ClassLamination,
     PolygonClass,
+    chords_cross,
     gap_decomposition,
     gap_degree,
-    polygons_conflict,
 )
 from lamkit.fdl import deepest_classes
 from lamkit.portraits import (
@@ -209,7 +209,11 @@ def _fraction_bind(shape, points, lam):
         poly = PolygonClass(tuple(points[p] for p in block))
         if poly in lam.classes:
             reused.append(poly)
-        elif any(polygons_conflict(poly, c) for c in lam.classes):
+        elif any(
+            set(poly.vertices) & set(c.vertices)
+            or any(chords_cross(e1, e2) for e1 in poly.edges() for e2 in c.edges())
+            for c in lam.classes
+        ):
             return None
         else:
             new.append(poly)
