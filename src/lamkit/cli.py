@@ -214,7 +214,10 @@ def cmd_oeis_compare(args) -> int:
     try:
         counts = json.loads(counts_text)
     except json.JSONDecodeError:
-        counts = [int(x) for x in counts_text.split()]
+        try:
+            counts = [int(x) for x in counts_text.split()]
+        except ValueError:
+            counts = None
     if not isinstance(counts, list) or not all(isinstance(x, int) for x in counts):
         raise DocumentError("counts file must hold a JSON list or whitespace-separated integers")
     bfile = parse_bfile(_read(args.bfile))

@@ -8,7 +8,9 @@ polygon gaps (the hulls themselves) and round gaps (components carrying
 circle arcs); round gaps are found by an exact boundary walk, and each gap
 gets a covering degree by exact preimage counting, one point per interval
 between images of its basis endpoints.  Non-crossing is decided by one
-stack sweep over the sorted endpoints.
+stack sweep over the sorted endpoints.  ``_IntModel`` is the integer view
+of a set of classes (angles as residues mod a common denominator) that
+portrait placement and validation share.
 The criticality audit checks the excess-degree identity
 ``sum_i (d_i - 1) = d - 1`` over all gaps.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional
 
 from .circle import (
@@ -50,9 +53,6 @@ class Chord:
             a, b = b, a
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    def endpoints(self) -> tuple[Angle, Angle]:
-        return (self.a, self.b)
 
     def is_critical(self, d: int) -> bool:
         return sigma(self.a, d) == sigma(self.b, d)
@@ -151,6 +151,72 @@ def _first_crossing(edges: Iterable[tuple]) -> Optional[tuple[tuple, tuple]]:
         else:
             stack.pop()
     return None
+
+
+def _hull_edges(vs: tuple) -> list[tuple]:
+    """Hull edges of a sorted vertex tuple: consecutive pairs, then (first, last)."""
+    if len(vs) == 2:
+        return [vs]
+    return list(zip(vs, vs[1:])) + [(vs[0], vs[-1])]
+
+
+class _IntModel:
+    """Integer residues for polygon classes under sigma_d.
+
+    Angles become residues mod ``D = d * lcm(denominators)`` of the class
+    vertices and of ``extra``, so sigma is multiplication by d mod D, every
+    vertex preimage is itself a residue, and circular order is integer
+    order.  ``classes`` holds the residue tuples in sorted-class order,
+    ``poly`` maps them back, and ``edges`` lists their hull edges.
+    """
+
+    def __init__(self, d: int, polys: Iterable[PolygonClass], extra: Iterable[Angle] = ()):
+        polys = sorted(polys, key=lambda c: c.vertices)
+        angles = [v for c in polys for v in c.vertices] + list(extra)
+        self.d = d
+        self.D = d * lcm(*(a.denominator for a in angles))
+        self.classes = [tuple(map(self.res, c.vertices)) for c in polys]
+        self.poly = dict(zip(self.classes, polys))
+        self.vertices = {v for c in self.classes for v in c}
+        self.edges = [e for c in self.classes for e in _hull_edges(c)]
+
+    def res(self, a: Angle) -> int:
+        return a.numerator * (self.D // a.denominator)
+
+    def angle(self, x: int) -> Angle:
+        return Fraction(x, self.D)
+
+    def sigma(self, x: int) -> int:
+        return (x * self.d) % self.D
+
+    def edge_str(self, e: tuple[int, int]) -> str:
+        return f"({self.angle(e[0])},{self.angle(e[1])})"
+
+    def depths(self) -> dict[tuple[int, ...], Optional[int]]:
+        """Steps from each class along its image chain to a periodic class,
+        or None when the chain leaves the lamination."""
+        known = set(self.classes)
+        image_class: dict[tuple, Optional[tuple]] = {}
+        for c in self.classes:
+            img = tuple(sorted({self.sigma(v) for v in c}))
+            image_class[c] = img if img in known else None
+
+        depth: dict[tuple, Optional[int]] = {}
+        for c in self.classes:
+            seen: dict[tuple, int] = {}
+            cur, chain = c, []
+            while cur is not None and cur not in seen:
+                seen[cur] = len(chain)
+                chain.append(cur)
+                cur = image_class[cur]
+            if cur is None:
+                depth.update(dict.fromkeys(chain))
+                continue
+            # nodes before the cycle sit at their distance to the cycle entry
+            cycle_start = seen[cur]
+            for idx, node in enumerate(chain):
+                depth[node] = max(0, cycle_start - idx)
+        return depth
 
 
 @dataclass(frozen=True)
@@ -262,10 +328,6 @@ class CoveringResult:
 
     kind: str
     degree: Optional[int] = None
-
-    @property
-    def is_covering(self) -> bool:
-        return self.kind == COVERING
 
     @property
     def has_degree(self) -> bool:

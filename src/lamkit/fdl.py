@@ -9,17 +9,16 @@ exactly the leaves within n-1 steps of the periodic part have preimages.
 Children of such a lamination add one more layer of preimages: a sibling
 portrait, placed in the whole disk, over the preimages of each deepest
 class.  Candidates are built constructively from portrait shapes and then
-filtered through the full validator.  The pullback tree collects all
-descendants of a self-image root, level by level, deduplicated by
-canonical form.
+filtered through the full validator.  Enumeration and validation both run
+on one integer-residue model of the lamination (``core._IntModel``).  The
+pullback tree collects all descendants of a self-image root, level by
+level, deduplicated by canonical form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
-from math import lcm
 from typing import Iterable, Iterator, Optional
 
 from .circle import Angle, format_angle
@@ -30,14 +29,11 @@ from .core import (
     LaminationError,
     PolygonClass,
     _first_crossing,
+    _hull_edges,
+    _IntModel,
     covering_degree,
 )
-from .portraits import (
-    bind_shape,
-    enumerate_all_portraits,
-    portrait_points,
-    rank_context,
-)
+from .portraits import _portrait_residues, bind_shape, enumerate_all_portraits
 
 
 class FdlError(ValueError):
@@ -119,71 +115,6 @@ class FdlReport:
         )
 
 
-class _IntModel:
-    """Integer coordinates for a finite lamination.
-
-    Every vertex is a rational with some common denominator D, so angles
-    become residues mod D, sigma becomes multiplication by d mod D, and all
-    validator work runs on machine-friendly ints.
-    """
-
-    def __init__(self, lam: ClassLamination):
-        self.lam = lam
-        self.d = lam.degree
-        D = 1
-        for c in lam.classes:
-            for v in c.vertices:
-                D = lcm(D, v.denominator)
-        self.D = D
-        polys = lam.sorted_classes()
-        self.classes = [
-            tuple(v.numerator * (D // v.denominator) for v in c.vertices) for c in polys
-        ]
-        self.poly = dict(zip(self.classes, polys))
-
-    def sigma(self, x: int) -> int:
-        return (x * self.d) % self.D
-
-    def edges_of(self, cls: tuple[int, ...]):
-        if len(cls) == 2:
-            return [(cls[0], cls[1])]
-        out = [(cls[i], cls[i + 1]) for i in range(len(cls) - 1)]
-        out.append((cls[0], cls[-1]))
-        return out
-
-    def angle(self, x: int):
-        return Fraction(x, self.D)
-
-    def edge_str(self, e: tuple[int, int]) -> str:
-        return f"({self.angle(e[0])},{self.angle(e[1])})"
-
-    def depths(self) -> dict[tuple[int, ...], Optional[int]]:
-        """Steps from each class along its image chain to a periodic class,
-        or None when the chain leaves the lamination."""
-        known = set(self.classes)
-        image_class: dict[tuple, Optional[tuple]] = {}
-        for c in self.classes:
-            img = tuple(sorted({self.sigma(v) for v in c}))
-            image_class[c] = img if img in known else None
-
-        depth: dict[tuple, Optional[int]] = {}
-        for c in self.classes:
-            seen: dict[tuple, int] = {}
-            cur, chain = c, []
-            while cur is not None and cur not in seen:
-                seen[cur] = len(chain)
-                chain.append(cur)
-                cur = image_class[cur]
-            if cur is None:
-                depth.update(dict.fromkeys(chain))
-                continue
-            # nodes before the cycle sit at their distance to the cycle entry
-            cycle_start = seen[cur]
-            for idx, node in enumerate(chain):
-                depth[node] = max(0, cycle_start - idx)
-        return depth
-
-
 def validate_fdl(lam: ClassLamination) -> FdlReport:
     """Check the seven defining axioms and report per-axiom witnesses."""
     d = lam.degree
@@ -194,19 +125,13 @@ def validate_fdl(lam: ClassLamination) -> FdlReport:
         axioms[0] = AxiomResult(False, (str(exc),))
         return FdlReport(False, axioms, None)
 
-    model = _IntModel(lam)
+    model = _IntModel(d, lam.classes)
 
     # 1: finitely many leaves, and at least one class
     axioms[1] = AxiomResult(bool(lam.classes), () if lam.classes else ("empty lamination",))
 
-    edges: list[tuple[int, int]] = []
-    edge_class: dict[tuple[int, int], tuple[int, ...]] = {}
-    for cls in model.classes:
-        for e in model.edges_of(cls):
-            e = (e[0], e[1]) if e[0] < e[1] else (e[1], e[0])
-            edges.append(e)
-            edge_class[e] = cls
-    edge_set = set(edges)
+    edges = model.edges
+    edge_class = {e: cls for cls in model.classes for e in _hull_edges(cls)}
 
     # 2: no critical leaf
     critical = [e for e in edges if model.sigma(e[0]) == model.sigma(e[1])]
@@ -225,7 +150,7 @@ def validate_fdl(lam: ClassLamination) -> FdlReport:
     bad3 = [
         f"image of {model.edge_str(e)} is not a leaf"
         for e in edges
-        if img_of[e] is None or img_of[e] not in edge_set
+        if img_of[e] is None or img_of[e] not in edge_class
     ]
     axioms[3] = AxiomResult(not bad3, tuple(bad3))
 
@@ -359,11 +284,15 @@ class FDL:
         return f"FDL(n={self.depth_n}, {self.key()})"
 
 
+def _deepest(model: _IntModel, n: int) -> list[tuple[int, ...]]:
+    depth = model.depths()
+    return [c for c in model.classes if depth[c] == n]
+
+
 def deepest_classes(fdl: FDL) -> list[PolygonClass]:
     """Classes at depth ``fdl.depth_n``: the periodic ones when it is 0."""
-    model = _IntModel(fdl.lamination)
-    depth = model.depths()
-    return [model.poly[c] for c in model.classes if depth[c] == fdl.depth_n]
+    model = _IntModel(fdl.degree, fdl.lamination.classes)
+    return [model.poly[c] for c in _deepest(model, fdl.depth_n)]
 
 
 def enumerate_children(fdl: FDL) -> list[FDL]:
@@ -376,15 +305,14 @@ def enumerate_children(fdl: FDL) -> list[FDL]:
     """
     lam = fdl.lamination
     d = lam.degree
-    targets = deepest_classes(fdl)
-    target_points = [portrait_points(t, d, None) for t in targets]
-    context = rank_context(lam, (p for pts in target_points for p in pts))
+    model = _IntModel(d, lam.classes)
 
     options = []
-    for t, pts in zip(targets, target_points):
+    for t in _deepest(model, fdl.depth_n):
+        pts = _portrait_residues(t, model, None)
         placed_list = []
         for shape in enumerate_all_portraits(d, len(t)):
-            placed = bind_shape(shape, pts, context)
+            placed = bind_shape(shape, pts, model)
             if placed is not None and placed[0]:
                 placed_list.append(placed)
         if not placed_list:
@@ -395,10 +323,12 @@ def enumerate_children(fdl: FDL) -> list[FDL]:
     for combo in product(*options):
         # each placement comes from a non-crossing shape and blocks for
         # distinct targets use disjoint fibers, so a crossing among the new
-        # rank edges is one between placements
+        # residue edges is one between placements
         if _first_crossing(e for _, _, edges in combo for e in edges) is not None:
             continue
-        new_classes = [PolygonClass(vs) for new, _, _ in combo for vs in new]
+        new_classes = [
+            PolygonClass(tuple(map(model.angle, vs))) for new, _, _ in combo for vs in new
+        ]
         candidate = ClassLamination(d, lam.classes | frozenset(new_classes))
         # invariants hold by construction: the parent was valid and every
         # new block was screened against the context and its peers, so

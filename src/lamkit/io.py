@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .circle import Angle, AngleError, check_degree, format_angle, parse_angle
 from .core import Chord, ChordSet, ClassLamination, LaminationError, PolygonClass
-from .fdl import PullbackTree
+from .fdl import FdlError, PullbackTree, classes_from_chords
 from .paramgraph import GenGraph
 
 
@@ -104,8 +104,6 @@ def lamination_from_document(doc) -> ClassLamination:
     group is exactly the hull-edge set of its vertices, which is the
     import-time face of the hull-edge axiom.
     """
-    from .fdl import FdlError, classes_from_chords
-
     doc = _parse(doc)
     if isinstance(doc, dict) and "chords" in doc:
         cs = load_chordset(doc)
@@ -126,6 +124,8 @@ def load_chordset(doc) -> ChordSet:
     if not isinstance(doc, dict) or "chords" not in doc:
         return load_lamination(doc).as_chordset()
     d = _object_degree(doc)
+    if not isinstance(doc["chords"], list):
+        raise DocumentError("document lacks a 'chords' list")
     chords = []
     for i, pair in enumerate(doc["chords"]):
         if not isinstance(pair, list) or len(pair) != 2:
@@ -200,6 +200,7 @@ def export_dot_gengraph(graph: GenGraph) -> str:
 
 # --- SVG rendering ------------------------------------------------------------------
 
+_SVG_SIZE = 500
 _PALETTE = [
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
     "#8c564b", "#e377c2", "#17becf", "#bcbd22", "#7f7f7f",
@@ -232,13 +233,7 @@ def _chord_path(c: Chord, geodesics: str, radius: float, cx: float, cy: float) -
     return f"M {x1:.4f} {y1:.4f} L {x2:.4f} {y2:.4f}"
 
 
-def render_svg(
-    levels,
-    degree: Optional[int] = None,
-    geodesics: str = "straight",
-    size: int = 500,
-    color_by_level: bool = True,
-) -> str:
+def render_svg(levels, geodesics: str = "straight") -> str:
     """Render chord sets, a lamination, or a nested sequence of them.
 
     ``levels`` may be a ClassLamination, a ChordSet, or a list of ChordSet
@@ -248,17 +243,17 @@ def render_svg(
         levels = [levels.as_chordset()]
     if isinstance(levels, ChordSet):
         levels = [levels]
-    cx = cy = size / 2.0
-    radius = size * 0.47
+    cx = cy = _SVG_SIZE / 2.0
+    radius = _SVG_SIZE * 0.47
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
+        f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">',
         f'  <circle cx="{cx}" cy="{cy}" r="{radius:.4f}" fill="none" '
         f'stroke="#333333" stroke-width="1.5"/>',
     ]
     drawn: set[Chord] = set()
     for li, level in enumerate(levels):
-        color = _PALETTE[li % len(_PALETTE)] if color_by_level else _PALETTE[0]
+        color = _PALETTE[li % len(_PALETTE)]
         for c in sorted(level.chords):
             if c in drawn:
                 continue

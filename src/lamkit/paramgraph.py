@@ -12,12 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (
-    DEGREE_KNOWN,
-    covering_degree,
-    gap_decomposition,
-    gap_degree,
-)
+from .core import GAP_POLYGON, criticality_audit
 from .fdl import FDL, PullbackTree
 
 
@@ -43,21 +38,14 @@ def criticality(fdl: FDL) -> CriticalityRecord:
     round gaps of (degree - 1).  Free is None when some round gap has no
     degree (typical for depth-0 roots with partly critical gaps).
     """
-    lam = fdl.lamination
-    d = lam.degree
-    trapped = 0
-    for c in lam.classes:
-        cov = covering_degree(c, d)
-        if not cov.has_degree:
-            raise ParamGraphError(f"class {c} has no degree; criticality undefined")
-        trapped += cov.degree - 1
-    free = 0
-    for gap in gap_decomposition(lam).round_gaps:
-        status = gap_degree(gap, d)
-        if status.kind != DEGREE_KNOWN:
-            return CriticalityRecord(trapped, None, d)
-        free += status.degree - 1
-    return CriticalityRecord(trapped, free, d)
+    audit = criticality_audit(fdl.lamination)
+    polygons = [e for e in audit.entries if e.kind == GAP_POLYGON]
+    for e in polygons:
+        if e.status.degree is None:
+            raise ParamGraphError(f"class {e.gap} has no degree; criticality undefined")
+    trapped = sum(e.status.degree - 1 for e in polygons)
+    free = audit.excess - trapped if audit.applicable else None
+    return CriticalityRecord(trapped, free, audit.degree)
 
 
 def refines(a: FDL, b: FDL) -> bool:

@@ -10,8 +10,9 @@ Shapes are enumerated by backtracking over the cyclic point sequence (the
 first unused point starts a block; each extension splits off independent
 segments), counted in closed form by the Fuss-Catalan formula, put in
 bijection with full n-ary trees, reduced across label removal, and finally
-bound to concrete circle geometry by :func:`bind_shape`, which decides
-crossings on integer ranks of the points in circular order.  Child
+bound to concrete circle geometry by :func:`bind_shape`.  Placement runs
+on the integer residues of ``core._IntModel``: the preimages of a vertex
+residue are residues too, and crossings are integer comparisons.  Child
 enumeration and :func:`instantiate_portrait` share that binder.
 """
 
@@ -21,10 +22,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import comb
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
-from .circle import Angle, check_degree, preimages, sigma
-from .core import ClassLamination, PolygonClass, RoundGap
+from .circle import Angle, check_degree
+from .core import ClassLamination, PolygonClass, RoundGap, _hull_edges, _IntModel
 
 
 class PortraitError(ValueError):
@@ -49,9 +50,6 @@ class PortraitShape:
     @property
     def is_injective(self) -> bool:
         return all(len(b) == self.n for b in self.blocks)
-
-    def block_degrees(self) -> tuple[int, ...]:
-        return tuple(len(b) // self.n for b in self.blocks)
 
     def __str__(self):
         return " ".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
@@ -270,56 +268,36 @@ def portrait_points(target: PolygonClass, d: int, region: Optional[RoundGap] = N
     vertex, and their labels must repeat 0..n-1 cyclically.
     """
     check_degree(d)
-    pts = []
-    for v in target.vertices:
-        for p in preimages(v, d):
-            if region is None or region.contains_point(p):
-                pts.append(p)
-    pts.sort()
+    model = _IntModel(d, (), target.vertices)
+    pts = _portrait_residues(tuple(map(model.res, target.vertices)), model, region)
+    return [model.angle(p) for p in pts]
+
+
+def _portrait_residues(
+    target: tuple[int, ...], model: _IntModel, region: Optional[RoundGap]
+) -> list[int]:
+    """:func:`portrait_points` on residues of a model whose D covers ``target``."""
+    d, step = model.d, model.D // model.d
+    pts = sorted(v // d + k * step for v in target for k in range(d))
+    if region is not None:
+        pts = [p for p in pts if region.contains_point(model.angle(p))]
     if not pts:
         raise PortraitError("no preimage points available in the region")
-    label = {p: target.vertices.index(sigma(p, d)) for p in pts}
-    anchors = [p for p in pts if label[p] == 0]
-    if not anchors:
+    labels = [target.index(model.sigma(p)) for p in pts]
+    if 0 not in labels:
         raise PortraitError("region holds no preimage of the target's first vertex")
-    anchor = anchors[0]
-    ordered = sorted(pts, key=lambda p: (p - anchor) % 1)
+    i = labels.index(0)
+    pts, labels = pts[i:] + pts[:i], labels[i:] + labels[:i]
     n = len(target)
-    if len(ordered) % n != 0:
+    if len(pts) % n != 0:
         raise PortraitError("preimage points do not split evenly over the target's vertices")
-    if any(label[p] != k % n for k, p in enumerate(ordered)):
+    if any(label != k % n for k, label in enumerate(labels)):
         raise PortraitError("preimage labels do not repeat cyclically in the region")
-    return ordered
-
-
-class RankedContext(NamedTuple):
-    """Fixed lamination data a placement must respect, in integer ranks.
-
-    Crossing depends only on circular order, so ``rank`` numbers the
-    context vertices and the portrait points in increasing order and the
-    context's hull edges become rank pairs.
-    """
-
-    rank: dict[Angle, int]
-    existing: set[tuple[Angle, ...]]  # vertex tuples of the context classes
-    vertices: set[Angle]
-    edges: tuple[tuple[int, int], ...]
-
-
-def rank_context(context: ClassLamination, points: Iterable[Angle]) -> RankedContext:
-    """Rank the context's vertices together with the given portrait points."""
-    vertices = context.all_vertices()
-    rank = {a: i for i, a in enumerate(sorted(vertices | set(points)))}
-    return RankedContext(
-        rank,
-        {c.vertices for c in context.classes},
-        vertices,
-        tuple((rank[e.a], rank[e.b]) for e in context.all_edges()),
-    )
+    return pts
 
 
 def _ranks_cross(e1: tuple[int, int], e2: tuple[int, int]) -> bool:
-    # chords as increasing rank pairs; sharing an endpoint is not crossing
+    # chords as increasing residue pairs; sharing an endpoint is not crossing
     a1, b1 = e1
     a2, b2 = e2
     if a1 == a2 or a1 == b2 or b1 == a2 or b1 == b2:
@@ -328,28 +306,25 @@ def _ranks_cross(e1: tuple[int, int], e2: tuple[int, int]) -> bool:
 
 
 def bind_shape(
-    shape: PortraitShape, points: Sequence[Angle], context: RankedContext
+    shape: PortraitShape, points: Sequence[int], model: _IntModel
 ) -> Optional[tuple[list, list, list]]:
-    """Place a shape's blocks onto concrete points against fixed context data.
+    """Place a shape's blocks onto residue points against the model's classes.
 
-    A block that exactly reproduces a context class is reused; one that
-    otherwise touches a context vertex or crosses a context edge makes the
-    placement fail.  Returns ``(new vertex tuples, reused vertex tuples,
-    rank edges of the new blocks)``, or None on conflict.
+    A block that exactly reproduces a model class is reused; one that
+    otherwise touches a model vertex or crosses a model edge makes the
+    placement fail.  Returns ``(new residue tuples, reused residue tuples,
+    residue edges of the new blocks)``, or None on conflict.
     """
     new, reused, new_edges = [], [], []
     for block in shape.blocks:
         vs = tuple(sorted(points[p] for p in block))
-        if vs in context.existing:
+        if vs in model.poly:
             reused.append(vs)
             continue
-        if any(v in context.vertices for v in vs):
+        if any(v in model.vertices for v in vs):
             return None
-        rs = [context.rank[v] for v in vs]
-        edges = list(zip(rs, rs[1:]))
-        if len(rs) > 2:
-            edges.append((rs[0], rs[-1]))
-        if any(_ranks_cross(e, ce) for e in edges for ce in context.edges):
+        edges = _hull_edges(vs)
+        if any(_ranks_cross(e, ce) for e in edges for ce in model.edges):
             return None
         new.append(vs)
         new_edges.extend(edges)
@@ -369,8 +344,8 @@ def instantiate_portrait(
     overlap an existing class; a block that exactly reproduces an existing
     class is reported as reused rather than new.
     """
-    d = context.degree
-    points = portrait_points(target, d, region)
+    model = _IntModel(context.degree, context.classes, target.vertices)
+    points = _portrait_residues(tuple(map(model.res, target.vertices)), model, region)
     if len(points) != shape.i * shape.n:
         raise PortraitError(
             f"region supplies {len(points) // len(target)} preimages per vertex, "
@@ -378,8 +353,9 @@ def instantiate_portrait(
         )
     if shape.n != len(target):
         raise PortraitError(f"shape is for {shape.n}-gons, target has {len(target)} vertices")
-    placed = bind_shape(shape, points, rank_context(context, points))
+    placed = bind_shape(shape, points, model)
     if placed is None:
         return None
     new, reused, _ = placed
-    return Placement(tuple(map(PolygonClass, new)), tuple(map(PolygonClass, reused)))
+    new_classes = (PolygonClass(tuple(map(model.angle, vs))) for vs in new)
+    return Placement(tuple(new_classes), tuple(model.poly[vs] for vs in reused))

@@ -122,9 +122,6 @@ class CriticalChordSet:
     def cut_points(self) -> list[Angle]:
         return sorted({p for c in self.chords for p in (c.a, c.b)})
 
-    def critical_values(self) -> set[Angle]:
-        return {sigma(c.a, self.degree) for c in self.chords}
-
     def branches(self) -> list[tuple[tuple[Angle, Angle], ...]]:
         """The d complementary regions, each as a tuple of closed basis arcs."""
         cuts = self.cut_points()
@@ -452,9 +449,6 @@ class NestingReport:
     nested: bool
     strict_shrinks: list[bool]
     arc_counts: list[list[int]]
-
-    def levels(self) -> list[FDL]:
-        return [s.fdl for s in self.steps]
 
 
 def _critical_round_gaps(lam: ClassLamination) -> list[RoundGap]:

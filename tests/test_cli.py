@@ -209,3 +209,19 @@ def test_oeis_compare_cli(tmp_path, capsys):
     bfile.write_text("0 1\n1 1\n2 1\n3 3\n4 5\n")
     assert main(["oeis-compare", "--counts", str(counts), "--bfile", str(bfile)]) == 0
     assert "consistent with conjecture up to depth 3" in capsys.readouterr().out
+
+
+def test_chords_that_are_not_a_list_are_classified(tmp_path, capsys):
+    p = tmp_path / "chords.json"
+    p.write_text('{"degree": 2, "chords": 5}')
+    assert main(["proper", str(p)]) == 1
+    assert capsys.readouterr().err.startswith("error: document lacks a 'chords' list")
+
+
+def test_non_integer_counts_are_classified(tmp_path, capsys):
+    counts = tmp_path / "counts.txt"
+    counts.write_text("abc 3\n")
+    bfile = tmp_path / "b.txt"
+    bfile.write_text("0 1\n")
+    assert main(["oeis-compare", "--counts", str(counts), "--bfile", str(bfile)]) == 1
+    assert capsys.readouterr().err.startswith("error: counts file must hold")

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from lamkit.circle import preimages, sigma
 from lamkit.core import (
     ClassLamination,
     PolygonClass,
@@ -105,10 +106,48 @@ def test_reduce_portrait_any_anchor_label():
         assert set(images) == set(enumerate_all_portraits(2, 2))
 
 
-def test_portrait_points_rabbit_root():
-    lam = ClassLamination.create(2, [RABBIT])
+def _fraction_points(target, d, region):
+    # reference portrait points on Fraction geometry: sorted preimages,
+    # rotated to the first point whose label is 0
+    pts = sorted(
+        p
+        for v in target.vertices
+        for p in preimages(v, d)
+        if region is None or region.contains_point(p)
+    )
+    labels = [target.vertices.index(sigma(p, d)) for p in pts]
+    i = labels.index(0)
+    return pts[i:] + pts[:i]
+
+
+def test_portrait_points_rabbit_root(rabbit_tree, basilica_tree, cubic_tree):
     pts = portrait_points(RABBIT, 2, None)
     assert pts == [F(1, 14), F(1, 7), F(2, 7), F(4, 7), F(9, 14), F(11, 14)]
+    nodes = [
+        n
+        for levels in (rabbit_tree.levels, basilica_tree.levels[:7], cubic_tree.levels[:3])
+        for level in levels
+        for n in level
+    ]
+    checked = 0
+    for node in nodes:
+        for target in deepest_classes(node):
+            assert portrait_points(target, node.degree, None) == _fraction_points(
+                target, node.degree, None
+            )
+            checked += 1
+    assert checked > 300
+    # inside a round gap only the preimages in its basis are available; in
+    # the gap [2/7, 4/7] the sibling's points start at label 0, not at 9/28
+    lam = ClassLamination.create(2, [RABBIT, SIBLING])
+    gaps = {g.arcs: g for g in gap_decomposition(lam).round_gaps}
+    target = PolygonClass((F(5, 14), F(11, 28), F(3, 7)))
+    for tgt, arc, want in (
+        (target, (F(1, 7), F(2, 7)), [F(5, 28), F(11, 56), F(3, 14)]),
+        (SIBLING, (F(2, 7), F(4, 7)), [F(15, 28), F(9, 28), F(11, 28)]),
+    ):
+        region = gaps[(arc,)]
+        assert portrait_points(tgt, 2, region) == _fraction_points(tgt, 2, region) == want
 
 
 def test_instantiate_in_whole_disk():
@@ -220,8 +259,13 @@ def _fraction_bind(shape, points, lam):
     return Placement(tuple(new), tuple(reused))
 
 
-def test_rank_binding_matches_fraction_geometry(rabbit_tree, cubic_root):
-    nodes = [n for level in rabbit_tree.levels[:4] for n in level] + [cubic_root]
+def test_residue_binding_matches_fraction_geometry(rabbit_tree, basilica_tree, cubic_tree):
+    nodes = [
+        n
+        for levels in (rabbit_tree.levels[:4], basilica_tree.levels[:6], cubic_tree.levels[:2])
+        for level in levels
+        for n in level
+    ]
     checked = 0
     for node in nodes:
         lam = node.lamination
