@@ -10,7 +10,8 @@ gets a covering degree by exact preimage counting, one point per interval
 between images of its basis endpoints.  Non-crossing is decided by one
 stack sweep over the sorted endpoints.  ``_IntModel`` is the integer view
 of a set of classes (angles as residues mod a common denominator) that
-portrait placement and validation share.
+portrait placement, validation and keys share; it labels points by region
+with the same sweep and extends to a child without ``Fraction``.
 The criticality audit checks the excess-degree identity
 ``sum_i (d_i - 1) = d - 1`` over all gaps.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional
 
 from .circle import (
@@ -104,6 +105,13 @@ class PolygonClass:
             raise LaminationError(f"duplicate vertices in {verts}")
         object.__setattr__(self, "vertices", verts)
 
+    @classmethod
+    def _from_sorted(cls, vertices: tuple[Angle, ...]) -> "PolygonClass":
+        # vertices already distinct, in [0, 1) and increasing: skip the checks
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "vertices", vertices)
+        return poly
+
     def __len__(self):
         return len(self.vertices)
 
@@ -127,6 +135,11 @@ class PolygonClass:
         return "{" + ",".join(str(v) for v in self.vertices) + "}"
 
 
+def _edge_events(edges: Iterable[tuple]) -> list[tuple]:
+    # the sweep order of _first_crossing, as sortable tuples
+    return [ev for a, b in edges for ev in ((b, 0, -a, a, b), (a, 1, -b, a, b))]
+
+
 def _first_crossing(edges: Iterable[tuple]) -> Optional[tuple[tuple, tuple]]:
     """One crossing pair among ``(a, b)`` edges with ``a < b``, or None.
 
@@ -137,13 +150,8 @@ def _first_crossing(edges: Iterable[tuple]) -> Optional[tuple[tuple, tuple]]:
     another edge is on top of the stack crosses that edge.  The pair comes
     back ordered by first endpoint.
     """
-    events = []
-    for a, b in edges:
-        events.append((b, 0, -a, a, b))
-        events.append((a, 1, -b, a, b))
-    events.sort()
     stack: list[tuple] = []
-    for _, opening, _, a, b in events:
+    for _, opening, _, a, b in sorted(_edge_events(edges)):
         if opening:
             stack.append((a, b))
         elif stack[-1] != (a, b):
@@ -171,14 +179,56 @@ class _IntModel:
     """
 
     def __init__(self, d: int, polys: Iterable[PolygonClass], extra: Iterable[Angle] = ()):
-        polys = sorted(polys, key=lambda c: c.vertices)
+        polys = list(polys)
         angles = [v for c in polys for v in c.vertices] + list(extra)
         self.d = d
         self.D = d * lcm(*(a.denominator for a in angles))
-        self.classes = [tuple(map(self.res, c.vertices)) for c in polys]
-        self.poly = dict(zip(self.classes, polys))
+        self._index({tuple(map(self.res, c.vertices)): c for c in polys})
+
+    def _index(self, poly: dict[tuple[int, ...], PolygonClass]):
+        # res is increasing, so integer order of the tuples is class order
+        self.poly = poly
+        self.classes = sorted(poly)
         self.vertices = {v for c in self.classes for v in c}
         self.edges = [e for c in self.classes for e in _hull_edges(c)]
+
+    def child(self, new: Iterable[tuple[int, ...]]) -> "_IntModel":
+        """This model plus new classes given as its residue tuples, mod d * D."""
+        d = self.d
+        m = _IntModel.__new__(_IntModel)
+        m.d, m.D = d, self.D * d
+        poly = {tuple(v * d for v in c): p for c, p in self.poly.items()}
+        for vs in new:
+            poly[tuple(v * d for v in vs)] = PolygonClass._from_sorted(tuple(map(self.angle, vs)))
+        m._index(poly)
+        return m
+
+    def key(self) -> str:
+        """Canonical text key: degree, then each class as reduced fractions."""
+        D = self.D
+
+        def fmt(x: int) -> str:
+            g = gcd(x, D)
+            return f"{x // g}/{D // g}" if x else "0"
+
+        return "|".join([str(self.d)] + [",".join(map(fmt, c)) for c in self.classes])
+
+    def labels(self, points: Iterable[int]) -> dict[int, Optional[tuple[int, int]]]:
+        """Innermost model edge around each point that is no model vertex.
+
+        The edges nest, so two such points share a complementary region
+        exactly when they share this label (None outside every edge).
+        """
+        free = [(p, 2, 0, p, p) for p in points if p not in self.vertices]
+        stack, out = [], {}
+        for x, kind, _, a, b in sorted(_edge_events(self.edges) + free):
+            if kind == 1:
+                stack.append((a, b))
+            elif kind == 0:
+                stack.pop()
+            else:
+                out[x] = stack[-1] if stack else None
+        return out
 
     def res(self, a: Angle) -> int:
         return a.numerator * (self.D // a.denominator)
@@ -195,27 +245,29 @@ class _IntModel:
     def depths(self) -> dict[tuple[int, ...], Optional[int]]:
         """Steps from each class along its image chain to a periodic class,
         or None when the chain leaves the lamination."""
-        known = set(self.classes)
         image_class: dict[tuple, Optional[tuple]] = {}
         for c in self.classes:
             img = tuple(sorted({self.sigma(v) for v in c}))
-            image_class[c] = img if img in known else None
+            image_class[c] = img if img in self.poly else None
 
         depth: dict[tuple, Optional[int]] = {}
         for c in self.classes:
             seen: dict[tuple, int] = {}
             cur, chain = c, []
-            while cur is not None and cur not in seen:
+            while cur is not None and cur not in seen and cur not in depth:
                 seen[cur] = len(chain)
                 chain.append(cur)
                 cur = image_class[cur]
-            if cur is None:
+            # distance to the cycle entry, on this chain or past a known class
+            if cur in seen:
+                entry = seen[cur]
+            elif cur is not None and depth[cur] is not None:
+                entry = len(chain) + depth[cur]
+            else:
                 depth.update(dict.fromkeys(chain))
                 continue
-            # nodes before the cycle sit at their distance to the cycle entry
-            cycle_start = seen[cur]
             for idx, node in enumerate(chain):
-                depth[node] = max(0, cycle_start - idx)
+                depth[node] = max(0, entry - idx)
         return depth
 
 

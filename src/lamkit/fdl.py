@@ -10,7 +10,8 @@ Children of such a lamination add one more layer of preimages: a sibling
 portrait, placed in the whole disk, over the preimages of each deepest
 class.  Candidates are built constructively from portrait shapes and then
 filtered through the full validator.  Enumeration and validation both run
-on one integer-residue model of the lamination (``core._IntModel``).  The
+on one integer-residue model (``core._IntModel``): a candidate's model is
+its parent's plus the new blocks, and keys come from residue tuples.  The
 pullback tree collects all descendants of a self-image root, level by
 level, deduplicated by canonical form.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Iterator, Optional
 
-from .circle import Angle, format_angle
+from .circle import Angle
 from .core import (
     COVERING,
     Chord,
@@ -42,10 +43,7 @@ class FdlError(ValueError):
 
 def canonical_form(lam: ClassLamination) -> str:
     """Stable text key: degree, then classes sorted by first vertex."""
-    parts = [str(lam.degree)]
-    for cls in lam.sorted_classes():
-        parts.append(",".join(format_angle(v) for v in cls.vertices))
-    return "|".join(parts)
+    return _IntModel(lam.degree, lam.classes).key()
 
 
 def classes_from_chords(degree: int, chords: Iterable[Chord]) -> list[PolygonClass]:
@@ -115,8 +113,9 @@ class FdlReport:
         )
 
 
-def validate_fdl(lam: ClassLamination) -> FdlReport:
-    """Check the seven defining axioms and report per-axiom witnesses."""
+def validate_fdl(lam: ClassLamination, _model: Optional[_IntModel] = None) -> FdlReport:
+    """Check the seven defining axioms and report per-axiom witnesses
+    (on ``_model``, the integer model of ``lam``'s classes, when given)."""
     d = lam.degree
     axioms: dict[int, AxiomResult] = {}
     try:
@@ -125,7 +124,7 @@ def validate_fdl(lam: ClassLamination) -> FdlReport:
         axioms[0] = AxiomResult(False, (str(exc),))
         return FdlReport(False, axioms, None)
 
-    model = _IntModel(d, lam.classes)
+    model = _model or _IntModel(d, lam.classes)
 
     # 1: finitely many leaves, and at least one class
     axioms[1] = AxiomResult(bool(lam.classes), () if lam.classes else ("empty lamination",))
@@ -139,18 +138,14 @@ def validate_fdl(lam: ClassLamination) -> FdlReport:
         not critical, tuple(f"critical leaf {model.edge_str(e)}" for e in critical)
     )
 
-    # 3: forward closed on leaves
+    # 3: forward closed on leaves (a critical leaf's image (x, x) is no leaf)
     def edge_image(e):
         ia, ib = model.sigma(e[0]), model.sigma(e[1])
-        if ia == ib:
-            return None
         return (ia, ib) if ia < ib else (ib, ia)
 
     img_of = {e: edge_image(e) for e in edges}
     bad3 = [
-        f"image of {model.edge_str(e)} is not a leaf"
-        for e in edges
-        if img_of[e] is None or img_of[e] not in edge_class
+        f"image of {model.edge_str(e)} is not a leaf" for e in edges if img_of[e] not in edge_class
     ]
     axioms[3] = AxiomResult(not bad3, tuple(bad3))
 
@@ -176,40 +171,32 @@ def validate_fdl(lam: ClassLamination) -> FdlReport:
 
     n = max(depth.values()) if depth else 0
 
+    # axiom 3 passed, so every image is a leaf
     leaf_depth = {e: depth[edge_class[e]] for e in edges}
-    has_preimage = {e: False for e in edges}
-    nonper_preimage = {e: False for e in edges}
-    for e in edges:
-        img = img_of[e]
-        if img in has_preimage:
-            has_preimage[img] = True
-            if leaf_depth[e] > 0:
-                nonper_preimage[img] = True
+    has_preimage = set(img_of.values())
+    nonper_preimage = {img_of[e] for e in edges if leaf_depth[e] > 0}
 
     bad4 = []
     for e in edges:
         k = leaf_depth[e]
         if k > 0:
             should = k <= n - 1
-            if has_preimage[e] != should:
+            if (e in has_preimage) != should:
                 bad4.append(
                     f"leaf {model.edge_str(e)} at depth {k} "
                     f"{'lacks' if should else 'has'} a preimage (n={n})"
                 )
-        else:
-            if nonper_preimage[e] != (n > 0):
-                bad4.append(
-                    f"periodic leaf {model.edge_str(e)} "
-                    f"{'lacks' if n > 0 else 'has'} a non-periodic preimage (n={n})"
-                )
+        elif (e in nonper_preimage) != (n > 0):
+            bad4.append(
+                f"periodic leaf {model.edge_str(e)} "
+                f"{'lacks' if n > 0 else 'has'} a non-periodic preimage (n={n})"
+            )
     axioms[4] = AxiomResult(not bad4, tuple(bad4))
 
     # 5: full disjoint sibling collections for non-periodic leaves
     by_image: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for e in edges:
-        img = img_of[e]
-        if img is not None:
-            by_image.setdefault(img, []).append(e)
+        by_image.setdefault(img_of[e], []).append(e)
     bad5 = []
     for e in edges:
         if leaf_depth[e] == 0:
@@ -239,9 +226,8 @@ def _has_disjoint_collection(leaf, others, d: int) -> bool:
             return True
         for idx, c in enumerate(pool):
             cs = set(c)
-            if all(not (cs & set(x)) for x in chosen):
-                if extend(chosen + [c], pool[idx + 1 :]):
-                    return True
+            if all(cs.isdisjoint(x) for x in chosen) and extend(chosen + [c], pool[idx + 1 :]):
+                return True
         return False
 
     return extend([leaf], others)
@@ -256,10 +242,10 @@ class FDL:
 
     lamination: ClassLamination
     depth_n: int
-    _key: str = field(init=False, repr=False, compare=False)
+    _key: Optional[str] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_key", canonical_form(self.lamination))
+        object.__setattr__(self, "_key", self._key or canonical_form(self.lamination))
 
     @classmethod
     def validate(cls, lam: ClassLamination) -> "FDL":
@@ -306,18 +292,16 @@ def enumerate_children(fdl: FDL) -> list[FDL]:
     lam = fdl.lamination
     d = lam.degree
     model = _IntModel(d, lam.classes)
+    targets = _deepest(model, fdl.depth_n)
+    points = [_portrait_residues(t, model, None) for t in targets]
+    labels = model.labels(p for pts in points for p in pts)
 
     options = []
-    for t in _deepest(model, fdl.depth_n):
-        pts = _portrait_residues(t, model, None)
-        placed_list = []
-        for shape in enumerate_all_portraits(d, len(t)):
-            placed = bind_shape(shape, pts, model)
-            if placed is not None and placed[0]:
-                placed_list.append(placed)
-        if not placed_list:
+    for t, pts in zip(targets, points):
+        placed = (bind_shape(s, pts, model, labels) for s in enumerate_all_portraits(d, len(t)))
+        options.append([p for p in placed if p is not None and p[0]])
+        if not options[-1]:
             return []
-        options.append(placed_list)
 
     children: dict[str, FDL] = {}
     for combo in product(*options):
@@ -326,19 +310,17 @@ def enumerate_children(fdl: FDL) -> list[FDL]:
         # residue edges is one between placements
         if _first_crossing(e for _, _, edges in combo for e in edges) is not None:
             continue
-        new_classes = [
-            PolygonClass(tuple(map(model.angle, vs))) for new, _, _ in combo for vs in new
-        ]
-        candidate = ClassLamination(d, lam.classes | frozenset(new_classes))
+        child_model = model.child(vs for new, _, _ in combo for vs in new)
+        candidate = ClassLamination(d, frozenset(child_model.poly.values()))
         # invariants hold by construction: the parent was valid and every
         # new block was screened against the context and its peers, so
         # validate_fdl's lam.check() returns at once
         candidate._mark_checked()
-        report = validate_fdl(candidate)
+        report = validate_fdl(candidate, child_model)
         if not report.valid or report.depth_n != fdl.depth_n + 1:
             continue
-        child = FDL(candidate, report.depth_n)
-        children[child.key()] = child
+        key = child_model.key()
+        children[key] = FDL(candidate, report.depth_n, key)
     return [children[k] for k in sorted(children)]
 
 
@@ -381,6 +363,8 @@ def root_fdl(degree: int, periodic: Iterable[PolygonClass]) -> FDL:
 
 def build_pullback_tree(root: FDL, depth: int) -> PullbackTree:
     """Breadth-first tree of all descendants down to ``depth``."""
+    if depth < 0:
+        raise FdlError(f"tree depth must be >= 0, got {depth}")
     tree = PullbackTree(root, [[root]])
     for _ in range(depth):
         nxt: dict[str, FDL] = {}

@@ -41,11 +41,13 @@ def _parse(doc):
 
 
 def _object_degree(doc) -> int:
-    """The checked degree of a JSON object document."""
+    """The checked degree of a JSON object document in one of the two schemas."""
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     if "degree" not in doc:
         raise DocumentError("document lacks 'degree'")
+    if "classes" in doc and "chords" in doc:
+        raise DocumentError("document has both 'classes' and 'chords'; give one")
     d = doc["degree"]
     if not isinstance(d, int):
         raise DocumentError(f"'degree' must be an integer, got {d!r}")

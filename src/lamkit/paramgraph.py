@@ -74,7 +74,7 @@ class GenGraph:
 
 def generational_graph(tree: PullbackTree, level: int) -> GenGraph:
     """Directed graph on one tree level; edges step trapped criticality by 1."""
-    if level >= len(tree.levels):
+    if not 0 <= level < len(tree.levels):
         raise ParamGraphError(f"tree has no level {level}")
     nodes = {f.key(): f for f in tree.levels[level]}
     keys = sorted(nodes)

@@ -12,8 +12,9 @@ segments), counted in closed form by the Fuss-Catalan formula, put in
 bijection with full n-ary trees, reduced across label removal, and finally
 bound to concrete circle geometry by :func:`bind_shape`.  Placement runs
 on the integer residues of ``core._IntModel``: the preimages of a vertex
-residue are residues too, and crossings are integer comparisons.  Child
-enumeration and :func:`instantiate_portrait` share that binder.
+residue are residues too, and a new block crosses no edge exactly when
+all its points carry one region label.  Child enumeration and
+:func:`instantiate_portrait` share that binder.
 """
 
 from __future__ import annotations
@@ -105,10 +106,7 @@ def _enumerate(i: int, n: int, injective: bool) -> tuple[PortraitShape, ...]:
             need = (label(block[-1]) + 1) % n
             for idx, q in enumerate(rest):
                 if label(q) == need:
-                    extend(block + [q], segments + [region_slice(rest, idx)], rest[idx + 1 :])
-
-        def region_slice(rest, idx):
-            return tuple(rest[:idx])
+                    extend(block + [q], segments + [rest[:idx]], rest[idx + 1 :])
 
         extend([first], [], tuple(region[1:]))
         return out
@@ -296,24 +294,16 @@ def _portrait_residues(
     return pts
 
 
-def _ranks_cross(e1: tuple[int, int], e2: tuple[int, int]) -> bool:
-    # chords as increasing residue pairs; sharing an endpoint is not crossing
-    a1, b1 = e1
-    a2, b2 = e2
-    if a1 == a2 or a1 == b2 or b1 == a2 or b1 == b2:
-        return False
-    return (a1 < a2 < b1) != (a1 < b2 < b1)
-
-
 def bind_shape(
-    shape: PortraitShape, points: Sequence[int], model: _IntModel
+    shape: PortraitShape, points: Sequence[int], model: _IntModel, labels: dict
 ) -> Optional[tuple[list, list, list]]:
     """Place a shape's blocks onto residue points against the model's classes.
 
     A block that exactly reproduces a model class is reused; one that
-    otherwise touches a model vertex or crosses a model edge makes the
-    placement fail.  Returns ``(new residue tuples, reused residue tuples,
-    residue edges of the new blocks)``, or None on conflict.
+    otherwise touches a model vertex or spans two regions (``labels`` from
+    ``model.labels``) makes the placement fail.  Returns ``(new residue
+    tuples, reused residue tuples, residue edges of the new blocks)``, or
+    None on conflict.
     """
     new, reused, new_edges = [], [], []
     for block in shape.blocks:
@@ -323,11 +313,10 @@ def bind_shape(
             continue
         if any(v in model.vertices for v in vs):
             return None
-        edges = _hull_edges(vs)
-        if any(_ranks_cross(e, ce) for e in edges for ce in model.edges):
+        if len({labels[v] for v in vs}) != 1:
             return None
         new.append(vs)
-        new_edges.extend(edges)
+        new_edges.extend(_hull_edges(vs))
     return new, reused, new_edges
 
 
@@ -353,7 +342,7 @@ def instantiate_portrait(
         )
     if shape.n != len(target):
         raise PortraitError(f"shape is for {shape.n}-gons, target has {len(target)} vertices")
-    placed = bind_shape(shape, points, model)
+    placed = bind_shape(shape, points, model, model.labels(points))
     if placed is None:
         return None
     new, reused, _ = placed

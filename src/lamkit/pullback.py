@@ -328,6 +328,8 @@ def pullback_lamination(
     """Iterate :func:`pullback_step` from the lamination's edge set."""
     if start.degree != crit.degree:
         raise PullbackError("degree mismatch")
+    if depth < 0:
+        raise PullbackError(f"pullback depth must be >= 0, got {depth}")
     levels = [start.as_chordset()]
     for _ in range(depth):
         levels.append(pullback_step(levels[-1], crit))

@@ -225,3 +225,28 @@ def test_non_integer_counts_are_classified(tmp_path, capsys):
     bfile.write_text("0 1\n")
     assert main(["oeis-compare", "--counts", str(counts), "--bfile", str(bfile)]) == 1
     assert capsys.readouterr().err.startswith("error: counts file must hold")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["tree", "--depth", "-1"], "tree depth must be >= 0"),
+        (["gengraph", "--level", "-1"], "tree depth must be >= 0"),
+        (["pullback", "--chords", "15/112:71/112", "--depth", "-2"], "pullback depth must be >= 0"),
+    ],
+)
+def test_negative_depths_are_classified(rabbit_file, capsys, args, message):
+    assert main([args[0], rabbit_file] + args[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["validate", "children", "proper", "render"])
+def test_documents_with_classes_and_chords_are_rejected(tmp_path, capsys, command):
+    p = tmp_path / "both.json"
+    p.write_text('{"degree": 2, "classes": [["1/7","2/7","4/7"]], "chords": []}')
+    assert main([command, str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: document has both 'classes' and 'chords'")
+    assert captured.out == ""

@@ -1,13 +1,22 @@
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
-from lamkit.circle import preimages
-from lamkit.core import Chord, ClassLamination, LaminationError, PolygonClass
+from lamkit.circle import format_angle, preimages
+from lamkit.core import (
+    Chord,
+    ClassLamination,
+    LaminationError,
+    PolygonClass,
+    _first_crossing,
+    _hull_edges,
+    _IntModel,
+)
 from lamkit.fdl import (
     FDL,
     FdlError,
+    _deepest,
     build_pullback_tree,
     canonical_form,
     classes_from_chords,
@@ -16,6 +25,7 @@ from lamkit.fdl import (
     root_fdl,
     validate_fdl,
 )
+from lamkit.portraits import _portrait_residues, enumerate_all_portraits
 
 RABBIT = PolygonClass((F(1, 7), F(2, 7), F(4, 7)))
 SIBLING = PolygonClass((F(1, 14), F(9, 14), F(11, 14)))
@@ -216,3 +226,93 @@ def test_deepest_classes_match_independent_answer(rabbit_tree, basilica_root):
     for tree in trees:
         for node in tree.all_nodes():
             assert deepest_classes(node) == _expected_deepest(node), node.key()
+
+
+def _fraction_key(lam):
+    # the key as a join of Fraction literals over the sorted classes
+    parts = [str(lam.degree)]
+    parts += [",".join(format_angle(v) for v in c.vertices) for c in lam.sorted_classes()]
+    return "|".join(parts)
+
+
+def _ranks_cross(e1, e2):
+    # chords as increasing residue pairs; sharing an endpoint is not crossing
+    a1, b1 = e1
+    a2, b2 = e2
+    if a1 == a2 or a1 == b2 or b1 == a2 or b1 == b2:
+        return False
+    return (a1 < a2 < b1) != (a1 < b2 < b1)
+
+
+def _reference_bind(shape, points, model):
+    # every new hull edge is tested against every model edge
+    new, new_edges = [], []
+    for block in shape.blocks:
+        vs = tuple(sorted(points[p] for p in block))
+        if vs in model.poly:
+            continue
+        if any(v in model.vertices for v in vs):
+            return None
+        edges = _hull_edges(vs)
+        if any(_ranks_cross(e, ce) for e in edges for ce in model.edges):
+            return None
+        new.append(vs)
+        new_edges.extend(edges)
+    return new, new_edges
+
+
+def _reference_children(fdl):
+    """Child keys by the edge-scan binder, Fraction child classes, a fresh
+    validation and the Fraction key."""
+    lam = fdl.lamination
+    d = lam.degree
+    model = _IntModel(d, lam.classes)
+    options = []
+    for t in _deepest(model, fdl.depth_n):
+        pts = _portrait_residues(t, model, None)
+        placed = [_reference_bind(s, pts, model) for s in enumerate_all_portraits(d, len(t))]
+        options.append([p for p in placed if p is not None and p[0]])
+    keys = set()
+    for combo in product(*options):
+        if _first_crossing(e for _, edges in combo for e in edges) is not None:
+            continue
+        new = {PolygonClass(tuple(map(model.angle, vs))) for blocks, _ in combo for vs in blocks}
+        candidate = ClassLamination(d, lam.classes | new)
+        report = validate_fdl(candidate)
+        if report.valid and report.depth_n == fdl.depth_n + 1:
+            keys.add(_fraction_key(candidate))
+    return sorted(keys)
+
+
+def test_children_match_edge_scan_reference(basilica_tree, rabbit_tree, cubic_tree):
+    expanded = 0
+    for tree in (basilica_tree, rabbit_tree, cubic_tree):
+        for level in tree.levels[:-1]:
+            for node in level:
+                got = [k.key() for k in enumerate_children(node)]
+                assert got == _reference_children(node), node.key()
+                expanded += 1
+    assert expanded == 86 + 8 + 3
+
+
+def test_residue_keys_match_fraction_keys(basilica_tree, rabbit_tree, cubic_tree):
+    for tree in (basilica_tree, rabbit_tree, cubic_tree):
+        for node in tree.all_nodes():
+            assert node.key() == canonical_form(node.lamination) == _fraction_key(node.lamination)
+    empty = ClassLamination(3, frozenset())
+    assert canonical_form(empty) == _fraction_key(empty) == "3"
+    zero = ClassLamination.create(2, [PolygonClass((F(0), F(1, 4)))])
+    assert canonical_form(zero) == _fraction_key(zero) == "2|0,1/4"
+
+
+def test_each_child_has_one_parent(basilica_tree, rabbit_tree, cubic_tree):
+    # a child minus its deepest layer is its parent, so sibling sets are
+    # disjoint and each level holds exactly the children of the one above
+    for tree in (basilica_tree, rabbit_tree, cubic_tree):
+        for above, level in zip(tree.levels, tree.levels[1:]):
+            kids = [k.key() for node in above for k in enumerate_children(node)]
+            assert len(kids) == len(set(kids)) == len(level)
+            assert sorted(kids) == [node.key() for node in level]
+            for node in level:
+                parent = [p for p in above if p.lamination.classes < node.lamination.classes]
+                assert [p.key() for p in parent] == [tree.parent[node.key()]]

@@ -47,6 +47,7 @@ def test_load_cubic_pair():
         '{"degree": 2, "classes": [["1/7", "bogus"]]}',
         '{"degree": 2, "classes": [["0", "1/2"], ["1/4", "3/4"]]}',
         '{"degree": 2}',
+        '{"degree": 2, "classes": [["1/7", "2/7", "4/7"]], "chords": []}',
     ],
 )
 def test_load_rejects(doc):

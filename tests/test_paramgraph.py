@@ -1,4 +1,7 @@
+import pytest
+
 from lamkit.paramgraph import (
+    ParamGraphError,
     closure_is_refinement,
     criticality,
     generational_graph,
@@ -55,6 +58,12 @@ def test_generational_graph_level4(rabbit_tree):
     closure = transitive_closure(g.vertices, g.edges)
     assert all((b, a) not in closure for a, b in closure)
     assert closure_is_refinement(g)
+
+
+@pytest.mark.parametrize("level", [-1, 6])
+def test_generational_graph_rejects_missing_levels(rabbit_tree, level):
+    with pytest.raises(ParamGraphError, match=f"tree has no level {level}"):
+        generational_graph(rabbit_tree, level)
 
 
 def test_generational_graph_trivial_levels(rabbit_tree):
