@@ -6,13 +6,13 @@ A finite lamination is stored either as disjoint polygon classes
 and unclean points).  The complement of a class lamination decomposes into
 polygon gaps (the hulls themselves) and round gaps (components carrying
 circle arcs); round gaps are found by an exact boundary walk, and each gap
-gets a covering degree by exact preimage counting, one point per interval
-between images of its basis endpoints.  Non-crossing is decided by one
-stack sweep over the sorted endpoints.  ``_IntModel`` is the integer view
-of a set of classes (angles as residues mod a common denominator) that
-portrait placement, validation and keys share; it labels points by region
-with the same sweep and extends to a child without ``Fraction``.
-The criticality audit checks the excess-degree identity
+gets a covering degree by exact preimage counting on integer residues, one
+point per interval between images of its basis endpoints.  Non-crossing is
+decided by one stack sweep over the sorted endpoints.  ``_IntModel`` is the
+integer view of a set of classes (angles as residues mod a common
+denominator) that portrait placement, validation and keys share; it labels
+points by region with the same sweep and extends to a child without
+``Fraction``.  The criticality audit checks the excess-degree identity
 ``sum_i (d_i - 1) = d - 1`` over all gaps.
 """
 
@@ -159,6 +159,13 @@ def _first_crossing(edges: Iterable[tuple]) -> Optional[tuple[tuple, tuple]]:
         else:
             stack.pop()
     return None
+
+
+def _residues(angles: Iterable[Angle], scale: int = 1) -> tuple[int, list[int]]:
+    """Angles as integers mod ``M = scale * lcm(denominators)``, in order."""
+    angles = list(angles)
+    M = scale * lcm(*(a.denominator for a in angles))
+    return M, [a.numerator * (M // a.denominator) for a in angles]
 
 
 def _hull_edges(vs: tuple) -> list[tuple]:
@@ -547,19 +554,24 @@ def gap_degree(gap: RoundGap, d: int) -> DegreeStatus:
     when every nonzero count is k and every basis arc maps injectively
     (length <= 1/d); a gap whose basis image is the whole circle (no count
     is 0) without meeting that bar is partly critical; anything else has
-    no degree.
+    no degree.  Counting runs on residues mod ``M = 2 * d * L`` (L the lcm
+    of the endpoint denominators), where the images, the midpoints and
+    their d preimages are all integers.
     """
     check_degree(d)
     if gap.is_full_circle:
         return DegreeStatus(DEGREE_KNOWN, d)
 
-    images = sorted({sigma(p, d) for arc in gap.arcs for p in arc})
+    M, ends = _residues([p for arc in gap.arcs for p in arc], 2 * d)
+    arcs = [(s, (e - s) % M) for s, e in zip(ends[::2], ends[1::2])]
+    images = sorted({x * d % M for x in ends})
     counts = set()
     for x, y in zip(images, images[1:] + images[:1]):
-        mid = mod1(x + arc_len(x, y) / 2)
-        counts.add(sum(1 for k in range(d) if gap.contains_point((mid + k) / d)))
+        mid = (x + ((y - x) % M or M) // 2) % M // d
+        preimages = (mid + k * M // d for k in range(d))
+        counts.add(sum(any((q - s) % M <= span for s, span in arcs) for q in preimages))
     nonzero = counts - {0}
-    if len(nonzero) == 1 and all(arc_len(s, e) <= Fraction(1, d) for s, e in gap.arcs):
+    if len(nonzero) == 1 and all(d * span <= M for _, span in arcs):
         return DegreeStatus(DEGREE_KNOWN, nonzero.pop())
     if 0 not in counts:
         return DegreeStatus(PARTLY_CRITICAL)

@@ -11,12 +11,15 @@ are discarded and the shorter surviving lift wins, which reproduces the
 wedges that accumulate at forced endpoints.
 
 This module also exposes the exact lamination metric (Hausdorff over
-leaves plus all degenerate leaves), properness and cleanliness scans, and
-the finite-depth nested-critical-gap construction.
+leaves plus all degenerate leaves, by a pruned nearest-leaf scan on
+integer residues), properness and cleanliness scans (orbit periods read
+from one residue table), and the finite-depth nested-critical-gap
+construction.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -24,12 +27,12 @@ from typing import Iterable, Optional
 
 from .circle import (
     Angle,
+    OrbitInfo,
     arc_len,
     check_degree,
     circle_dist,
     in_closed_arc,
     in_open_arc,
-    orbit_info,
     preimages,
     sigma,
 )
@@ -40,6 +43,7 @@ from .core import (
     ClassLamination,
     RoundGap,
     _first_crossing,
+    _residues,
     chords_cross,
     covering_degree,
     gap_decomposition,
@@ -350,23 +354,47 @@ def leaf_distance(c1: Chord, c2: Chord) -> Fraction:
     )
 
 
-def _leaf_to_set(c: Chord, others: Iterable[Chord]) -> Fraction:
-    # nearest degenerate leaf sits on the short arc between the endpoints
-    best = circle_dist(c.a, c.b)
-    for o in others:
-        cand = leaf_distance(c, o)
-        if cand < best:
-            best = cand
-    return best
+def _nearest_leaf_max(src: list[tuple[int, int]], dst: list[tuple[int, int]], D: int) -> int:
+    """Max over ``src`` leaves of the distance to the nearest ``dst`` or
+    degenerate leaf, all leaves as residue pairs mod D."""
+    leaves = sorted(dst + [(y, x) for x, y in dst])  # both orientations, by first end
+    xs = [x for x, _ in leaves]
+    n = len(leaves)
+    worst = 0
+    for a, b in src:
+        best = min((a - b) % D, (b - a) % D)  # the nearest degenerate leaf
+        right = bisect_left(xs, a)
+        left = right - 1
+        for _ in range(n):
+            up, down = (xs[right % n] - a) % D, (a - xs[left % n]) % D
+            if up <= down:
+                k, gap, right = right % n, up, right + 1
+            else:
+                k, gap, left = left % n, down, left - 1
+            if gap >= best:
+                break
+            y = leaves[k][1]
+            best = min(best, gap + (b - y) % D, gap + (y - b) % D)
+        worst = max(worst, best)
+    return worst
 
 
 def lamination_distance(a: ChordSet, b: ChordSet) -> Fraction:
-    """Hausdorff distance between leaf sets extended by all degenerate leaves."""
+    """Hausdorff distance between leaf sets extended by all degenerate leaves.
+
+    Runs on residues mod the lcm of the endpoint denominators.  For each
+    leaf (u, v), the other set's leaves are scanned by their first end x
+    outward from u, nearer side first, so the distance from u to x only
+    grows; the scan stops once that distance alone is no better than the
+    best leaf found.
+    """
     if a.degree != b.degree:
         raise PullbackError("degree mismatch")
-    d_ab = max((_leaf_to_set(c, b.chords) for c in a.chords), default=Fraction(0))
-    d_ba = max((_leaf_to_set(c, a.chords) for c in b.chords), default=Fraction(0))
-    return max(d_ab, d_ba)
+    chords = list(a.chords) + list(b.chords)
+    D, ends = _residues(p for c in chords for p in (c.a, c.b))
+    leaves = list(zip(ends[::2], ends[1::2]))
+    la, lb = leaves[: len(a.chords)], leaves[len(a.chords) :]
+    return Fraction(max(_nearest_leaf_max(la, lb, D), _nearest_leaf_max(lb, la, D)), D)
 
 
 # --- properness / cleanliness scans ------------------------------------------------
@@ -387,6 +415,24 @@ class PropernessReport:
         )
 
 
+def _orbit_table(d: int, L: int, starts: Iterable[int]) -> dict[int, OrbitInfo]:
+    """Preperiod and period of each residue under ``x -> d * x mod L``; a
+    walk stops on a new cycle or at a point already in the table."""
+    table: dict[int, OrbitInfo] = {}
+    for x in starts:
+        path: dict[int, int] = {}
+        while x not in table and x not in path:
+            path[x] = len(path)
+            x = x * d % L
+        if x in path:  # the walk closed a new cycle at step path[x]
+            entry, period = path[x], len(path) - path[x]
+        else:
+            entry, period = len(path) + table[x].preperiod, table[x].period
+        for y, i in path.items():
+            table[y] = OrbitInfo(max(0, entry - i), period)
+    return table
+
+
 def properness_report(chord_set: ChordSet) -> PropernessReport:
     """Scan a finite chord set for obstructions to properness.
 
@@ -397,16 +443,14 @@ def properness_report(chord_set: ChordSet) -> PropernessReport:
     """
     d = chord_set.degree
     chords = chord_set.sorted_chords()
-    periodic_cache: dict[Angle, tuple[int, int]] = {}
-
-    def info(p: Angle):
-        if p not in periodic_cache:
-            periodic_cache[p] = orbit_info(p, d)
-        return periodic_cache[p]
+    points = list({p for c in chords for p in (c.a, c.b)})
+    L, res = _residues(points)
+    orbits = _orbit_table(d, L, res)
+    info = {p: orbits[x] for p, x in zip(points, res)}
 
     critical_leaves = []
     for c in chords:
-        if c.is_critical(d) and (info(c.a).preperiod == 0 or info(c.b).preperiod == 0):
+        if c.is_critical(d) and (info[c.a].preperiod == 0 or info[c.b].preperiod == 0):
             critical_leaves.append(c)
 
     at_point: dict[Angle, list[Chord]] = {}
@@ -416,7 +460,7 @@ def properness_report(chord_set: ChordSet) -> PropernessReport:
 
     wedges = []
     for v, incident in sorted(at_point.items()):
-        if len(incident) < 2 or info(v).preperiod != 0:
+        if len(incident) < 2 or info[v].preperiod != 0:
             continue
         for i, c1 in enumerate(incident):
             for c2 in incident[i + 1 :]:
@@ -428,7 +472,7 @@ def properness_report(chord_set: ChordSet) -> PropernessReport:
 
     mismatched = []
     for c in chords:
-        ia, ib = info(c.a), info(c.b)
+        ia, ib = info[c.a], info[c.b]
         if ia.preperiod == 0 or ib.preperiod == 0:
             if ia.preperiod != 0 or ib.preperiod != 0 or ia.period != ib.period:
                 mismatched.append(c)

@@ -158,6 +158,15 @@ def test_distance(rabbit_file, level1_file, capsys):
     assert capsys.readouterr().out.strip() == "2/7"
 
 
+def test_distance_degree_mismatch(rabbit_file, tmp_path, capsys):
+    p = tmp_path / "cubic.json"
+    p.write_text('{"degree": 3, "chords": [["0", "1/3"]]}')
+    assert main(["distance", str(p), rabbit_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: degree mismatch")
+    assert captured.out == ""
+
+
 def test_proper(level1_file, capsys):
     assert main(["proper", level1_file]) == 0
     assert "proper so far: True" in capsys.readouterr().out

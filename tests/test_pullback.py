@@ -3,11 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from lamkit.circle import circle_dist, orbit_info
 from lamkit.core import Chord, ChordSet, ClassLamination, PolygonClass, chords_cross
 from lamkit.fdl import enumerate_children
 from lamkit.pullback import (
     CriticalChordSet,
+    PropernessReport,
     PullbackError,
+    _orbit_table,
     hyperbolic_approx,
     lamination_distance,
     leaf_distance,
@@ -213,6 +216,133 @@ def test_metric_axioms_random():
         else:
             assert dab >= 0
         assert lamination_distance(a, c) <= dab + lamination_distance(b, c)
+
+
+def _all_pairs_distance(a, b):
+    """Reference metric on ``Fraction``: every leaf against every leaf of the
+    other set and against its nearest degenerate leaf (``leaf_distance``
+    and ``circle_dist`` inlined)."""
+
+    def dist(u, v):
+        x = (u - v) % 1
+        return min(x, 1 - x)
+
+    def to_set(c, others):
+        return min(
+            [dist(c.a, c.b)]
+            + [min(dist(c.a, o.a) + dist(c.b, o.b), dist(c.a, o.b) + dist(c.b, o.a)) for o in others]
+        )
+
+    return max(
+        [to_set(c, b.chords) for c in a.chords] + [to_set(c, a.chords) for c in b.chords],
+        default=F(0),
+    )
+
+
+def _assert_distance_matches_oracle(pairs):
+    for a, b in pairs:
+        want = _all_pairs_distance(a, b)
+        assert lamination_distance(a, b) == want, (a.chords, b.chords)
+        assert lamination_distance(b, a) == want, (a.chords, b.chords)
+
+
+def _pool_chordset(rng, d, pool):
+    chords = set()
+    for _ in range(rng.randrange(0, 9)):
+        c = Chord(*rng.sample(pool, 2))
+        if not any(chords_cross(c, o) for o in chords):
+            chords.add(c)
+    return ChordSet.create(d, chords)
+
+
+def test_distance_matches_all_pairs_oracle():
+    rng = random.Random(2024)
+    pairs = []
+    for _ in range(3000):
+        # both sets draw from one small pool over three denominators, so
+        # they share endpoints with each other and chords share endpoints
+        pool = sorted({F(rng.randrange(den), den) for den in rng.sample(range(2, 40), 3) for _ in range(4)})
+        d = rng.choice([2, 3])
+        pairs.append((_pool_chordset(rng, d, pool), _pool_chordset(rng, d, pool)))
+    ends = [{p for c in s.chords for p in (c.a, c.b)} for pair in pairs for s in pair]
+    assert sum(1 for a, b in zip(ends[::2], ends[1::2]) if a & b) > 1000
+    assert any(not a.chords and b.chords for a, b in pairs)
+    assert any(a.chords and not b.chords for a, b in pairs)
+    _assert_distance_matches_oracle(pairs)
+
+
+def test_distance_matches_all_pairs_oracle_on_tree_nodes(rabbit_tree, basilica_tree):
+    rng = random.Random(6)
+    pairs = [(p.lamination.as_chordset(), c.lamination.as_chordset()) for p, c in rabbit_tree.edges()]
+    level6 = [n.lamination.as_chordset() for n in basilica_tree.levels[6]]
+    pairs += [tuple(rng.sample(level6, 2)) for _ in range(20)]
+    _assert_distance_matches_oracle(pairs)
+
+
+def _orbit_info_properness(chord_set):
+    """Reference properness scan: ``circle.orbit_info`` on every endpoint."""
+    d = chord_set.degree
+    chords = chord_set.sorted_chords()
+    info = {p: orbit_info(p, d) for c in chords for p in (c.a, c.b)}
+    critical = [
+        c for c in chords if c.is_critical(d) and (info[c.a].preperiod == 0 or info[c.b].preperiod == 0)
+    ]
+    at_point = {}
+    for c in chords:
+        at_point.setdefault(c.a, []).append(c)
+        at_point.setdefault(c.b, []).append(c)
+    wedges = []
+    for v, incident in sorted(at_point.items()):
+        if len(incident) < 2 or info[v].preperiod != 0:
+            continue
+        for i, c1 in enumerate(incident):
+            for c2 in incident[i + 1 :]:
+                i1, i2 = c1.image(d), c2.image(d)
+                if i1 is not None and i1 == i2:
+                    wedges.append((v, c1, c2))
+    unclean = [(v, len(cs)) for v, cs in sorted(at_point.items()) if len(cs) >= 3]
+    mismatched = []
+    for c in chords:
+        ia, ib = info[c.a], info[c.b]
+        if (ia.preperiod == 0 or ib.preperiod == 0) and (
+            ia.preperiod != 0 or ib.preperiod != 0 or ia.period != ib.period
+        ):
+            mismatched.append(c)
+    return PropernessReport(critical, wedges, unclean, mismatched)
+
+
+def test_properness_matches_orbit_info_oracle(rabbit_tree, cubic_tree, basilica_tree):
+    p = F(15, 112)
+    crit = CriticalChordSet.create(2, [Chord(p, p + F(1, 2))])
+    forced = pullback_lamination(ClassLamination.create(2, [RABBIT]), crit, 8).levels[8]
+    # criterion 7's inputs: the forced scan and the nested approximations
+    sets = [forced, ChordSet(2, forced.chords | set(crit.chords))]
+    sets += [s.fdl.lamination.as_chordset() for s in hyperbolic_approx(rabbit_tree.levels[1][0], 8).steps]
+    lvl1 = cubic_tree.levels[1][0].lamination
+    sets.append(pullback_lamination(lvl1, place_critical_chords(lvl1)[0], 2).levels[2])
+    sets += [n.lamination.as_chordset() for n in basilica_tree.levels[6]]
+    # small sets that fill the first, second and fourth lists
+    sets += [
+        ChordSet.create(2, _chords([((0, 1), (1, 4)), ((0, 1), (3, 4))])),
+        ChordSet.create(2, _chords([((1, 3), (5, 6))])),
+        ChordSet.create(2, _chords([((1, 7), (1, 3))])),
+    ]
+    filled = set()
+    for chord_set in sets:
+        rep = properness_report(chord_set)
+        assert rep == _orbit_info_properness(chord_set)
+        filled |= {i for i, found in enumerate(vars(rep).values()) if found}
+    assert len(forced.chords) == 768 and filled == {0, 1, 2, 3}
+
+
+def test_orbit_table_matches_orbit_info():
+    rng = random.Random(7)
+    for _ in range(2000):
+        d, L = rng.choice([2, 3, 4]), rng.randrange(1, 300)
+        starts = [rng.randrange(L) for _ in range(rng.randrange(1, 7))]
+        table = _orbit_table(d, L, starts)
+        for x in starts:  # later starts often end on an earlier walk
+            assert table[x] == orbit_info(F(x, L), d), (d, L, x)
 
 
 def test_properness_clean_fdl():
