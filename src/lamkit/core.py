@@ -355,9 +355,12 @@ class ChordSet:
         return cs
 
     def check(self):
-        hit = _first_crossing((c.a, c.b) for c in self.chords)
+        # residues keep the order of the angles, so the sweep names the same pair
+        M, res = _residues(p for c in self.chords for p in (c.a, c.b))
+        hit = _first_crossing(zip(res[::2], res[1::2]))
         if hit is not None:
-            raise LaminationError(f"chords {Chord(*hit[0])} and {Chord(*hit[1])} cross")
+            c1, c2 = (Chord(Fraction(u, M), Fraction(v, M)) for u, v in hit)
+            raise LaminationError(f"chords {c1} and {c2} cross")
 
     def sorted_chords(self) -> list[Chord]:
         return sorted(self.chords)

@@ -8,13 +8,15 @@ of its start point, and the lift whose arc fits inside the branch supplies
 that branch's preimage chord.  When a chord endpoint equals a critical
 value both of its lifts can fit; candidates that would cross the inputs
 are discarded and the shorter surviving lift wins, which reproduces the
-wedges that accumulate at forced endpoints.
+wedges that accumulate at forced endpoints.  A step runs on integer
+residues mod ``M = d * lcm(denominators)``, where the preimages of x are
+``x // d + j * M / d`` and arc tests are integer comparisons.
 
 This module also exposes the exact lamination metric (Hausdorff over
 leaves plus all degenerate leaves, by a pruned nearest-leaf scan on
-integer residues), properness and cleanliness scans (orbit periods read
-from one residue table), and the finite-depth nested-critical-gap
-construction.
+integer residues), properness and cleanliness scans (on residues, with
+orbit periods read from one table), and the finite-depth
+nested-critical-gap construction.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ from .circle import (
     arc_len,
     check_degree,
     circle_dist,
-    in_closed_arc,
-    in_open_arc,
+    in_open_arc,  # unused here; perfbench's tracer test asserts this binding
     preimages,
     sigma,
 )
@@ -235,62 +236,55 @@ def _chains(anchors, k: int, d: int, contains) -> list[list[Chord]]:
 # --- pullback steps ---------------------------------------------------------------
 
 
-def _arc_lift_length(alpha: Angle, beta: Angle, chord: Chord, branch, cuts, d: int):
-    """Length of the connected lift arc alpha->beta or beta->alpha, if any.
-
-    A connected lift must run inside the branch closure (no cut point
-    strictly inside) and have exactly a 1/d share of the corresponding
-    subtended arc of the original chord.
-    """
-    for start, end in ((chord.a, chord.b), (chord.b, chord.a)):
-        lift_len = Fraction((end - start) % 1, d)
-        for lo, hi in ((alpha, beta), (beta, alpha)):
-            if (hi - lo) % 1 == lift_len and not any(
-                in_open_arc(p, lo, hi) for p in cuts
-            ):
-                if sigma(lo, d) == start and sigma(hi, d) == end:
-                    return lift_len
-    return None
-
-
-def _branch_lift(chord: Chord, branch, cuts, d: int, obstacles) -> Chord:
-    """The branch's preimage chord of ``chord``.
+def _lift(x: int, y: int, branch, M: int, d: int, obstacles) -> tuple[int, int]:
+    """The branch's preimage of the chord ``(x, y)``, all as residues mod M.
 
     Generically each endpoint has one preimage in the branch closure and
     the chord is forced.  When an endpoint equals a critical value, both
     of its preimages can lie on the branch boundary; then candidates
     crossing the fixed inputs are discarded outright, candidates with a
-    connected arc-lift are preferred, and the shortest lift wins.
+    connected arc-lift are preferred, and the shortest lift wins.  A
+    candidate has a connected arc-lift when d times one of its arcs is an
+    arc subtended by the chord.  Such an arc is shorter than 1/d, so it
+    stays inside the branch closure, whose complementary arcs hold whole
+    branch bases, and its ends lie over the chord's ends.  Ties go to the
+    smaller pair, which is ``Chord`` order.
     """
 
-    def in_branch(p):
-        return any(in_closed_arc(p, s, e) for s, e in branch)
+    def fail(what):
+        arcs = tuple((Fraction(s, M), Fraction(e, M)) for s, e in branch)
+        raise PullbackError(what.format(Chord(Fraction(x, M), Fraction(y, M)), arcs))
 
-    p_a = [p for p in preimages(chord.a, d) if in_branch(p)]
-    p_b = [p for p in preimages(chord.b, d) if in_branch(p)]
-    if not p_a or not p_b:
-        raise PullbackError(f"branch {branch} misses a preimage of {chord}")
-    pairs = [(alpha, beta) for alpha in p_a for beta in p_b]
+    step = M // d
+    ends = [
+        [p for p in range(z // d, M, step) if any((p - s) % M <= (e - s) % M for s, e in branch)]
+        for z in (x, y)
+    ]
+    if not ends[0] or not ends[1]:
+        fail("branch {1} misses a preimage of {0}")
+    pairs = [(min(u, v), max(u, v)) for u in ends[0] for v in ends[1]]
     if len(pairs) == 1:
-        return Chord(*pairs[0])
+        return pairs[0]
 
     ranked = []
-    for alpha, beta in pairs:
-        cand = Chord(alpha, beta)
-        if any(chords_cross(cand, o) for o in obstacles):
+    for u, v in pairs:
+        if any(c != u != e and c != v != e and (u < c < v) != (u < e < v) for c, e in obstacles):
             continue
-        lift = _arc_lift_length(alpha, beta, chord, branch, cuts, d)
-        ranked.append((lift is None, lift if lift is not None else cand.length(), cand))
+        arcs = (v - u, M - v + u)
+        lift = next((b // d for b in (y - x, M - y + x) if b in (d * arcs[0], d * arcs[1])), None)
+        ranked.append((lift is None, lift if lift is not None else min(arcs), (u, v)))
     if not ranked:
-        raise PullbackError(f"every lift of {chord} in branch {branch} crosses the inputs")
-    ranked.sort()
-    return ranked[0][2]
+        fail("every lift of {0} in branch {1} crosses the inputs")
+    return min(ranked)[2]
 
 
 def pullback_step(chord_set: ChordSet, crit: CriticalChordSet) -> ChordSet:
     """One level of preimages of every chord, through every branch.
 
-    The result contains its input and is verified non-crossing.
+    Runs on residues mod ``M = d * lcm(denominators)`` of the chords and
+    the critical chords, so each point's preimages are residues too; only
+    the new chords become ``Chord`` objects.  The result contains its
+    input and is verified non-crossing.
     """
     d = chord_set.degree
     if d != crit.degree:
@@ -301,16 +295,15 @@ def pullback_step(chord_set: ChordSet, crit: CriticalChordSet) -> ChordSet:
             if chords_cross(s, c):
                 raise PullbackError(f"chord {s} crosses critical chord {c}")
 
-    obstacles = fixed + list(crit.chords)
-    branches = crit.branches()
-    cuts = set(crit.cut_points())
-    added: list[Chord] = []
-    for chord in sorted(chord_set.chords):
-        for branch in branches:
-            added.append(_branch_lift(chord, branch, cuts, d, obstacles))
-
-    result = ChordSet.create(d, set(chord_set.chords) | set(added))
-    return result
+    chords = fixed + list(crit.chords)
+    M, res = _residues((p for c in chords for p in (c.a, c.b)), scale=d)
+    obstacles = list(zip(res[::2], res[1::2]))  # the inputs, then the critical chords
+    inputs = sorted(obstacles[: len(fixed)])  # residue pairs sort like chords
+    at = dict(zip((p for c in crit.chords for p in (c.a, c.b)), res[2 * len(fixed) :]))
+    branches = [tuple((at[s], at[e]) for s, e in b) for b in crit.branches()]
+    added = {_lift(x, y, b, M, d, obstacles) for x, y in inputs for b in branches}
+    new = [Chord(Fraction(u, M), Fraction(v, M)) for u, v in added.difference(inputs)]
+    return ChordSet.create(d, chord_set.chords.union(new))
 
 
 @dataclass
@@ -442,37 +435,39 @@ def properness_report(chord_set: ChordSet) -> PropernessReport:
     periodic of one period when either endpoint is periodic.
     """
     d = chord_set.degree
-    chords = chord_set.sorted_chords()
-    points = list({p for c in chords for p in (c.a, c.b)})
-    L, res = _residues(points)
-    orbits = _orbit_table(d, L, res)
-    info = {p: orbits[x] for p, x in zip(points, res)}
+    L, res = _residues(p for c in chord_set.chords for p in (c.a, c.b))
+    # residue pairs sort like chords; each keeps its Chord for the report
+    chords = sorted(zip(zip(res[::2], res[1::2]), chord_set.chords))
+    info = _orbit_table(d, L, res)
+
+    def image(x, y):  # None when the leaf is critical
+        return None if d * x % L == d * y % L else sorted((d * x % L, d * y % L))
 
     critical_leaves = []
-    for c in chords:
-        if c.is_critical(d) and (info[c.a].preperiod == 0 or info[c.b].preperiod == 0):
+    for (x, y), c in chords:
+        if image(x, y) is None and (info[x].preperiod == 0 or info[y].preperiod == 0):
             critical_leaves.append(c)
 
-    at_point: dict[Angle, list[Chord]] = {}
-    for c in chords:
-        at_point.setdefault(c.a, []).append(c)
-        at_point.setdefault(c.b, []).append(c)
+    at_point: dict[int, list[tuple[tuple[int, int], Chord]]] = {}
+    for pair in chords:
+        at_point.setdefault(pair[0][0], []).append(pair)
+        at_point.setdefault(pair[0][1], []).append(pair)
 
     wedges = []
     for v, incident in sorted(at_point.items()):
         if len(incident) < 2 or info[v].preperiod != 0:
             continue
-        for i, c1 in enumerate(incident):
-            for c2 in incident[i + 1 :]:
-                i1, i2 = c1.image(d), c2.image(d)
-                if i1 is not None and i1 == i2:
-                    wedges.append((v, c1, c2))
+        for i, (e1, c1) in enumerate(incident):
+            for e2, c2 in incident[i + 1 :]:
+                i1 = image(*e1)
+                if i1 is not None and i1 == image(*e2):
+                    wedges.append((Fraction(v, L), c1, c2))
 
-    unclean = [(v, len(cs)) for v, cs in sorted(at_point.items()) if len(cs) >= 3]
+    unclean = [(Fraction(v, L), len(cs)) for v, cs in sorted(at_point.items()) if len(cs) >= 3]
 
     mismatched = []
-    for c in chords:
-        ia, ib = info[c.a], info[c.b]
+    for (x, y), c in chords:
+        ia, ib = info[x], info[y]
         if ia.preperiod == 0 or ib.preperiod == 0:
             if ia.preperiod != 0 or ib.preperiod != 0 or ia.period != ib.period:
                 mismatched.append(c)

@@ -21,6 +21,7 @@ from lamkit.core import (
     DegreeStatus,
     LaminationError,
     PolygonClass,
+    _first_crossing,
     chords_cross,
     covering_degree,
     criticality_audit,
@@ -277,6 +278,27 @@ def test_chordset_check_matches_pairwise_oracle():
         c1, c2 = (Chord(*p) for p in _named(r"\(([^()]+)\)", str(err.value)))
         assert c1 in chords and c2 in chords and chords_cross(c1, c2)
     assert outcomes == {False, True}
+
+
+def test_chordset_check_names_the_fraction_sweep_pair():
+    # the families of the pairwise test above, same seed and draws
+    rng = random.Random(31)
+    named = 0
+    for _ in range(3000):
+        den = rng.randrange(4, 16)
+        chords = set()
+        for _ in range(rng.randrange(1, 7)):
+            a, b = rng.sample(range(den), 2)
+            chords.add(Chord(F(a, den), F(b, den)))
+        hit = _first_crossing((c.a, c.b) for c in chords)
+        if hit is None:
+            ChordSet(2, chords).check()
+            continue
+        with pytest.raises(LaminationError) as err:
+            ChordSet(2, chords).check()
+        assert str(err.value) == f"chords {Chord(*hit[0])} and {Chord(*hit[1])} cross"
+        named += 1
+    assert named > 500
 
 
 def test_class_lamination_check_matches_pairwise_oracle():

@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from lamkit.circle import circle_dist, orbit_info
-from lamkit.core import Chord, ChordSet, ClassLamination, PolygonClass, chords_cross
+from lamkit.circle import circle_dist, in_closed_arc, in_open_arc, orbit_info, preimages, sigma
+from lamkit.core import Chord, ChordSet, ClassLamination, LaminationError, PolygonClass, chords_cross
 from lamkit.fdl import enumerate_children
 from lamkit.pullback import (
     CriticalChordSet,
@@ -126,8 +126,9 @@ def test_pullback_step_seven_chord_oracle():
 def test_pullback_step_rejects_crossing():
     crit = CriticalChordSet.create(2, [Chord(F(1, 8), F(5, 8))])
     bad = ChordSet.create(2, [Chord(F(0), F(1, 2))])
-    with pytest.raises(PullbackError):
+    with pytest.raises(PullbackError) as err:
         pullback_step(bad, crit)
+    assert str(err.value) == _fraction_step_error(bad, crit)
 
 
 def test_pullback_empty_start():
@@ -159,6 +160,121 @@ def test_pullback_levels_nest_and_map_down():
         for c in nxt.chords - prev.chords:
             img = c.image(2)
             assert img is None or img in prev.chords
+
+
+def _fraction_arc_lift_length(alpha, beta, chord, cuts, d):
+    # the length of a connected lift arc alpha->beta or beta->alpha, if any
+    for start, end in ((chord.a, chord.b), (chord.b, chord.a)):
+        lift_len = F((end - start) % 1, d)
+        for lo, hi in ((alpha, beta), (beta, alpha)):
+            if (hi - lo) % 1 == lift_len and not any(in_open_arc(p, lo, hi) for p in cuts):
+                if sigma(lo, d) == start and sigma(hi, d) == end:
+                    return lift_len
+    return None
+
+
+def _fraction_branch_lift(chord, branch, cuts, d, obstacles):
+    # every candidate preimage pair in the closed branch, ranked on Fraction
+    def in_branch(p):
+        return any(in_closed_arc(p, s, e) for s, e in branch)
+
+    p_a = [p for p in preimages(chord.a, d) if in_branch(p)]
+    p_b = [p for p in preimages(chord.b, d) if in_branch(p)]
+    if not p_a or not p_b:
+        raise PullbackError(f"branch {branch} misses a preimage of {chord}")
+    pairs = [(alpha, beta) for alpha in p_a for beta in p_b]
+    if len(pairs) == 1:
+        return Chord(*pairs[0])
+    ranked = []
+    for alpha, beta in pairs:
+        cand = Chord(alpha, beta)
+        if any(chords_cross(cand, o) for o in obstacles):
+            continue
+        lift = _fraction_arc_lift_length(alpha, beta, chord, cuts, d)
+        ranked.append((lift is None, lift if lift is not None else cand.length(), cand))
+    if not ranked:
+        raise PullbackError(f"every lift of {chord} in branch {branch} crosses the inputs")
+    ranked.sort()
+    return ranked[0][2]
+
+
+def _fraction_pullback_step(chord_set, crit):
+    """Reference pullback step on ``Fraction``: every chord lifted through
+    every branch by ``circle`` predicates and ``chords_cross``."""
+    d = chord_set.degree
+    fixed = list(chord_set.chords)
+    for s in fixed:
+        for c in crit.chords:
+            if chords_cross(s, c):
+                raise PullbackError(f"chord {s} crosses critical chord {c}")
+    obstacles = fixed + list(crit.chords)
+    cuts = set(crit.cut_points())
+    added = [
+        _fraction_branch_lift(chord, branch, cuts, d, obstacles)
+        for chord in sorted(chord_set.chords)
+        for branch in crit.branches()
+    ]
+    return ChordSet.create(d, set(chord_set.chords) | set(added))
+
+
+def _assert_pullback_matches_oracle(start, crit, depth):
+    seq = pullback_lamination(start, crit, depth)
+    level = start.as_chordset()
+    for got in seq.levels[1:]:
+        level = _fraction_pullback_step(level, crit)
+        assert got.chords == level.chords, (start, crit.chords)
+
+
+def test_pullback_matches_fraction_oracle(rabbit_tree, cubic_tree):
+    p = F(15, 112)
+    forced = CriticalChordSet.create(2, [Chord(p, p + F(1, 2))])
+    _assert_pullback_matches_oracle(ClassLamination.create(2, [RABBIT]), forced, 8)
+    lvl1 = cubic_tree.levels[1][0].lamination
+    _assert_pullback_matches_oracle(lvl1, place_critical_chords(lvl1)[0], 4)
+    rabbit_crit = CriticalChordSet.create(2, [Chord(F(1, 7), F(9, 14))])
+    _assert_pullback_matches_oracle(ClassLamination.create(2, [RABBIT]), rabbit_crit, 6)
+    # the critical chord pulled back through itself: lifts tie on length,
+    # so the pair order decides
+    diameter = Chord(F(0), F(1, 2))
+    _assert_pullback_matches_oracle(
+        ClassLamination.create(2, [PolygonClass((F(0), F(1, 2)))]), CriticalChordSet.create(2, [diameter]), 4
+    )
+    placements = 0
+    for level in rabbit_tree.levels:
+        for node in level:
+            try:
+                crits = place_critical_chords(node.lamination, True)
+            except PullbackError:
+                continue  # no critical gap, or a gap without a degree
+            for crit in crits:
+                _assert_pullback_matches_oracle(node.lamination, crit, 3)
+                placements += 1
+    assert placements > 10
+
+
+def _fraction_step_error(start, crit):
+    with pytest.raises((PullbackError, LaminationError)) as err:
+        _fraction_pullback_step(start, crit)
+    return str(err.value)
+
+
+@pytest.mark.parametrize(
+    "chords, crit, message",
+    [
+        (
+            [((0, 1), (2, 5)), ((3, 5), (4, 5))],
+            ((0, 1), (1, 2)),
+            "every lift of (0,2/5) in branch ((Fraction(1, 2), Fraction(0, 1)),) crosses the inputs",
+        ),
+        ([((0, 1), (1, 4)), ((1, 4), (3, 4))], ((1, 4), (3, 4)), "chords (0,1/4) and (1/8,7/8) cross"),
+    ],
+)
+def test_pullback_errors_match_fraction_oracle(chords, crit, message):
+    crit = CriticalChordSet.create(2, [Chord(F(*crit[0]), F(*crit[1]))])
+    start = ChordSet.create(2, _chords(chords))
+    with pytest.raises((PullbackError, LaminationError)) as err:
+        pullback_step(start, crit)
+    assert str(err.value) == _fraction_step_error(start, crit) == message
 
 
 def test_pullback_degree3(cubic_tree):
