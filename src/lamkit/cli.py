@@ -129,7 +129,8 @@ def cmd_tree(args) -> int:
 def cmd_gengraph(args) -> int:
     lam = load_lamination(_read(args.file))
     root = FDL.validate(lam)
-    tree = build_pullback_tree(root, args.level)
+    # a negative level gets generational_graph's own error
+    tree = build_pullback_tree(root, max(args.level, 0))
     graph = generational_graph(tree, args.level)
     print(f"vertices: {len(graph.vertices)}, edges: {len(graph.edges)}")
     print(f"closure matches refinement: {closure_is_refinement(graph)}")

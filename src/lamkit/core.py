@@ -190,35 +190,23 @@ class _IntModel:
         angles = [v for c in polys for v in c.vertices] + list(extra)
         self.d = d
         self.D = d * lcm(*(a.denominator for a in angles))
-        self._index({tuple(map(self.res, c.vertices)): c for c in polys})
-
-    def _index(self, poly: dict[tuple[int, ...], PolygonClass]):
+        self.poly = {tuple(map(self.res, c.vertices)): c for c in polys}
         # res is increasing, so integer order of the tuples is class order
-        self.poly = poly
-        self.classes = sorted(poly)
+        self.classes = sorted(self.poly)
         self.vertices = {v for c in self.classes for v in c}
         self.edges = [e for c in self.classes for e in _hull_edges(c)]
 
-    def child(self, new: Iterable[tuple[int, ...]]) -> "_IntModel":
-        """This model plus new classes given as its residue tuples, mod d * D."""
-        d = self.d
-        m = _IntModel.__new__(_IntModel)
-        m.d, m.D = d, self.D * d
-        poly = {tuple(v * d for v in c): p for c, p in self.poly.items()}
-        for vs in new:
-            poly[tuple(v * d for v in vs)] = PolygonClass._from_sorted(tuple(map(self.angle, vs)))
-        m._index(poly)
-        return m
-
     def key(self) -> str:
         """Canonical text key: degree, then each class as reduced fractions."""
-        D = self.D
+        return "|".join([str(self.d)] + [self.text(c) for c in self.classes])
 
-        def fmt(x: int) -> str:
-            g = gcd(x, D)
-            return f"{x // g}/{D // g}" if x else "0"
+    def text(self, c: tuple[int, ...]) -> str:
+        """A residue tuple as comma-separated reduced fractions."""
+        return ",".join(map(self._fmt, c))
 
-        return "|".join([str(self.d)] + [",".join(map(fmt, c)) for c in self.classes])
+    def _fmt(self, x: int) -> str:
+        g = gcd(x, self.D)
+        return f"{x // g}/{self.D // g}" if x else "0"
 
     def labels(self, points: Iterable[int]) -> dict[int, Optional[tuple[int, int]]]:
         """Innermost model edge around each point that is no model vertex.

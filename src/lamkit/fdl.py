@@ -8,12 +8,11 @@ exactly the leaves within n-1 steps of the periodic part have preimages.
 
 Children of such a lamination add one more layer of preimages: a sibling
 portrait, placed in the whole disk, over the preimages of each deepest
-class.  Candidates are built constructively from portrait shapes and then
-filtered through the full validator.  Enumeration and validation both run
-on one integer-residue model (``core._IntModel``): a candidate's model is
-its parent's plus the new blocks, and keys come from residue tuples.  The
-pullback tree collects all descendants of a self-image root, level by
-level, deduplicated by canonical form.
+class.  Candidates are built constructively from portrait shapes on the
+parent's integer-residue model (``core._IntModel``), and, the parent being
+valid, only their new layer is checked; keys come from residue tuples.
+The pullback tree validates its root in full, then collects all its
+descendants level by level, deduplicated by canonical form.
 """
 
 from __future__ import annotations
@@ -113,9 +112,13 @@ class FdlReport:
         )
 
 
-def validate_fdl(lam: ClassLamination, _model: Optional[_IntModel] = None) -> FdlReport:
-    """Check the seven defining axioms and report per-axiom witnesses
-    (on ``_model``, the integer model of ``lam``'s classes, when given)."""
+def _edge_image(model: _IntModel, e: tuple[int, int]) -> tuple[int, int]:
+    ia, ib = model.sigma(e[0]), model.sigma(e[1])
+    return (ia, ib) if ia < ib else (ib, ia)
+
+
+def validate_fdl(lam: ClassLamination) -> FdlReport:
+    """Check the seven defining axioms and report per-axiom witnesses."""
     d = lam.degree
     axioms: dict[int, AxiomResult] = {}
     try:
@@ -124,7 +127,7 @@ def validate_fdl(lam: ClassLamination, _model: Optional[_IntModel] = None) -> Fd
         axioms[0] = AxiomResult(False, (str(exc),))
         return FdlReport(False, axioms, None)
 
-    model = _model or _IntModel(d, lam.classes)
+    model = _IntModel(d, lam.classes)
 
     # 1: finitely many leaves, and at least one class
     axioms[1] = AxiomResult(bool(lam.classes), () if lam.classes else ("empty lamination",))
@@ -139,11 +142,7 @@ def validate_fdl(lam: ClassLamination, _model: Optional[_IntModel] = None) -> Fd
     )
 
     # 3: forward closed on leaves (a critical leaf's image (x, x) is no leaf)
-    def edge_image(e):
-        ia, ib = model.sigma(e[0]), model.sigma(e[1])
-        return (ia, ib) if ia < ib else (ib, ia)
-
-    img_of = {e: edge_image(e) for e in edges}
+    img_of = {e: _edge_image(model, e) for e in edges}
     bad3 = [
         f"image of {model.edge_str(e)} is not a leaf" for e in edges if img_of[e] not in edge_class
     ]
@@ -201,12 +200,7 @@ def validate_fdl(lam: ClassLamination, _model: Optional[_IntModel] = None) -> Fd
     for e in edges:
         if leaf_depth[e] == 0:
             continue
-        pool = [
-            s
-            for s in by_image.get(img_of[e], [])
-            if s != e and not set(s) & set(e)
-        ]
-        if not _has_disjoint_collection(e, pool, d):
+        if not _has_disjoint_collection(e, by_image[img_of[e]], d):
             bad5.append(
                 f"leaf {model.edge_str(e)} has no {d} pairwise disjoint siblings"
             )
@@ -216,8 +210,9 @@ def validate_fdl(lam: ClassLamination, _model: Optional[_IntModel] = None) -> Fd
     return FdlReport(valid, axioms, n, periodic)
 
 
-def _has_disjoint_collection(leaf, others, d: int) -> bool:
-    """Can ``leaf`` extend to d pairwise endpoint-disjoint same-image leaves?"""
+def _has_disjoint_collection(leaf, same_image, d: int) -> bool:
+    """Can ``leaf`` extend to d pairwise endpoint-disjoint leaves of ``same_image``?"""
+    others = [s for s in same_image if set(s).isdisjoint(leaf)]
     if len(others) < d - 1:
         return False
 
@@ -233,19 +228,67 @@ def _has_disjoint_collection(leaf, others, d: int) -> bool:
     return extend([leaf], others)
 
 
+def _layer_tables(model: _IntModel, targets: list[tuple[int, ...]]):
+    """What :func:`_new_layer_valid` needs of a parent: its deepest classes, and
+    each of their edges with the parent edges mapping onto it (periodic only)."""
+    onto: dict[tuple[int, int], list] = {e: [] for t in targets for e in _hull_edges(t)}
+    for e in model.edges:
+        img = _edge_image(model, e)
+        if img in onto:
+            onto[img].append(e)
+    return set(targets), onto
+
+
+def _new_layer_valid(model: _IntModel, tables, new: list[tuple[int, ...]]) -> bool:
+    """``validate_fdl(...).valid and depth_n == n + 1`` for a parent valid at
+    depth n (``model``, ``tables``) plus ``new``, disjoint non-crossing residue
+    tuples on free preimages of its deepest vertices.  Old leaves keep their
+    images, preimages and (growing) sibling pools, so only new ones are checked.
+    """
+    deepest, onto = tables
+    by_image: dict[tuple[int, int], list] = {}
+    for vs in new:
+        # the image class is at depth n, so the block is at depth n + 1
+        if tuple(sorted({model.sigma(v) for v in vs})) not in deepest:
+            return False
+        for e in _hull_edges(vs):
+            # 2 and 3: the image joins two vertices of one deepest class,
+            # so it is a leaf exactly when it is a deepest edge
+            img = _edge_image(model, e)
+            if img not in onto:
+                return False
+            by_image.setdefault(img, []).append(e)
+    # 4: every deepest leaf gains a (non-periodic) preimage; the images of
+    # the new leaves are old leaves, so no new leaf has one
+    if len(by_image) != len(onto):
+        return False
+    # 5: sibling pools of the new leaves, old leaves of the same image included
+    for img, es in by_image.items():
+        pool = es + onto[img]
+        if not all(_has_disjoint_collection(e, pool, model.d) for e in es):
+            return False
+    return True
+
+
 # --- the FDL wrapper and child enumeration ---------------------------------------
 
 
-@dataclass(frozen=True)
 class FDL:
-    """A validated finite dynamical lamination with its depth parameter."""
+    """A validated finite dynamical lamination with its depth parameter; a tree
+    node builds its ``lamination`` on first use.  Equal when key and depth are."""
 
-    lamination: ClassLamination
-    depth_n: int
-    _key: Optional[str] = field(default=None, repr=False, compare=False)
+    __slots__ = ("degree", "depth_n", "classes", "_key", "_lamination")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_key", self._key or canonical_form(self.lamination))
+    def __init__(self, lamination: ClassLamination, depth_n: int):
+        self.degree, self.depth_n, self._lamination = lamination.degree, depth_n, lamination
+        self.classes, self._key = tuple(lamination.classes), canonical_form(lamination)
+
+    @classmethod
+    def _node(cls, degree: int, depth_n: int, classes: tuple, key: str) -> "FDL":
+        node = object.__new__(cls)
+        node.degree, node.depth_n, node.classes, node._key = degree, depth_n, classes, key
+        node._lamination = None
+        return node
 
     @classmethod
     def validate(cls, lam: ClassLamination) -> "FDL":
@@ -255,19 +298,30 @@ class FDL:
         return cls(lam, report.depth_n)
 
     @property
-    def degree(self) -> int:
-        return self.lamination.degree
+    def lamination(self) -> ClassLamination:
+        if self._lamination is None:
+            self._lamination = ClassLamination(self.degree, frozenset(self.classes))
+            self._lamination._mark_checked()
+        return self._lamination
 
     def key(self) -> str:
         return self._key
 
     def image(self) -> ClassLamination:
         d = self.degree
-        imgs = {c.image(d) for c in self.lamination.classes}
+        imgs = {c.image(d) for c in self.classes}
         return ClassLamination(d, frozenset(i for i in imgs if i is not None))
+
+    def __eq__(self, other):
+        return isinstance(other, FDL) and (self._key, self.depth_n) == (other._key, other.depth_n)
+
+    def __hash__(self):
+        return hash((self._key, self.depth_n))
 
     def __str__(self):
         return f"FDL(n={self.depth_n}, {self.key()})"
+
+    __repr__ = __str__
 
 
 def _deepest(model: _IntModel, n: int) -> list[tuple[int, ...]]:
@@ -277,7 +331,7 @@ def _deepest(model: _IntModel, n: int) -> list[tuple[int, ...]]:
 
 def deepest_classes(fdl: FDL) -> list[PolygonClass]:
     """Classes at depth ``fdl.depth_n``: the periodic ones when it is 0."""
-    model = _IntModel(fdl.degree, fdl.lamination.classes)
+    model = _IntModel(fdl.degree, fdl.classes)
     return [model.poly[c] for c in _deepest(model, fdl.depth_n)]
 
 
@@ -285,14 +339,14 @@ def enumerate_children(fdl: FDL) -> list[FDL]:
     """All laminations one pullback level deeper whose image is this one.
 
     Per deepest class, disk-wide sibling portraits are bound to its vertex
-    preimages (reusing classes the portrait reproduces); all mutually
-    compatible choices are assembled and filtered through the full
-    validator.  Children come back canonically ordered.
+    preimages (reusing classes the portrait reproduces); each mutually
+    compatible choice is checked on its new layer only, which relies on
+    ``fdl`` being valid.  Children come back canonically ordered.
     """
-    lam = fdl.lamination
-    d = lam.degree
-    model = _IntModel(d, lam.classes)
+    d = fdl.degree
+    model = _IntModel(d, fdl.classes)
     targets = _deepest(model, fdl.depth_n)
+    tables = _layer_tables(model, targets)
     points = [_portrait_residues(t, model, None) for t in targets]
     labels = model.labels(p for pts in points for p in pts)
 
@@ -304,23 +358,25 @@ def enumerate_children(fdl: FDL) -> list[FDL]:
             return []
 
     children: dict[str, FDL] = {}
+    text = {c: model.text(c) for c in model.classes}
+    made: dict[tuple[int, ...], PolygonClass] = {}  # new blocks, shared among siblings
     for combo in product(*options):
         # each placement comes from a non-crossing shape and blocks for
         # distinct targets use disjoint fibers, so a crossing among the new
         # residue edges is one between placements
         if _first_crossing(e for _, _, edges in combo for e in edges) is not None:
             continue
-        child_model = model.child(vs for new, _, _ in combo for vs in new)
-        candidate = ClassLamination(d, frozenset(child_model.poly.values()))
-        # invariants hold by construction: the parent was valid and every
-        # new block was screened against the context and its peers, so
-        # validate_fdl's lam.check() returns at once
-        candidate._mark_checked()
-        report = validate_fdl(candidate, child_model)
-        if not report.valid or report.depth_n != fdl.depth_n + 1:
+        new = [vs for blocks, _, _ in combo for vs in blocks]
+        if not _new_layer_valid(model, tables, new):
             continue
-        key = child_model.key()
-        children[key] = FDL(candidate, report.depth_n, key)
+        for vs in new:
+            if vs not in made:
+                made[vs] = PolygonClass._from_sorted(tuple(map(model.angle, vs)))
+                text[vs] = model.text(vs)
+        # the child's own model would scale these residues by d: same order and fractions
+        key = "|".join([str(d)] + [text[c] for c in sorted(model.classes + new)])
+        classes = fdl.classes + tuple(made[vs] for vs in new)
+        children[key] = FDL._node(d, fdl.depth_n + 1, classes, key)
     return [children[k] for k in sorted(children)]
 
 
@@ -365,6 +421,10 @@ def build_pullback_tree(root: FDL, depth: int) -> PullbackTree:
     """Breadth-first tree of all descendants down to ``depth``."""
     if depth < 0:
         raise FdlError(f"tree depth must be >= 0, got {depth}")
+    # children are checked on their new layer only: the tree is as valid as its root
+    report = validate_fdl(root.lamination)
+    if not report.valid or report.depth_n != root.depth_n:
+        raise FdlError(f"tree root is no finite dynamical lamination at depth {root.depth_n}")
     tree = PullbackTree(root, [[root]])
     for _ in range(depth):
         nxt: dict[str, FDL] = {}

@@ -42,6 +42,7 @@ from .core import (
     Chord,
     ChordSet,
     ClassLamination,
+    LaminationError,
     RoundGap,
     _first_crossing,
     _residues,
@@ -328,8 +329,11 @@ def pullback_lamination(
     if depth < 0:
         raise PullbackError(f"pullback depth must be >= 0, got {depth}")
     levels = [start.as_chordset()]
-    for _ in range(depth):
-        levels.append(pullback_step(levels[-1], crit))
+    for step in range(1, depth + 1):
+        try:
+            levels.append(pullback_step(levels[-1], crit))
+        except LaminationError as exc:
+            raise PullbackError(f"pullback step {step}: the lifts make crossing chords: {exc}") from exc
     for prev, nxt in zip(levels, levels[1:]):
         if not prev.chords <= nxt.chords:
             raise PullbackError("pullback levels failed to nest")

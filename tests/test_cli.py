@@ -240,7 +240,7 @@ def test_non_integer_counts_are_classified(tmp_path, capsys):
     "args, message",
     [
         (["tree", "--depth", "-1"], "tree depth must be >= 0"),
-        (["gengraph", "--level", "-1"], "tree depth must be >= 0"),
+        (["gengraph", "--level", "-1"], "tree has no level -1"),
         (["pullback", "--chords", "15/112:71/112", "--depth", "-2"], "pullback depth must be >= 0"),
     ],
 )
@@ -248,6 +248,20 @@ def test_negative_depths_are_classified(rabbit_file, capsys, args, message):
     assert main([args[0], rabbit_file] + args[1:]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {message}")
+    assert captured.out == ""
+
+
+def test_crossing_lifts_name_the_pullback_step(tmp_path, capsys):
+    # the critical chord (1/4,3/4) is also a class edge; its lift (1/8,7/8)
+    # crosses the class edge (0,1/4)
+    p = tmp_path / "collapsing.json"
+    p.write_text('{"degree": 2, "classes": [["0", "1/4", "3/4"]]}')
+    assert main(["pullback", str(p), "--chords", "1/4:3/4", "--depth", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: pullback step 1: the lifts make crossing chords: "
+        "chords (0,1/4) and (1/8,7/8) cross\n"
+    )
     assert captured.out == ""
 
 
