@@ -197,11 +197,7 @@ def cmd_proper(args) -> int:
 
 
 def cmd_render(args) -> int:
-    try:
-        target = load_lamination(_read(args.file))
-    except DocumentError:
-        target = load_chordset(_read(args.file))
-    svg = render_svg(target, geodesics=args.geodesics)
+    svg = render_svg(load_chordset(_read(args.file)), geodesics=args.geodesics)
     if args.svg:
         write_atomic(args.svg, svg)
         print(f"wrote {args.svg}")

@@ -11,9 +11,8 @@ point per interval between images of its basis endpoints.  Non-crossing is
 decided by one stack sweep over the sorted endpoints.  ``_IntModel`` is the
 integer view of a set of classes (angles as residues mod a common
 denominator) that portrait placement, validation and keys share; it labels
-points by region with the same sweep and extends to a child without
-``Fraction``.  The criticality audit checks the excess-degree identity
-``sum_i (d_i - 1) = d - 1`` over all gaps.
+points by region with the same sweep.  The criticality audit checks the
+excess-degree identity ``sum_i (d_i - 1) = d - 1`` over all gaps.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ exactly the leaves within n-1 steps of the periodic part have preimages.
 
 Children of such a lamination add one more layer of preimages: a sibling
 portrait, placed in the whole disk, over the preimages of each deepest
-class.  Candidates are built constructively from portrait shapes on the
-parent's integer-residue model (``core._IntModel``), and, the parent being
-valid, only their new layer is checked; keys come from residue tuples.
+class.  They are built from portrait shapes on the parent's integer-residue
+model (``core._IntModel``); the parent being valid, every non-crossing
+choice of placements is a child, and keys come from residue tuples.
 The pullback tree validates its root in full, then collects all its
 descendants level by level, deduplicated by canonical form.
 """
@@ -112,11 +112,6 @@ class FdlReport:
         )
 
 
-def _edge_image(model: _IntModel, e: tuple[int, int]) -> tuple[int, int]:
-    ia, ib = model.sigma(e[0]), model.sigma(e[1])
-    return (ia, ib) if ia < ib else (ib, ia)
-
-
 def validate_fdl(lam: ClassLamination) -> FdlReport:
     """Check the seven defining axioms and report per-axiom witnesses."""
     d = lam.degree
@@ -142,7 +137,7 @@ def validate_fdl(lam: ClassLamination) -> FdlReport:
     )
 
     # 3: forward closed on leaves (a critical leaf's image (x, x) is no leaf)
-    img_of = {e: _edge_image(model, e) for e in edges}
+    img_of = {e: tuple(sorted(map(model.sigma, e))) for e in edges}
     bad3 = [
         f"image of {model.edge_str(e)} is not a leaf" for e in edges if img_of[e] not in edge_class
     ]
@@ -228,48 +223,6 @@ def _has_disjoint_collection(leaf, same_image, d: int) -> bool:
     return extend([leaf], others)
 
 
-def _layer_tables(model: _IntModel, targets: list[tuple[int, ...]]):
-    """What :func:`_new_layer_valid` needs of a parent: its deepest classes, and
-    each of their edges with the parent edges mapping onto it (periodic only)."""
-    onto: dict[tuple[int, int], list] = {e: [] for t in targets for e in _hull_edges(t)}
-    for e in model.edges:
-        img = _edge_image(model, e)
-        if img in onto:
-            onto[img].append(e)
-    return set(targets), onto
-
-
-def _new_layer_valid(model: _IntModel, tables, new: list[tuple[int, ...]]) -> bool:
-    """``validate_fdl(...).valid and depth_n == n + 1`` for a parent valid at
-    depth n (``model``, ``tables``) plus ``new``, disjoint non-crossing residue
-    tuples on free preimages of its deepest vertices.  Old leaves keep their
-    images, preimages and (growing) sibling pools, so only new ones are checked.
-    """
-    deepest, onto = tables
-    by_image: dict[tuple[int, int], list] = {}
-    for vs in new:
-        # the image class is at depth n, so the block is at depth n + 1
-        if tuple(sorted({model.sigma(v) for v in vs})) not in deepest:
-            return False
-        for e in _hull_edges(vs):
-            # 2 and 3: the image joins two vertices of one deepest class,
-            # so it is a leaf exactly when it is a deepest edge
-            img = _edge_image(model, e)
-            if img not in onto:
-                return False
-            by_image.setdefault(img, []).append(e)
-    # 4: every deepest leaf gains a (non-periodic) preimage; the images of
-    # the new leaves are old leaves, so no new leaf has one
-    if len(by_image) != len(onto):
-        return False
-    # 5: sibling pools of the new leaves, old leaves of the same image included
-    for img, es in by_image.items():
-        pool = es + onto[img]
-        if not all(_has_disjoint_collection(e, pool, model.d) for e in es):
-            return False
-    return True
-
-
 # --- the FDL wrapper and child enumeration ---------------------------------------
 
 
@@ -307,11 +260,6 @@ class FDL:
     def key(self) -> str:
         return self._key
 
-    def image(self) -> ClassLamination:
-        d = self.degree
-        imgs = {c.image(d) for c in self.classes}
-        return ClassLamination(d, frozenset(i for i in imgs if i is not None))
-
     def __eq__(self, other):
         return isinstance(other, FDL) and (self._key, self.depth_n) == (other._key, other.depth_n)
 
@@ -339,14 +287,22 @@ def enumerate_children(fdl: FDL) -> list[FDL]:
     """All laminations one pullback level deeper whose image is this one.
 
     Per deepest class, disk-wide sibling portraits are bound to its vertex
-    preimages (reusing classes the portrait reproduces); each mutually
-    compatible choice is checked on its new layer only, which relies on
-    ``fdl`` being valid.  Children come back canonically ordered.
+    preimages (reusing classes the portrait reproduces); every mutually
+    non-crossing choice of one placement per deepest class is a child, with
+    no further check, because ``fdl`` is valid and each placement keeps at
+    least one new block.  The d*n points of a deepest n-gon t are labelled
+    0..n-1 cyclically by their images, and a portrait block steps its label
+    by +1 at each vertex.  So every new block maps onto t and every new edge
+    onto a hull edge of t (depth and axioms 2 and 3); one new block covers
+    every edge of t (axiom 4); and the placement partitions the whole fiber,
+    so over each edge of t lie d pairwise disjoint edges, reused periodic
+    blocks among them (axiom 5).  Children come back canonically ordered.
     """
     d = fdl.degree
     model = _IntModel(d, fdl.classes)
     targets = _deepest(model, fdl.depth_n)
-    tables = _layer_tables(model, targets)
+    if not targets:
+        raise FdlError(f"no class sits at the depth parameter {fdl.depth_n}")
     points = [_portrait_residues(t, model, None) for t in targets]
     labels = model.labels(p for pts in points for p in pts)
 
@@ -367,8 +323,6 @@ def enumerate_children(fdl: FDL) -> list[FDL]:
         if _first_crossing(e for _, _, edges in combo for e in edges) is not None:
             continue
         new = [vs for blocks, _, _ in combo for vs in blocks]
-        if not _new_layer_valid(model, tables, new):
-            continue
         for vs in new:
             if vs not in made:
                 made[vs] = PolygonClass._from_sorted(tuple(map(model.angle, vs)))
@@ -421,7 +375,7 @@ def build_pullback_tree(root: FDL, depth: int) -> PullbackTree:
     """Breadth-first tree of all descendants down to ``depth``."""
     if depth < 0:
         raise FdlError(f"tree depth must be >= 0, got {depth}")
-    # children are checked on their new layer only: the tree is as valid as its root
+    # children are valid by construction, so the tree is as valid as its root
     report = validate_fdl(root.lamination)
     if not report.valid or report.depth_n != root.depth_n:
         raise FdlError(f"tree root is no finite dynamical lamination at depth {root.depth_n}")

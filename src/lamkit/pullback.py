@@ -526,6 +526,8 @@ def hyperbolic_approx(start: FDL, depth: int) -> NestingReport:
     ties resolve to the gap whose basis holds the smallest angle, then to
     the child with the smallest canonical key.
     """
+    if depth < 0:
+        raise PullbackError(f"nesting depth must be >= 0, got {depth}")
     tracked = _critical_round_gaps(start.lamination)
     if not tracked:
         raise PullbackError("need at least one critical round gap")

@@ -1,4 +1,3 @@
-from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -18,8 +17,6 @@ from lamkit.fdl import (
     FDL,
     FdlError,
     _deepest,
-    _layer_tables,
-    _new_layer_valid,
     build_pullback_tree,
     canonical_form,
     classes_from_chords,
@@ -106,11 +103,17 @@ def test_root_rejects_non_self_image():
 
 
 def test_tree_root_is_validated_in_full():
-    # children are checked on their new layer only, so the root must be valid
+    # children are valid by construction from a valid parent, so the root must be valid
     with pytest.raises(FdlError, match="tree root is no finite dynamical lamination at depth 1"):
         build_pullback_tree(FDL(ClassLamination.create(2, [RABBIT]), 1), 1)
     with pytest.raises(FdlError, match="at depth 0"):
         build_pullback_tree(FDL(ClassLamination.create(2, [PolygonClass((F(0), F(1, 2)))]), 0), 1)
+
+
+def test_children_need_a_class_at_the_depth_parameter():
+    # the rabbit alone is at depth 0, so at depth 1 it has no deepest class
+    with pytest.raises(FdlError, match="no class sits at the depth parameter 1"):
+        enumerate_children(FDL(ClassLamination.create(2, [RABBIT]), 1))
 
 
 def test_rabbit_children_chain(rabbit_root):
@@ -131,11 +134,15 @@ def test_basilica_children(basilica_root):
 
 
 def test_tree_nodes_pass_the_full_lamination_check(basilica_tree, rabbit_tree, cubic_tree):
-    # children skip ClassLamination.check, relying on the placement filter
-    # of enumerate_children, so every node is checked again from scratch
+    # children are neither passed through ClassLamination.check nor through
+    # validate_fdl, relying on the construction of enumerate_children, so
+    # every node is checked again from scratch
     for tree in (basilica_tree, rabbit_tree, cubic_tree):
-        for node in tree.all_nodes():
-            ClassLamination.create(node.degree, node.lamination.classes)
+        for level, nodes in enumerate(tree.levels):
+            for node in nodes:
+                lam = ClassLamination.create(node.degree, node.lamination.classes)
+                report = validate_fdl(lam)
+                assert report.valid and report.depth_n == level, node.key()
     # the local A152046 b-file, indices 0-8
     assert basilica_tree.level_counts() == [1, 1, 1, 3, 5, 11, 21, 43, 85]
 
@@ -327,55 +334,6 @@ def test_each_child_has_one_parent(basilica_tree, rabbit_tree, cubic_tree):
             for node in level:
                 parent = [p for p in above if p.lamination.classes < node.lamination.classes]
                 assert [p.key() for p in parent] == [tree.parent[node.key()]]
-
-
-def _layer_verdicts(node, candidates):
-    """(new-layer check, full validator) on ``node`` plus each candidate's
-    new classes; candidates must be disjoint and non-crossing, so the
-    validator's lamination check is skipped."""
-    d, n = node.degree, node.depth_n
-    model = _IntModel(d, node.classes)
-    tables = _layer_tables(model, _deepest(model, n))
-    for new in candidates:
-        lam = ClassLamination(d, frozenset(node.classes) | new)
-        lam._mark_checked()
-        report = validate_fdl(lam)
-        blocks = [tuple(map(model.res, c.vertices)) for c in new]
-        yield _new_layer_valid(model, tables, blocks), report.valid and report.depth_n == n + 1
-
-
-def test_new_layer_check_matches_validator_on_partitions(rabbit_tree, basilica_tree):
-    # every non-crossing partition candidate of the unconstrained oracle
-    seen = Counter()
-    for node in rabbit_tree.levels[0] + rabbit_tree.levels[1] + sum(basilica_tree.levels[:3], []):
-        lam, d = node.lamination, node.degree
-        pts = {p for t in deepest_classes(node) for v in t.vertices for p in preimages(v, d)}
-        candidates = []
-        for blocks in _partitions_blocks(sorted(pts - lam.all_vertices())):
-            new = frozenset(PolygonClass(b) for b in blocks)
-            try:
-                ClassLamination.create(d, lam.classes | new)
-            except LaminationError:
-                continue
-            candidates.append(new)
-        for new, (got, want) in zip(candidates, _layer_verdicts(node, candidates)):
-            assert got == want, (node.key(), sorted(new))
-            seen[got] += 1
-    assert seen == Counter({True: 1 + 1 + 1 + 1 + 3, False: 85})
-
-
-def test_new_layer_check_rejects_children_missing_a_block(basilica_tree, rabbit_tree, cubic_tree):
-    # the enumerator never yields an invalid candidate; a child without
-    # its smallest or its largest new block mostly is one
-    seen = Counter()
-    for tree in (basilica_tree, rabbit_tree, cubic_tree):
-        for parent, child in tree.edges():
-            new = frozenset(child.classes) - frozenset(parent.classes)
-            candidates = [new, new - {min(new)}, new - {max(new)}]
-            for cand, (got, want) in zip(candidates, _layer_verdicts(parent, candidates)):
-                assert got == want, (parent.key(), sorted(new - cand))
-                seen[got] += 1
-    assert seen == Counter({True: 170 + 14 + 18, False: 2 * (170 + 14 + 18)})
 
 
 def test_tree_nodes_build_their_lamination_on_demand(basilica_tree, rabbit_tree, cubic_tree):

@@ -499,6 +499,11 @@ def test_hyperbolic_approx_depth0(rabbit_tree):
     assert report.nested and len(report.steps) == 1
 
 
+def test_hyperbolic_approx_rejects_negative_depth(rabbit_tree):
+    with pytest.raises(PullbackError, match="nesting depth must be >= 0, got -2"):
+        hyperbolic_approx(rabbit_tree.levels[1][0], -2)
+
+
 def test_hyperbolic_approx_rabbit(rabbit_tree):
     lvl1 = rabbit_tree.levels[1][0]
     report = hyperbolic_approx(lvl1, 3)
