@@ -5,14 +5,14 @@ A finite lamination is stored either as disjoint polygon classes
 (:class:`ChordSet`, which tolerates shared endpoints and therefore wedges
 and unclean points).  The complement of a class lamination decomposes into
 polygon gaps (the hulls themselves) and round gaps (components carrying
-circle arcs); round gaps are found by an exact boundary walk, and each gap
-gets a covering degree by exact preimage counting on integer residues, one
-point per interval between images of its basis endpoints.  Non-crossing is
-decided by one stack sweep over the sorted endpoints.  ``_IntModel`` is the
-integer view of a set of classes (angles as residues mod a common
-denominator) that portrait placement, validation and keys share; it labels
-points by region with the same sweep.  The criticality audit checks the
-excess-degree identity ``sum_i (d_i - 1) = d - 1`` over all gaps.
+circle arcs); round gaps are found by a boundary walk on integer residues,
+and each gap gets a covering degree by exact preimage counting on residues,
+one point per interval between images of its basis endpoints.  Non-crossing
+is decided by one stack sweep over the sorted endpoints.  ``_IntModel`` is
+the integer view of a set of classes (angles as residues mod a common
+denominator) that the gap walk, portrait placement, validation and keys
+share; it labels points by region with the same sweep.  The criticality
+audit checks the excess-degree identity ``sum_i (d_i - 1) = d - 1``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Iterable, Optional
 
 from .circle import (
     Angle,
-    arc_len,
     check_degree,
     circle_dist,
     in_closed_arc,
@@ -442,11 +441,6 @@ class RoundGap:
     def is_full_circle(self) -> bool:
         return len(self.arcs) == 1 and self.arcs[0][0] == self.arcs[0][1]
 
-    def basis_length(self) -> Fraction:
-        if self.is_full_circle:
-            return Fraction(1)
-        return sum((arc_len(s, e) for s, e in self.arcs), Fraction(0))
-
     def contains_point(self, x: Angle) -> bool:
         if self.is_full_circle:
             return True
@@ -469,70 +463,49 @@ class GapDecomposition:
     polygon_gaps: tuple[PolygonClass, ...]
     round_gaps: tuple[RoundGap, ...]
 
-    def total_arc_length(self) -> Fraction:
-        return sum((g.basis_length() for g in self.round_gaps), Fraction(0))
-
 
 def gap_decomposition(lam: ClassLamination) -> GapDecomposition:
     """Split the disk along the lamination's hulls.
 
-    Round gaps are traced by the boundary walk: follow the circle
-    counterclockwise to the next class vertex, then jump along the hull
-    edge hanging on the clockwise side of that vertex (for vertex w of
-    class K this is the edge to K's circular predecessor of w), and repeat
-    until the starting arc closes up.
+    Round gaps come from a boundary walk on the residues of ``_IntModel``:
+    follow the circle counterclockwise to the next vertex w, then jump along
+    the hull edge to w's predecessor in its class, until the walk closes.
+    This step permutes the vertices, so each arc lies on one walk, and a walk
+    started at the smallest unused vertex begins with its smallest arc.  The
+    arc spans of all walks sum to ``D``.
     """
     lam.check()
-    polys = lam.sorted_classes()
-    if not polys:
+    if not lam.classes:
         full = RoundGap(arcs=((Fraction(0), Fraction(0)),), chords=())
         return GapDecomposition(lam.degree, (), (full,))
 
-    owner: dict[Angle, PolygonClass] = {}
-    for p in polys:
-        for v in p.vertices:
-            owner[v] = p
+    model = _IntModel(lam.degree, lam.classes)
+    verts = sorted(model.vertices)
+    succ = dict(zip(verts, verts[1:] + verts[:1]))
+    prev = {v: c[i - 1] for c in model.classes for i, v in enumerate(c)}
+    walks, unused = [], set(verts)
+    for start in verts:
+        if start in unused:
+            walk, p = [], start
+            while p in unused:
+                unused.remove(p)
+                walk.append(p)
+                p = prev[succ[p]]
+            walks.append(walk)
+    span = sum((succ[p] - p) % model.D for walk in walks for p in walk)
+    if span != model.D:
+        raise LaminationError(f"round gap arcs sum to {Fraction(span, model.D)}, expected 1")
 
-    def class_prev(w: Angle) -> Angle:
-        verts = owner[w].vertices
-        i = verts.index(w)
-        return verts[i - 1]
-
-    all_verts = sorted(owner)
-    succ = {all_verts[i]: all_verts[(i + 1) % len(all_verts)] for i in range(len(all_verts))}
-
-    unused_arcs = {v: True for v in all_verts}  # arc starting at v
-    round_gaps = []
-    for start in all_verts:
-        if not unused_arcs[start]:
-            continue
-        arcs = []
-        chords = []
-        p = start
-        while True:
-            w = succ[p]
-            arcs.append((p, w))
-            unused_arcs[p] = False
-            q = class_prev(w)
-            chords.append(Chord(w, q))
-            p = q
-            if p == start and not unused_arcs.get(start, True):
-                break
-            if unused_arcs[p] is False and p != start:
-                raise LaminationError("gap walk revisited an arc; invalid lamination")
-        # canonicalize: rotate the arc list to begin at the smallest start
-        k = min(range(len(arcs)), key=lambda i: arcs[i][0])
-        arcs = arcs[k:] + arcs[:k]
-        chords = chords[k:] + chords[:k]
-        round_gaps.append(RoundGap(tuple(arcs), tuple(chords)))
-
-    round_gaps.sort(key=lambda g: g.arcs[0][0])
-    decomp = GapDecomposition(lam.degree, tuple(polys), tuple(round_gaps))
-    if decomp.total_arc_length() != 1:
-        raise LaminationError(
-            f"round gap arcs sum to {decomp.total_arc_length()}, expected 1"
+    angle = {v: model.angle(v) for v in verts}
+    round_gaps = tuple(
+        RoundGap(
+            tuple((angle[p], angle[succ[p]]) for p in walk),
+            tuple(Chord(angle[succ[p]], angle[prev[succ[p]]]) for p in walk),
         )
-    return decomp
+        for walk in walks
+    )
+    polys = tuple(model.poly[c] for c in model.classes)
+    return GapDecomposition(lam.degree, polys, round_gaps)
 
 
 def gap_degree(gap: RoundGap, d: int) -> DegreeStatus:

@@ -289,8 +289,9 @@ def enumerate_children(fdl: FDL) -> list[FDL]:
     Per deepest class, disk-wide sibling portraits are bound to its vertex
     preimages (reusing classes the portrait reproduces); every mutually
     non-crossing choice of one placement per deepest class is a child, with
-    no further check, because ``fdl`` is valid and each placement keeps at
-    least one new block.  The d*n points of a deepest n-gon t are labelled
+    no further check.  ``fdl`` must be valid: then no class lies over a
+    deepest n-gon t but, at depth 0, t's periodic preimage, so every
+    placement keeps a new block.  The d*n points over t are labelled
     0..n-1 cyclically by their images, and a portrait block steps its label
     by +1 at each vertex.  So every new block maps onto t and every new edge
     onto a hull edge of t (depth and axioms 2 and 3); one new block covers
@@ -309,7 +310,7 @@ def enumerate_children(fdl: FDL) -> list[FDL]:
     options = []
     for t, pts in zip(targets, points):
         placed = (bind_shape(s, pts, model, labels) for s in enumerate_all_portraits(d, len(t)))
-        options.append([p for p in placed if p is not None and p[0]])
+        options.append([p for p in placed if p is not None])
         if not options[-1]:
             return []
 

@@ -1,10 +1,10 @@
 """Trapped/free criticality, the refinement relation, and generational graphs.
 
-Trapped criticality counts the covering excess held inside a lamination's
-polygons; free criticality counts the excess left in its round gaps; the
-two always sum to d - 1 once every gap has a degree.  The generational
-graph of one pullback-tree level draws an edge a -> b exactly when b traps
-one more unit of criticality than a and a's classes refine b's.
+Trapped criticality is the covering excess of a lamination's classes, free
+criticality the excess in its round gaps (from the audit); they sum to d - 1
+once every gap has a degree.  One relation on a tree level holds the pairs
+(a, b) where b traps more than a and a's classes refine b's; the graph draws
+the pairs one unit apart, and their transitive closure must give it back.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import GAP_POLYGON, criticality_audit
+from .core import covering_degree, criticality_audit
 from .fdl import FDL, PullbackTree
 
 
@@ -31,19 +31,21 @@ class CriticalityRecord:
         return self.free is not None and self.trapped + self.free == self.degree - 1
 
 
-def criticality(fdl: FDL) -> CriticalityRecord:
-    """Trapped and free criticality of a lamination.
+def _trapped(fdl: FDL) -> int:
+    """Sum over classes of (covering degree - 1)."""
+    degrees = [covering_degree(c, fdl.degree).degree for c in fdl.classes]
+    if None in degrees:
+        bad = min(c for c, k in zip(fdl.classes, degrees) if k is None)
+        raise ParamGraphError(f"class {bad} has no degree; criticality undefined")
+    return sum(k - 1 for k in degrees)
 
-    trapped = sum over classes of (covering degree - 1); free = sum over
-    round gaps of (degree - 1).  Free is None when some round gap has no
-    degree (typical for depth-0 roots with partly critical gaps).
-    """
+
+def criticality(fdl: FDL) -> CriticalityRecord:
+    """Trapped and free criticality of a lamination; free is None when some
+    round gap has no degree (typical for depth-0 roots with partly critical
+    gaps)."""
+    trapped = _trapped(fdl)
     audit = criticality_audit(fdl.lamination)
-    polygons = [e for e in audit.entries if e.kind == GAP_POLYGON]
-    for e in polygons:
-        if e.status.degree is None:
-            raise ParamGraphError(f"class {e.gap} has no degree; criticality undefined")
-    trapped = sum(e.status.degree - 1 for e in polygons)
     free = audit.excess - trapped if audit.applicable else None
     return CriticalityRecord(trapped, free, audit.degree)
 
@@ -52,12 +54,24 @@ def refines(a: FDL, b: FDL) -> bool:
     """True iff every class of ``a`` sits inside some class of ``b``."""
     if a.degree != b.degree:
         raise ParamGraphError("refinement compares laminations of equal degree")
-    b_classes = [set(c.vertices) for c in b.lamination.classes]
-    for c in a.lamination.classes:
-        verts = set(c.vertices)
-        if not any(verts <= other for other in b_classes):
-            return False
-    return True
+    return _inside(a, _class_index(b))
+
+
+def _class_index(fdl: FDL) -> dict:
+    return {v: i for i, c in enumerate(fdl.classes) for v in c.vertices}
+
+
+def _inside(a: FDL, index: dict) -> bool:
+    """Do all vertices of each class of ``a`` map to one class in ``index``?"""
+    homes = ({index.get(v) for v in c.vertices} for c in a.classes)
+    return all(len(h) == 1 and None not in h for h in homes)
+
+
+def _refinement(nodes: dict, trapped: dict) -> set[tuple[str, str]]:
+    """Key pairs (a, b) where b traps more criticality than a and a refines b."""
+    index = {k: _class_index(f) for k, f in nodes.items()}
+    pairs = ((ka, kb) for ka in nodes for kb in nodes if trapped[kb] > trapped[ka])
+    return {(ka, kb) for ka, kb in pairs if _inside(nodes[ka], index[kb])}
 
 
 @dataclass
@@ -68,9 +82,6 @@ class GenGraph:
     trapped: dict
     nodes: dict  # key -> FDL
 
-    def successors(self, key: str) -> list[str]:
-        return [b for a, b in self.edges if a == key]
-
 
 def generational_graph(tree: PullbackTree, level: int) -> GenGraph:
     """Directed graph on one tree level; edges step trapped criticality by 1."""
@@ -78,15 +89,9 @@ def generational_graph(tree: PullbackTree, level: int) -> GenGraph:
         raise ParamGraphError(f"tree has no level {level}")
     nodes = {f.key(): f for f in tree.levels[level]}
     keys = sorted(nodes)
-    trapped = {k: criticality(nodes[k]).trapped for k in keys}
-    edges = []
-    for ka in keys:
-        for kb in keys:
-            if ka == kb:
-                continue
-            if trapped[kb] == trapped[ka] + 1 and refines(nodes[ka], nodes[kb]):
-                edges.append((ka, kb))
-    return GenGraph(level, keys, sorted(edges), trapped, nodes)
+    trapped = {k: _trapped(nodes[k]) for k in keys}
+    edges = sorted((a, b) for a, b in _refinement(nodes, trapped) if trapped[b] == trapped[a] + 1)
+    return GenGraph(level, keys, edges, trapped, nodes)
 
 
 def transitive_closure(vertices: list[str], edges: list[tuple[str, str]]) -> set[tuple[str, str]]:
@@ -110,13 +115,4 @@ def transitive_closure(vertices: list[str], edges: list[tuple[str, str]]) -> set
 def closure_is_refinement(graph: GenGraph) -> bool:
     """Does the edge closure recover strict trapped-monotone refinement?"""
     closure = transitive_closure(graph.vertices, graph.edges)
-    relation = set()
-    for ka in graph.vertices:
-        for kb in graph.vertices:
-            if ka == kb:
-                continue
-            if graph.trapped[kb] > graph.trapped[ka] and refines(
-                graph.nodes[ka], graph.nodes[kb]
-            ):
-                relation.add((ka, kb))
-    return closure == relation
+    return closure == _refinement(graph.nodes, graph.trapped)

@@ -6,7 +6,8 @@ from math import lcm
 
 import pytest
 
-from lamkit.circle import preimages, sigma
+from lamkit import build_pullback_tree
+from lamkit.circle import arc_len, preimages, sigma
 from lamkit.core import (
     COLLAPSES_TO_LEAF,
     COLLAPSES_TO_POINT,
@@ -19,8 +20,10 @@ from lamkit.core import (
     ChordSet,
     ClassLamination,
     DegreeStatus,
+    GapDecomposition,
     LaminationError,
     PolygonClass,
+    RoundGap,
     _first_crossing,
     chords_cross,
     covering_degree,
@@ -78,6 +81,10 @@ def test_covering_degree_cases():
     assert covering_degree(rev, 2).kind == NOT_COVERING
 
 
+def _arc_total(decomp):
+    return sum(arc_len(s, e) for g in decomp.round_gaps for s, e in g.arcs)
+
+
 def test_gap_decomposition_empty():
     decomp = gap_decomposition(ClassLamination.create(2, []))
     assert len(decomp.round_gaps) == 1 and not decomp.polygon_gaps
@@ -92,7 +99,7 @@ def test_gap_decomposition_rabbit_root():
         ((F(2, 7), F(4, 7)),),
         ((F(4, 7), F(1, 7)),),
     ]
-    assert decomp.total_arc_length() == 1
+    assert _arc_total(decomp) == 1
 
 
 def test_gap_decomposition_rabbit_level1():
@@ -101,7 +108,7 @@ def test_gap_decomposition_rabbit_level1():
     two_arc = [g for g in decomp.round_gaps if len(g.arcs) == 2]
     assert len(two_arc) == 1
     assert two_arc[0].arcs == ((F(1, 14), F(1, 7)), (F(4, 7), F(9, 14)))
-    assert decomp.total_arc_length() == 1
+    assert _arc_total(decomp) == 1
 
 
 def test_gap_degrees_rabbit():
@@ -214,6 +221,59 @@ def test_gap_degree_where_sampling_was_wrong():
         [["3/14", "9/14", "6/7"], ["2/7", "4/7"]],
         [("3/14", "2/7"), ("4/7", "9/14")],
     ) == DegreeStatus(DEGREE_UNDEFINED)
+
+
+def _fraction_gap_decomposition(lam):
+    """Reference gap walk on ``Fraction`` angles, with dicts keyed by vertex."""
+    lam.check()
+    polys = lam.sorted_classes()
+    if not polys:
+        full = RoundGap(arcs=((F(0), F(0)),), chords=())
+        return GapDecomposition(lam.degree, (), (full,))
+
+    owner = {v: p for p in polys for v in p.vertices}
+
+    def class_prev(w):
+        verts = owner[w].vertices
+        return verts[verts.index(w) - 1]
+
+    all_verts = sorted(owner)
+    succ = {v: all_verts[(i + 1) % len(all_verts)] for i, v in enumerate(all_verts)}
+    unused_arcs = {v: True for v in all_verts}  # arc starting at v
+    round_gaps = []
+    for start in all_verts:
+        if not unused_arcs[start]:
+            continue
+        arcs, chords, p = [], [], start
+        while True:
+            w = succ[p]
+            arcs.append((p, w))
+            unused_arcs[p] = False
+            q = class_prev(w)
+            chords.append(Chord(w, q))
+            p = q
+            if p == start:
+                break
+            assert unused_arcs[p], "gap walk revisited an arc"
+        # rotate the arc list to begin at the smallest start
+        k = min(range(len(arcs)), key=lambda i: arcs[i][0])
+        round_gaps.append(RoundGap(tuple(arcs[k:] + arcs[:k]), tuple(chords[k:] + chords[:k])))
+    round_gaps.sort(key=lambda g: g.arcs[0][0])
+    decomp = GapDecomposition(lam.degree, tuple(polys), tuple(round_gaps))
+    assert _arc_total(decomp) == 1
+    return decomp
+
+
+def test_gap_decomposition_matches_fraction_walk(rabbit_root, rabbit_tree, basilica_tree, cubic_tree):
+    lams = [n.lamination for t in (basilica_tree, rabbit_tree, cubic_tree) for n in t.all_nodes()]
+    lams += [n.lamination for n in build_pullback_tree(rabbit_root, 7).all_nodes()]
+    lams += [ClassLamination.create(2, [])] + _random_laminations(11, 600)
+    multi_arc = 0
+    for lam in lams:
+        decomp = gap_decomposition(lam)
+        assert decomp == _fraction_gap_decomposition(lam), sorted(lam.classes)
+        multi_arc += any(len(g.arcs) > 1 for g in decomp.round_gaps)
+    assert multi_arc > 100
 
 
 def test_criticality_audit():

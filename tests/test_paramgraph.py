@@ -1,5 +1,10 @@
+import re
+from fractions import Fraction as F
+
 import pytest
 
+from lamkit.core import GAP_POLYGON, ClassLamination, PolygonClass, criticality_audit
+from lamkit.fdl import FDL
 from lamkit.paramgraph import (
     ParamGraphError,
     closure_is_refinement,
@@ -23,6 +28,14 @@ def test_criticality_along_tree(rabbit_tree):
             assert rec.consistent, (lv, node.key())
     trapped4 = sorted(criticality(n).trapped for n in rabbit_tree.levels[4])
     assert trapped4 == [0, 0, 0, 1]
+
+
+def test_criticality_rejects_a_class_without_degree():
+    # {0, 1/8, 3/8} maps onto itself under sigma_3 with reversed orientation
+    tri = PolygonClass((F(0), F(1, 8), F(3, 8)))
+    node = FDL(ClassLamination.create(3, [tri]), 0)
+    with pytest.raises(ParamGraphError, match=re.escape(f"class {tri} has no degree")):
+        criticality(node)
 
 
 def test_refines_reflexive_and_examples(rabbit_tree):
@@ -94,3 +107,52 @@ def test_generational_graph_level5_golden(rabbit_tree):
         (5, 4),
         (6, 0),
     ]
+
+
+def _set_refines(a, b):
+    """Reference refinement: every vertex set of a is a subset of one of b's."""
+    b_classes = [set(c.vertices) for c in b.lamination.classes]
+    for c in a.lamination.classes:
+        verts = set(c.vertices)
+        if not any(verts <= other for other in b_classes):
+            return False
+    return True
+
+
+def _audit_trapped(node):
+    """Reference trapped criticality: the polygon entries of a full audit."""
+    audit = criticality_audit(node.lamination)
+    return sum(e.status.degree - 1 for e in audit.entries if e.kind == GAP_POLYGON)
+
+
+def test_graph_matches_set_refinement_and_audit_oracles(basilica_tree, rabbit_tree, cubic_tree):
+    trapped_values, longer_steps = set(), 0
+    for tree in (basilica_tree, rabbit_tree, cubic_tree):
+        for lv in range(len(tree.levels)):
+            g = generational_graph(tree, lv)
+            nodes, keys = g.nodes, g.vertices
+            trapped = {k: _audit_trapped(nodes[k]) for k in keys}
+            assert g.trapped == trapped
+            relation = {
+                (a, b)
+                for a in keys
+                for b in keys
+                if trapped[b] > trapped[a] and _set_refines(nodes[a], nodes[b])
+            }
+            edges = [(a, b) for a in keys for b in keys if trapped[b] == trapped[a] + 1]
+            assert g.edges == [e for e in edges if e in relation]
+            closed = transitive_closure(keys, g.edges) == relation
+            assert closure_is_refinement(g) == closed
+            trapped_values |= set(trapped.values())
+            longer_steps += sum(trapped[b] > trapped[a] + 1 for a, b in relation)
+    # the cubic levels trap 0, 1 and 2, so ">" and "+1" pick different pairs
+    assert trapped_values == {0, 1, 2} and longer_steps > 0
+
+
+def test_refines_matches_set_oracle(rabbit_tree, cubic_tree):
+    # across levels too, where a class of a may miss b entirely
+    for tree in (rabbit_tree, cubic_tree):
+        nodes = list(tree.all_nodes())
+        for a in nodes:
+            for b in nodes:
+                assert refines(a, b) == _set_refines(a, b), (a.key(), b.key())
