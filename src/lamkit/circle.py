@@ -7,14 +7,15 @@ digit strings whose repeating block is introduced by ``_``, so ``_001`` in
 base 2 is 1/7 and ``0010_001`` is 15/112.
 
 Circular order is handled by exact arc-membership predicates, never by
-floating point.
+floating point.  One tail walk (``_orbits``) gives the preperiods and
+periods of angles, of residues and of classes along their image chains.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 Angle = Fraction
 
@@ -102,17 +103,36 @@ def preimages(a: Angle, d: int) -> list[Angle]:
 
 
 def orbit_info(a: Angle, d: int) -> OrbitInfo:
-    """Minimal preperiod and period of ``a`` under sigma, by exact iteration."""
+    """Minimal preperiod and period of ``a`` under sigma, by exact iteration
+    of its numerator under ``x -> d * x mod denominator``."""
     check_degree(d)
-    seen: dict[Angle, int] = {}
-    cur = mod1(a)
-    i = 0
-    while cur not in seen:
-        seen[cur] = i
-        cur = (cur * d) % 1
-        i += 1
-    first = seen[cur]
-    return OrbitInfo(preperiod=first, period=i - first)
+    n, q = mod1(a).as_integer_ratio()
+    return _orbits(lambda x: d * x % q, [n])[n]
+
+
+def _orbits(step, starts: Iterable) -> dict:
+    """Preperiod and period of each start under ``step``, one tail walk each.
+
+    A walk stops on a new cycle, at a point already in the table, or where
+    ``step`` returns None, which makes every point of that walk None.  Every
+    point a walk passes gets an entry, so later starts often stop early.
+    """
+    table: dict = {}
+    for x in starts:
+        path: dict = {}
+        while x is not None and x not in table and x not in path:
+            path[x] = len(path)
+            x = step(x)
+        if x in path:  # the walk closed a new cycle at step path[x]
+            entry, period = path[x], len(path) - path[x]
+        elif x is None or table[x] is None:
+            table.update(dict.fromkeys(path))
+            continue
+        else:
+            entry, period = len(path) + table[x].preperiod, table[x].period
+        for y, i in path.items():
+            table[y] = OrbitInfo(max(0, entry - i), period)
+    return table
 
 
 def format_itinerary(a: Angle, d: int) -> str:

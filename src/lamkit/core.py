@@ -8,11 +8,14 @@ polygon gaps (the hulls themselves) and round gaps (components carrying
 circle arcs); round gaps are found by a boundary walk on integer residues,
 and each gap gets a covering degree by exact preimage counting on residues,
 one point per interval between images of its basis endpoints.  Non-crossing
-is decided by one stack sweep over the sorted endpoints.  ``_IntModel`` is
-the integer view of a set of classes (angles as residues mod a common
-denominator) that the gap walk, portrait placement, validation and keys
-share; it labels points by region with the same sweep.  The criticality
-audit checks the excess-degree identity ``sum_i (d_i - 1) = d - 1``.
+is decided by one stack sweep over the sorted endpoints; one region sweep
+in the same order (``_labels``) gives points their innermost enclosing
+edge, which names their region, for portrait placement and critical-chord
+branches.  ``_IntModel`` is the integer view of a set of classes (angles
+as residues mod a common denominator) that the gap walk, portrait
+placement, validation and keys share; its class depths come from the tail
+walk ``circle._orbits``.  The criticality audit checks the excess-degree
+identity ``sum_i (d_i - 1) = d - 1``.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import Iterable, Optional
 
 from .circle import (
     Angle,
+    _orbits,
     check_degree,
     circle_dist,
     in_closed_arc,
@@ -159,6 +163,22 @@ def _first_crossing(edges: Iterable[tuple]) -> Optional[tuple[tuple, tuple]]:
     return None
 
 
+def _labels(edges: Iterable[tuple], points: Iterable) -> dict:
+    """Innermost of the non-crossing edges around each point (None outside
+    every edge), read after the edges that close and open at the point.
+    The edges nest, so the points of one region share one label."""
+    stack: list[tuple] = []
+    out: dict = {}
+    for x, kind, _, a, b in sorted(_edge_events(edges) + [(p, 2, 0, p, p) for p in points]):
+        if kind == 1:
+            stack.append((a, b))
+        elif kind == 0:
+            stack.pop()
+        else:
+            out[x] = stack[-1] if stack else None
+    return out
+
+
 def _residues(angles: Iterable[Angle], scale: int = 1) -> tuple[int, list[int]]:
     """Angles as integers mod ``M = scale * lcm(denominators)``, in order."""
     angles = list(angles)
@@ -207,21 +227,10 @@ class _IntModel:
         return f"{x // g}/{self.D // g}" if x else "0"
 
     def labels(self, points: Iterable[int]) -> dict[int, Optional[tuple[int, int]]]:
-        """Innermost model edge around each point that is no model vertex.
-
-        The edges nest, so two such points share a complementary region
-        exactly when they share this label (None outside every edge).
-        """
-        free = [(p, 2, 0, p, p) for p in points if p not in self.vertices]
-        stack, out = [], {}
-        for x, kind, _, a, b in sorted(_edge_events(self.edges) + free):
-            if kind == 1:
-                stack.append((a, b))
-            elif kind == 0:
-                stack.pop()
-            else:
-                out[x] = stack[-1] if stack else None
-        return out
+        """Region label (see :func:`_labels`) of each point that is no model
+        vertex: two such points share a complementary region exactly when
+        they share the label."""
+        return _labels(self.edges, (p for p in points if p not in self.vertices))
 
     def res(self, a: Angle) -> int:
         return a.numerator * (self.D // a.denominator)
@@ -238,30 +247,12 @@ class _IntModel:
     def depths(self) -> dict[tuple[int, ...], Optional[int]]:
         """Steps from each class along its image chain to a periodic class,
         or None when the chain leaves the lamination."""
-        image_class: dict[tuple, Optional[tuple]] = {}
+        image = {}
         for c in self.classes:
             img = tuple(sorted({self.sigma(v) for v in c}))
-            image_class[c] = img if img in self.poly else None
-
-        depth: dict[tuple, Optional[int]] = {}
-        for c in self.classes:
-            seen: dict[tuple, int] = {}
-            cur, chain = c, []
-            while cur is not None and cur not in seen and cur not in depth:
-                seen[cur] = len(chain)
-                chain.append(cur)
-                cur = image_class[cur]
-            # distance to the cycle entry, on this chain or past a known class
-            if cur in seen:
-                entry = seen[cur]
-            elif cur is not None and depth[cur] is not None:
-                entry = len(chain) + depth[cur]
-            else:
-                depth.update(dict.fromkeys(chain))
-                continue
-            for idx, node in enumerate(chain):
-                depth[node] = max(0, entry - idx)
-        return depth
+            image[c] = img if img in self.poly else None
+        walks = _orbits(image.get, self.classes)
+        return {c: None if w is None else w.preperiod for c, w in walks.items()}
 
 
 @dataclass(frozen=True)

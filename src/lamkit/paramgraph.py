@@ -4,7 +4,8 @@ Trapped criticality is the covering excess of a lamination's classes, free
 criticality the excess in its round gaps (from the audit); they sum to d - 1
 once every gap has a degree.  One relation on a tree level holds the pairs
 (a, b) where b traps more than a and a's classes refine b's; the graph draws
-the pairs one unit apart, and their transitive closure must give it back.
+the pairs one unit apart and keeps the relation as ``GenGraph.related``;
+the transitive closure of the edges must give it back.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ class GenGraph:
     edges: list[tuple[str, str]]
     trapped: dict
     nodes: dict  # key -> FDL
+    related: set  # key pairs (a, b): b traps more than a and a refines b
 
 
 def generational_graph(tree: PullbackTree, level: int) -> GenGraph:
@@ -90,8 +92,9 @@ def generational_graph(tree: PullbackTree, level: int) -> GenGraph:
     nodes = {f.key(): f for f in tree.levels[level]}
     keys = sorted(nodes)
     trapped = {k: _trapped(nodes[k]) for k in keys}
-    edges = sorted((a, b) for a, b in _refinement(nodes, trapped) if trapped[b] == trapped[a] + 1)
-    return GenGraph(level, keys, edges, trapped, nodes)
+    related = _refinement(nodes, trapped)
+    edges = sorted((a, b) for a, b in related if trapped[b] == trapped[a] + 1)
+    return GenGraph(level, keys, edges, trapped, nodes, related)
 
 
 def transitive_closure(vertices: list[str], edges: list[tuple[str, str]]) -> set[tuple[str, str]]:
@@ -114,5 +117,4 @@ def transitive_closure(vertices: list[str], edges: list[tuple[str, str]]) -> set
 
 def closure_is_refinement(graph: GenGraph) -> bool:
     """Does the edge closure recover strict trapped-monotone refinement?"""
-    closure = transitive_closure(graph.vertices, graph.edges)
-    return closure == _refinement(graph.nodes, graph.trapped)
+    return transitive_closure(graph.vertices, graph.edges) == graph.related

@@ -1,7 +1,10 @@
 """Critical-chord placement, pullback approximations, metric, and scans.
 
 A set of d-1 pairwise compatible critical chords (no closed loop) cuts the
-disk into d branches whose bases each map onto the circle.  Pulling a
+disk into d branches whose bases each map onto the circle.  One region
+sweep (``core._labels``) groups the arcs between cut points by the
+innermost chord around their start; the chords close a loop exactly when
+fewer regions than distinct chords plus one touch the circle.  Pulling a
 chord set back means lifting every chord through every branch: a chord's
 subtended arc of length L lifts to d arcs of length L/d, one per preimage
 of its start point, and the lift whose arc fits inside the branch supplies
@@ -15,7 +18,7 @@ residues mod ``M = d * lcm(denominators)``, where the preimages of x are
 This module also exposes the exact lamination metric (Hausdorff over
 leaves plus all degenerate leaves, by a pruned nearest-leaf scan on
 integer residues), properness and cleanliness scans (on residues, with
-orbit periods read from one table), and the finite-depth
+orbit periods from the tail walk ``circle._orbits``), and the finite-depth
 nested-critical-gap construction.
 """
 
@@ -29,7 +32,7 @@ from typing import Iterable, Optional
 
 from .circle import (
     Angle,
-    OrbitInfo,
+    _orbits,
     arc_len,
     check_degree,
     circle_dist,
@@ -45,6 +48,7 @@ from .core import (
     LaminationError,
     RoundGap,
     _first_crossing,
+    _labels,
     _residues,
     chords_cross,
     covering_degree,
@@ -96,59 +100,34 @@ class CriticalChordSet:
         if hit is not None:
             c1, c2 = Chord(*hit[0]), Chord(*hit[1])
             raise PullbackError(f"critical chords {c1} and {c2} cross")
-        if self._has_loop():
+        branches = self.branches()
+        if len(branches) < len(set(self.chords)) + 1:
             raise PullbackError("critical chords close a loop")
-        for branch in self.branches():
+        for c, prev in zip(self.chords[1:], self.chords):
+            if c == prev:
+                raise PullbackError(f"chord {c} does not split any region")
+        for branch in branches:
             total = sum((arc_len(s, e) for s, e in branch), Fraction(0))
             if total != Fraction(1, d):
                 raise PullbackError(
                     f"branch {branch} has basis length {total}, expected 1/{d}"
                 )
 
-    def _has_loop(self) -> bool:
-        adj: dict[Angle, set[Angle]] = {}
-        for c in self.chords:
-            adj.setdefault(c.a, set()).add(c.b)
-            adj.setdefault(c.b, set()).add(c.a)
-        seen: set[Angle] = set()
-        for start in adj:
-            if start in seen:
-                continue
-            stack = [(start, None)]
-            while stack:
-                v, par = stack.pop()
-                if v in seen:
-                    return True
-                seen.add(v)
-                for w in adj[v]:
-                    if w != par:
-                        stack.append((w, v))
-        return False
-
     def cut_points(self) -> list[Angle]:
         return sorted({p for c in self.chords for p in (c.a, c.b)})
 
     def branches(self) -> list[tuple[tuple[Angle, Angle], ...]]:
-        """The d complementary regions, each as a tuple of closed basis arcs."""
+        """The complementary regions that touch the circle, each as a tuple of
+        closed basis arcs: the arcs between consecutive cut points, grouped by
+        the region label at their start."""
         cuts = self.cut_points()
         if not cuts:
             return [((Fraction(0), Fraction(0)),)]  # whole circle (degree 1 never occurs)
-        arcs = [
-            (cuts[i], cuts[(i + 1) % len(cuts)]) for i in range(len(cuts))
-        ]
-        regions: list[list[tuple[Angle, Angle]]] = [arcs]
-        for chord in self.chords:
-            a, b = chord.a, chord.b
-            for idx, region in enumerate(regions):
-                inside = [arc for arc in region if _arc_within(arc, a, b)]
-                outside = [arc for arc in region if arc not in inside]
-                if inside and outside:
-                    regions[idx] = inside
-                    regions.append(outside)
-                    break
-            else:
-                raise PullbackError(f"chord {chord} does not split any region")
-        return [tuple(sorted(r)) for r in sorted(regions)]
+        label = _labels(((c.a, c.b) for c in self.chords), cuts)
+        regions: dict = {}
+        for s, e in zip(cuts, cuts[1:] + cuts[:1]):
+            regions.setdefault(label[s], []).append((s, e))
+        return sorted(tuple(r) for r in regions.values())
 
 
 def _arc_within(arc: tuple[Angle, Angle], a: Angle, b: Angle) -> bool:
@@ -412,24 +391,6 @@ class PropernessReport:
         )
 
 
-def _orbit_table(d: int, L: int, starts: Iterable[int]) -> dict[int, OrbitInfo]:
-    """Preperiod and period of each residue under ``x -> d * x mod L``; a
-    walk stops on a new cycle or at a point already in the table."""
-    table: dict[int, OrbitInfo] = {}
-    for x in starts:
-        path: dict[int, int] = {}
-        while x not in table and x not in path:
-            path[x] = len(path)
-            x = x * d % L
-        if x in path:  # the walk closed a new cycle at step path[x]
-            entry, period = path[x], len(path) - path[x]
-        else:
-            entry, period = len(path) + table[x].preperiod, table[x].period
-        for y, i in path.items():
-            table[y] = OrbitInfo(max(0, entry - i), period)
-    return table
-
-
 def properness_report(chord_set: ChordSet) -> PropernessReport:
     """Scan a finite chord set for obstructions to properness.
 
@@ -442,7 +403,7 @@ def properness_report(chord_set: ChordSet) -> PropernessReport:
     L, res = _residues(p for c in chord_set.chords for p in (c.a, c.b))
     # residue pairs sort like chords; each keeps its Chord for the report
     chords = sorted(zip(zip(res[::2], res[1::2]), chord_set.chords))
-    info = _orbit_table(d, L, res)
+    info = _orbits(lambda x: d * x % L, res)
 
     def image(x, y):  # None when the leaf is critical
         return None if d * x % L == d * y % L else sorted((d * x % L, d * y % L))

@@ -273,3 +273,12 @@ def test_documents_with_classes_and_chords_are_rejected(tmp_path, capsys, comman
     captured = capsys.readouterr()
     assert captured.err.startswith("error: document has both 'classes' and 'chords'")
     assert captured.out == ""
+
+
+def test_repeated_critical_chord_is_classified(tmp_path, capsys):
+    p = tmp_path / "cubic.json"
+    p.write_text('{"degree": 3, "classes": []}')
+    assert main(["pullback", str(p), "--chords", "0:1/3,0:1/3", "--depth", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: chord (0,1/3) does not split any region\n"
+    assert captured.out == ""

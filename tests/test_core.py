@@ -24,6 +24,7 @@ from lamkit.core import (
     LaminationError,
     PolygonClass,
     RoundGap,
+    _IntModel,
     _first_crossing,
     chords_cross,
     covering_degree,
@@ -423,3 +424,34 @@ def test_sibling_count_balance_quick():
         side2_b = sum(1 for s in sibs_b if in_open_arc(s, y, x))
         assert side2_a == side2_b
         checked += 1
+
+
+def _brute_depths(model):
+    """Reference depths: follow each class's image until a class repeats,
+    at most ``len(classes)`` steps; the depth is the index of the first
+    visit to the repeated class, and None once an image is no class."""
+    image = {c: tuple(sorted({model.sigma(v) for v in c})) for c in model.classes}
+    depths = {}
+    for c in model.classes:
+        path = [c]
+        while path[-1] is not None and path[-1] not in path[:-1]:
+            path.append(image[path[-1]] if image[path[-1]] in image else None)
+        depths[c] = None if path[-1] is None else path.index(path[-1])
+    return depths
+
+
+def test_depths_match_brute_force(basilica_tree, rabbit_tree, cubic_tree):
+    hexagon = PolygonClass((F(1, 14), F(1, 7), F(2, 7), F(4, 7), F(9, 14), F(11, 14)))
+    # u maps onto the absent sibling; w and v map onto u
+    u = PolygonClass((F(9, 28), F(11, 28), F(15, 28)))
+    w = PolygonClass((F(9, 56), F(11, 56), F(15, 56)))
+    v = PolygonClass((F(37, 56), F(39, 56), F(43, 56)))
+    lams = [(n.degree, n.classes) for t in (basilica_tree, rabbit_tree, cubic_tree) for n in t.all_nodes()]
+    lams += [(2, ClassLamination.create(2, cs).classes) for cs in ([hexagon], [RABBIT, u], [RABBIT, u, w, v])]
+    values = set()
+    for d, classes in lams:
+        model = _IntModel(d, classes)
+        depths = model.depths()
+        assert depths == _brute_depths(model)
+        values |= set(depths.values())
+    assert None in values and max(v for v in values if v is not None) >= 8

@@ -3,14 +3,32 @@ from fractions import Fraction as F
 
 import pytest
 
-from lamkit.circle import circle_dist, in_closed_arc, in_open_arc, orbit_info, preimages, sigma
-from lamkit.core import Chord, ChordSet, ClassLamination, LaminationError, PolygonClass, chords_cross
+from lamkit.circle import (
+    OrbitInfo,
+    _orbits,
+    arc_len,
+    circle_dist,
+    in_closed_arc,
+    in_open_arc,
+    orbit_info,
+    preimages,
+    sigma,
+)
+from lamkit.core import (
+    Chord,
+    ChordSet,
+    ClassLamination,
+    LaminationError,
+    PolygonClass,
+    _first_crossing,
+    chords_cross,
+)
 from lamkit.fdl import enumerate_children
 from lamkit.pullback import (
     CriticalChordSet,
     PropernessReport,
     PullbackError,
-    _orbit_table,
+    _arc_within,
     hyperbolic_approx,
     lamination_distance,
     leaf_distance,
@@ -45,6 +63,8 @@ def test_critical_chord_set_invariants():
                 Chord(F(1, 2), F(0)),
             ],
         )
+    with pytest.raises(PullbackError, match=r"^chord \(0,1/3\) does not split any region$"):
+        CriticalChordSet.create(3, [Chord(F(0), F(1, 3)), Chord(F(0), F(1, 3))])
 
 
 def test_branches():
@@ -54,6 +74,110 @@ def test_branches():
         ((F(1, 3), F(2, 3)),),
         ((F(2, 3), F(0)),),
     ]
+
+
+def _has_loop(chords):
+    """Reference loop test: a depth-first search of the chord graph."""
+    adj = {}
+    for c in chords:
+        adj.setdefault(c.a, set()).add(c.b)
+        adj.setdefault(c.b, set()).add(c.a)
+    seen = set()
+    for start in adj:
+        if start in seen:
+            continue
+        stack = [(start, None)]
+        while stack:
+            v, par = stack.pop()
+            if v in seen:
+                return True
+            seen.add(v)
+            for w in adj[v]:
+                if w != par:
+                    stack.append((w, v))
+    return False
+
+
+def _split_branches(chords):
+    """Reference branches: each chord in turn splits the region whose arcs
+    lie on both of its sides."""
+    cuts = sorted({p for c in chords for p in (c.a, c.b)})
+    regions = [[(cuts[i], cuts[(i + 1) % len(cuts)]) for i in range(len(cuts))]]
+    for chord in chords:
+        for idx, region in enumerate(regions):
+            inside = [arc for arc in region if _arc_within(arc, chord.a, chord.b)]
+            outside = [arc for arc in region if arc not in inside]
+            if inside and outside:
+                regions[idx] = inside
+                regions.append(outside)
+                break
+        else:
+            raise PullbackError(f"chord {chord} does not split any region")
+    return [tuple(sorted(r)) for r in sorted(regions)]
+
+
+def _reference_create(d, chords):
+    """Branches of a critical-chord set by the reference loop test and
+    splitting, or the text of the first error."""
+    chords = sorted(chords)
+    if len(chords) != d - 1:
+        return f"need exactly {d - 1} critical chords for degree {d}, got {len(chords)}"
+    for c in chords:
+        if not c.is_critical(d):
+            return f"chord {c} is not critical in degree {d}"
+    hit = _first_crossing((c.a, c.b) for c in chords)
+    if hit is not None:
+        return f"critical chords {Chord(*hit[0])} and {Chord(*hit[1])} cross"
+    if _has_loop(chords):
+        return "critical chords close a loop"
+    try:
+        branches = _split_branches(chords)
+    except PullbackError as exc:
+        return str(exc)
+    for branch in branches:
+        total = sum((arc_len(s, e) for s, e in branch), F(0))
+        if total != F(1, d):
+            return f"branch {branch} has basis length {total}, expected 1/{d}"
+    return branches
+
+
+def _random_chord_lists(seed, count):
+    """Chords through a few fibres of sigma_d, so chains, loops and valid
+    sets are common, with non-critical, repeated and miscounted sets mixed in."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        d = rng.randint(2, 5)
+        fibres = [preimages(F(rng.randrange(q), q), d) for q in rng.sample(range(1, 13), rng.randint(1, 2))]
+        n = d - 1 if rng.random() < 0.85 else rng.randrange(d + 2)
+        chords = []
+        while len(chords) < n:
+            roll = rng.random()
+            if chords and roll < 0.08:
+                chords.append(rng.choice(chords))
+                continue
+            pool = sorted({p for f in fibres for p in f}) if roll < 0.16 else rng.choice(fibres)
+            chords.append(Chord(*rng.sample(pool, 2)))
+        out.append((d, chords))
+    return out
+
+
+# no "basis length" error: without loops or repeats the d regions each
+# have a basis that is a positive multiple of 1/d, so each is exactly 1/d
+_OUTCOMES = ("need exactly", "not critical", "cross", "loop", "does not split")
+
+
+def test_branches_match_split_and_loop_oracle():
+    seen = set()
+    for d, chords in _random_chord_lists(12, 4000):
+        expected = _reference_create(d, chords)
+        try:
+            got = CriticalChordSet.create(d, chords).branches()
+        except PullbackError as exc:
+            got = str(exc)
+        assert got == expected, (d, [str(c) for c in chords])
+        seen |= {k for k in _OUTCOMES if k in expected} if isinstance(expected, str) else {"ok"}
+    assert seen == {"ok", *_OUTCOMES}
 
 
 def test_place_critical_chords():
@@ -395,11 +519,24 @@ def test_distance_matches_all_pairs_oracle_on_tree_nodes(rabbit_tree, basilica_t
     _assert_distance_matches_oracle(pairs)
 
 
+def _fraction_orbit_info(a, d):
+    """Reference orbit: iterate ``a -> d * a mod 1`` on ``Fraction`` until a repeat."""
+    seen = {}
+    cur = a % 1
+    i = 0
+    while cur not in seen:
+        seen[cur] = i
+        cur = (cur * d) % 1
+        i += 1
+    first = seen[cur]
+    return OrbitInfo(preperiod=first, period=i - first)
+
+
 def _orbit_info_properness(chord_set):
-    """Reference properness scan: ``circle.orbit_info`` on every endpoint."""
+    """Reference properness scan: the ``Fraction`` orbit of every endpoint."""
     d = chord_set.degree
     chords = chord_set.sorted_chords()
-    info = {p: orbit_info(p, d) for c in chords for p in (c.a, c.b)}
+    info = {p: _fraction_orbit_info(p, d) for c in chords for p in (c.a, c.b)}
     critical = [
         c for c in chords if c.is_critical(d) and (info[c.a].preperiod == 0 or info[c.b].preperiod == 0)
     ]
@@ -451,14 +588,15 @@ def test_properness_matches_orbit_info_oracle(rabbit_tree, cubic_tree, basilica_
     assert len(forced.chords) == 768 and filled == {0, 1, 2, 3}
 
 
-def test_orbit_table_matches_orbit_info():
+def test_orbits_match_fraction_orbit_info():
     rng = random.Random(7)
     for _ in range(2000):
         d, L = rng.choice([2, 3, 4]), rng.randrange(1, 300)
         starts = [rng.randrange(L) for _ in range(rng.randrange(1, 7))]
-        table = _orbit_table(d, L, starts)
+        table = _orbits(lambda x: d * x % L, starts)
         for x in starts:  # later starts often end on an earlier walk
-            assert table[x] == orbit_info(F(x, L), d), (d, L, x)
+            expected = _fraction_orbit_info(F(x, L), d)
+            assert table[x] == expected == orbit_info(F(x, L), d), (d, L, x)
 
 
 def test_properness_clean_fdl():
