@@ -1,9 +1,10 @@
 """Counting and enumerating sibling portraits.
 
 f(i, n) counts the one-to-one portraits of an n-gon in a degree-i region;
-F(i, n) counts all portraits.  Both agree with brute-force enumeration,
-f(i, 2) is the Catalan sequence, and the reduction map shows why
-F(i, n) = f(i, n+1).
+F(i, n) counts all portraits.  Both agree with the enumeration, which
+runs through the bijections with full n-ary trees and, for all portraits,
+the reduction map; f(i, 2) is the Catalan sequence, and the reduction map
+shows why F(i, n) = f(i, n+1).
 """
 
 from lamkit import (

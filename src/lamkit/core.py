@@ -5,17 +5,19 @@ A finite lamination is stored either as disjoint polygon classes
 (:class:`ChordSet`, which tolerates shared endpoints and therefore wedges
 and unclean points).  The complement of a class lamination decomposes into
 polygon gaps (the hulls themselves) and round gaps (components carrying
-circle arcs); round gaps are found by a boundary walk on integer residues,
-and each gap gets a covering degree by exact preimage counting on residues,
-one point per interval between images of its basis endpoints.  Non-crossing
-is decided by one stack sweep over the sorted endpoints; one region sweep
-in the same order (``_labels``) gives points their innermost enclosing
-edge, which names their region, for portrait placement and critical-chord
-branches.  ``_IntModel`` is the integer view of a set of classes (angles
-as residues mod a common denominator) that the gap walk, portrait
-placement, validation and keys share; its class depths come from the tail
-walk ``circle._orbits``.  The criticality audit checks the excess-degree
-identity ``sum_i (d_i - 1) = d - 1``.
+circle arcs); round gaps are found by a boundary walk on integer residues.
+A polygon gets its covering degree from its vertex images as residues, and
+a round gap by exact preimage counting on residues, one point per interval
+between images of its basis endpoints.  Non-crossing is decided by one
+stack sweep over the sorted endpoints; one region sweep in the same order
+(``_labels``) gives points their innermost enclosing edge, which names
+their region, for portrait placement and critical-chord branches.
+``_IntModel`` is the integer view of a set of classes (angles as residues
+mod a common denominator) that the gap walk, portrait placement,
+validation and keys share; its class depths come from the tail walk
+``circle._orbits``.  The criticality audit gives every gap its degree,
+once, for the excess-degree identity ``sum_i (d_i - 1) = d - 1`` and for
+critical-chord placement.
 """
 
 from __future__ import annotations
@@ -374,10 +376,12 @@ class CoveringResult:
 
 
 def covering_degree(poly: PolygonClass, d: int) -> CoveringResult:
-    """Classify the boundary map of a polygon under sigma."""
+    """Classify the boundary map of a polygon under sigma, on the vertex
+    residues mod the lcm of their denominators."""
     check_degree(d)
-    imgs = [sigma(v, d) for v in poly.vertices]
-    distinct = sorted(set(imgs))
+    q, res = _residues(poly.vertices)
+    imgs = [d * x % q for x in res]
+    distinct = set(imgs)
     if len(distinct) == 1:
         return CoveringResult(COLLAPSES_TO_POINT, degree=len(poly))
     if len(distinct) == 2:
@@ -390,7 +394,7 @@ def covering_degree(poly: PolygonClass, d: int) -> CoveringResult:
     if len(imgs) % len(distinct) != 0:
         return CoveringResult(NOT_COVERING)
     k = len(imgs) // len(distinct)
-    cycle = sorted(distinct, key=lambda p: (p - imgs[0]) % 1)
+    cycle = sorted(distinct, key=lambda p: (p - imgs[0]) % q)
     if imgs == cycle * k:
         return CoveringResult(COVERING, degree=k)
     return CoveringResult(NOT_COVERING)
@@ -565,13 +569,9 @@ def criticality_audit(lam: ClassLamination) -> CriticalityAudit:
     entries = []
     for poly in decomp.polygon_gaps:
         cov = covering_degree(poly, d)
-        if cov.has_degree:
-            status = DegreeStatus(DEGREE_KNOWN, cov.degree)
-        else:
-            status = DegreeStatus(DEGREE_UNDEFINED)
+        status = DegreeStatus(DEGREE_KNOWN if cov.has_degree else DEGREE_UNDEFINED, cov.degree)
         entries.append(GapAudit(poly, GAP_POLYGON, status))
-    for gap in decomp.round_gaps:
-        entries.append(GapAudit(gap, GAP_ROUND, gap_degree(gap, d)))
+    entries += [GapAudit(gap, GAP_ROUND, gap_degree(gap, d)) for gap in decomp.round_gaps]
 
     offenders = tuple(e for e in entries if e.status.kind != DEGREE_KNOWN)
     if offenders:

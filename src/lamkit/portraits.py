@@ -6,22 +6,22 @@ non-crossing polygons, and walking any block counterclockwise steps the
 label by one each time, so every block carries each label equally often.
 Blocks of size n are one-to-one; larger blocks cover with higher degree.
 
-Shapes are enumerated by backtracking over the cyclic point sequence (the
-first unused point starts a block; each extension splits off independent
-segments), counted in closed form by the Fuss-Catalan formula, put in
-bijection with full n-ary trees, reduced across label removal, and finally
-bound to concrete circle geometry by :func:`bind_shape`.  Placement runs
-on the integer residues of ``core._IntModel``: the preimages of a vertex
-residue are residues too, and a new block crosses no edge exactly when
-all its points carry one region label.  Child enumeration and
-:func:`instantiate_portrait` share that binder.
+Shapes are counted in closed form by the Fuss-Catalan formula and
+enumerated through the counting theorem's bijections: the one-to-one
+shapes are the images of the full n-ary trees with i internal nodes, and
+all (i, n)-shapes are the images of the one-to-one (i, n+1)-shapes under
+label removal.  They are bound to concrete circle geometry by
+:func:`bind_shape`.  Placement runs on the integer residues of
+``core._IntModel``: the preimages of a vertex residue are residues too,
+and a new block crosses no edge exactly when all its points carry one
+region label.  Child enumeration and :func:`instantiate_portrait` share
+that binder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from math import comb
 from typing import Optional, Sequence
 
@@ -44,9 +44,6 @@ class PortraitShape:
     def __post_init__(self):
         blocks = tuple(sorted(tuple(sorted(b)) for b in self.blocks))
         object.__setattr__(self, "blocks", blocks)
-
-    def label(self, pos: int) -> int:
-        return pos % self.n
 
     @property
     def is_injective(self) -> bool:
@@ -78,57 +75,6 @@ def _check_in(i: int, n: int):
         raise PortraitError(f"polygon size n must be >= 2, got {n}")
 
 
-@lru_cache(maxsize=None)
-def _enumerate(i: int, n: int, injective: bool) -> tuple[PortraitShape, ...]:
-    total = i * n
-
-    def label(pos):
-        return pos % n
-
-    results: list[tuple[tuple[int, ...], ...]] = []
-
-    def solve(region: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
-        # region is a circularly contiguous run of free points, in order
-        if not region:
-            return [()]
-        out = []
-        first = region[0]
-
-        def extend(block, segments, rest):
-            # block may close whenever labels wrap around completely
-            if len(block) % n == 0 and (not injective or len(block) == n):
-                pieces = [solve(seg) for seg in segments + [rest]]
-                for combo in product(*pieces):
-                    merged = tuple(b for part in combo for b in part)
-                    out.append((tuple(block),) + merged)
-            if injective and len(block) == n:
-                return
-            need = (label(block[-1]) + 1) % n
-            for idx, q in enumerate(rest):
-                if label(q) == need:
-                    extend(block + [q], segments + [rest[:idx]], rest[idx + 1 :])
-
-        extend([first], [], tuple(region[1:]))
-        return out
-
-    for blocks in solve(tuple(range(total))):
-        results.append(tuple(sorted(tuple(sorted(b)) for b in blocks)))
-    shapes = sorted({PortraitShape(i, n, b) for b in results}, key=lambda s: s.blocks)
-    return tuple(shapes)
-
-
-def enumerate_injective_portraits(i: int, n: int) -> list[PortraitShape]:
-    """All one-to-one portraits, canonically ordered."""
-    _check_in(i, n)
-    return list(_enumerate(i, n, injective=True))
-
-
-def enumerate_all_portraits(i: int, n: int) -> list[PortraitShape]:
-    """All portraits including higher-degree blocks, canonically ordered."""
-    _check_in(i, n)
-    return list(_enumerate(i, n, injective=False))
-
-
 # --- bijection with full n-ary trees ------------------------------------------
 
 Leaf = None  # a full n-ary tree is either None or a tuple of n subtrees
@@ -138,6 +84,20 @@ def internal_count(tree) -> int:
     if tree is Leaf:
         return 0
     return 1 + sum(internal_count(c) for c in tree)
+
+
+@lru_cache(maxsize=None)
+def _forests(i: int, n: int, k: int) -> tuple:
+    """Every sequence of k full n-ary trees with i internal nodes in all; a
+    tree with j >= 1 internal nodes is a sequence of n with j - 1."""
+    if k == 0:
+        return ((),) if i == 0 else ()
+    return tuple(
+        (first,) + rest
+        for j in range(i + 1)
+        for first in (_forests(j - 1, n, n) if j else (Leaf,))
+        for rest in _forests(i - j, n, k - 1)
+    )
 
 
 def portrait_to_tree(shape: PortraitShape):
@@ -244,6 +204,35 @@ def reduce_portrait(shape: PortraitShape, drop_label: Optional[int] = None) -> P
         groups.setdefault(find(bi), []).extend(p for p in b if p % n_plus != X)
     new_blocks = tuple(tuple(sorted(new_index[p] for p in g)) for g in groups.values())
     return PortraitShape(shape.i, n_plus - 1, new_blocks)
+
+
+# --- enumeration through the bijections ----------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _injective(i: int, n: int) -> tuple[PortraitShape, ...]:
+    # shapes of one (i, n) sort by their blocks
+    return tuple(sorted(tree_to_portrait(t, n) for t in _forests(i - 1, n, n)))
+
+
+@lru_cache(maxsize=None)
+def _all(i: int, n: int) -> tuple[PortraitShape, ...]:
+    return tuple(sorted(map(reduce_portrait, _injective(i, n + 1))))
+
+
+def enumerate_injective_portraits(i: int, n: int) -> list[PortraitShape]:
+    """All one-to-one portraits, canonically ordered: the images under
+    :func:`tree_to_portrait` of the full n-ary trees with i internal nodes."""
+    _check_in(i, n)
+    return list(_injective(i, n))
+
+
+def enumerate_all_portraits(i: int, n: int) -> list[PortraitShape]:
+    """All portraits including higher-degree blocks, canonically ordered:
+    the images under :func:`reduce_portrait` of the one-to-one
+    (i, n+1)-portraits."""
+    _check_in(i, n)
+    return list(_all(i, n))
 
 
 # --- concrete placement --------------------------------------------------------

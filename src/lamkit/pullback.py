@@ -1,7 +1,9 @@
 """Critical-chord placement, pullback approximations, metric, and scans.
 
-A set of d-1 pairwise compatible critical chords (no closed loop) cuts the
-disk into d branches whose bases each map onto the circle.  One region
+Placement chains k - 1 critical chords through every gap of degree k,
+reading the gaps and their degrees from the criticality audit.  A set of
+d-1 pairwise compatible critical chords (no closed loop) cuts the disk
+into d branches whose bases each map onto the circle.  One region
 sweep (``core._labels``) groups the arcs between cut points by the
 innermost chord around their start; the chords close a loop exactly when
 fewer regions than distinct chords plus one touch the circle.  Pulling a
@@ -33,7 +35,6 @@ from typing import Iterable, Optional
 from .circle import (
     Angle,
     _orbits,
-    arc_len,
     check_degree,
     circle_dist,
     in_open_arc,  # unused here; perfbench's tracer test asserts this binding
@@ -42,6 +43,7 @@ from .circle import (
 )
 from .core import (
     DEGREE_KNOWN,
+    GAP_POLYGON,
     Chord,
     ChordSet,
     ClassLamination,
@@ -51,7 +53,7 @@ from .core import (
     _labels,
     _residues,
     chords_cross,
-    covering_degree,
+    criticality_audit,
     gap_decomposition,
     gap_degree,
 )
@@ -106,12 +108,9 @@ class CriticalChordSet:
         for c, prev in zip(self.chords[1:], self.chords):
             if c == prev:
                 raise PullbackError(f"chord {c} does not split any region")
-        for branch in branches:
-            total = sum((arc_len(s, e) for s, e in branch), Fraction(0))
-            if total != Fraction(1, d):
-                raise PullbackError(
-                    f"branch {branch} has basis length {total}, expected 1/{d}"
-                )
+        # no basis-length check: now d regions touch the circle, and each
+        # basis is a positive multiple of 1/d (its arcs are joined by critical
+        # chords, whose ends differ by multiples of 1/d), so each is 1/d
 
     def cut_points(self) -> list[Angle]:
         return sorted({p for c in self.chords for p in (c.a, c.b)})
@@ -145,57 +144,42 @@ def _arc_within(arc: tuple[Angle, Angle], a: Angle, b: Angle) -> bool:
 def place_critical_chords(lam: ClassLamination, enumerate_all: bool = False) -> list[CriticalChordSet]:
     """Chain d_i - 1 critical chords through every critical gap.
 
-    Every gap (round or polygon) of degree k contributes a chain of k - 1
-    critical chords joining consecutive same-image points of its basis; the
-    canonical placement anchors each chain at the gap's smallest basis
-    angle, and the enumeration mode anchors at every basis arc endpoint
-    (every vertex, for polygons).  Gaps without a degree are a
-    precondition failure.
+    The gaps and their degrees are the entries of
+    :func:`~lamkit.core.criticality_audit`.  Every gap (round or polygon)
+    of degree k contributes a chain of k - 1 critical chords joining
+    consecutive same-image points of its basis; the canonical placement
+    anchors each chain at the gap's smallest basis angle, and the
+    enumeration mode anchors at every basis arc endpoint (every vertex, for
+    polygons).  Gaps without a degree are a precondition failure.
     """
     d = lam.degree
-    decomp = gap_decomposition(lam)
     gap_anchor_options: list[list[list[Chord]]] = []
-    for poly in decomp.polygon_gaps:
-        cov = covering_degree(poly, d)
-        if not cov.has_degree:
-            raise PullbackError(f"polygon {poly} has no degree; cannot place chords")
-        if cov.degree < 2:
-            continue
-        anchors = [poly.vertices[0]] if not enumerate_all else list(poly.vertices)
-        gap_anchor_options.append(
-            _chains(anchors, cov.degree, d, lambda p, poly=poly: p in set(poly.vertices))
-        )
-    for gap in decomp.round_gaps:
-        status = gap_degree(gap, d)
+    for entry in criticality_audit(lam).entries:
+        gap, status = entry.gap, entry.status
         if status.kind != DEGREE_KNOWN:
-            raise PullbackError(f"{gap} has no degree; cannot place chords")
+            name = f"polygon {gap}" if entry.kind == GAP_POLYGON else str(gap)
+            raise PullbackError(f"{name} has no degree; cannot place chords")
         if status.degree < 2:
             continue
-        if not enumerate_all:
-            anchors = [gap.smallest_angle()]
+        if entry.kind == GAP_POLYGON:
+            anchors = list(gap.vertices) if enumerate_all else [gap.vertices[0]]
+            contains = gap.vertices.__contains__
         else:
-            anchors = sorted({p for s, e in gap.arcs for p in (s, e)})
-            if gap.is_full_circle:
-                anchors = [Fraction(0)]
-        gap_anchor_options.append(
-            _chains(anchors, status.degree, d, gap.contains_point)
-        )
+            # the full circle is the one arc (0, 0), so both modes anchor at 0
+            ends = sorted({p for arc in gap.arcs for p in arc})
+            anchors = ends if enumerate_all else [gap.smallest_angle()]
+            contains = gap.contains_point
+        gap_anchor_options.append(_chains(anchors, status.degree, d, contains))
 
     if not gap_anchor_options:
         raise PullbackError("no critical gaps; nothing to place")
 
-    results = []
-    for combo in product(*gap_anchor_options):
-        chords = [c for chain in combo for c in chain]
-        results.append(CriticalChordSet.create(d, chords))
     # dedupe while keeping deterministic order
-    seen = set()
-    out = []
-    for cs in results:
-        if cs.chords not in seen:
-            seen.add(cs.chords)
-            out.append(cs)
-    return out
+    out: dict = {}
+    for combo in product(*gap_anchor_options):
+        cs = CriticalChordSet.create(d, [c for chain in combo for c in chain])
+        out.setdefault(cs.chords, cs)
+    return list(out.values())
 
 
 def _chains(anchors, k: int, d: int, contains) -> list[list[Chord]]:

@@ -19,6 +19,7 @@ from lamkit.core import (
     Chord,
     ChordSet,
     ClassLamination,
+    CoveringResult,
     DegreeStatus,
     GapDecomposition,
     LaminationError,
@@ -80,6 +81,58 @@ def test_covering_degree_cases():
     # orientation-reversing triangle
     rev = PolygonClass((F(1, 28), F(11, 28), F(23, 28)))
     assert covering_degree(rev, 2).kind == NOT_COVERING
+
+
+def _fraction_covering_degree(poly, d):
+    """Reference covering classification on ``Fraction`` vertex images."""
+    imgs = [sigma(v, d) for v in poly.vertices]
+    distinct = sorted(set(imgs))
+    if len(distinct) == 1:
+        return CoveringResult(COLLAPSES_TO_POINT, degree=len(poly))
+    if len(distinct) == 2:
+        if len(poly) == 2:
+            return CoveringResult(COVERING, degree=1)
+        if len(poly) % 2 == 0 and all(imgs[i] != imgs[i + 1] for i in range(len(imgs) - 1)):
+            return CoveringResult(COLLAPSES_TO_LEAF, degree=len(poly) // 2)
+        return CoveringResult(NOT_COVERING)
+    if len(imgs) % len(distinct) != 0:
+        return CoveringResult(NOT_COVERING)
+    k = len(imgs) // len(distinct)
+    cycle = sorted(distinct, key=lambda p: (p - imgs[0]) % 1)
+    if imgs == cycle * k:
+        return CoveringResult(COVERING, degree=k)
+    return CoveringResult(NOT_COVERING)
+
+
+def _random_polygons(seed, count):
+    """Polygons in degrees 2-5: random vertex sets, and vertex sets drawn
+    from the fibres of one to three points, so the collapse kinds and
+    higher-degree coverings occur."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        d = rng.randint(2, 5)
+        if rng.random() < 0.4:
+            den = rng.randrange(2, 40)
+            pool = {F(k, den) for k in range(den)}
+        else:
+            dens = [rng.randrange(1, 13) for _ in range(rng.randint(1, 3))]
+            pool = {p for q in dens for p in preimages(F(rng.randrange(q), q), d)}
+        size = rng.randint(2, min(len(pool), 8))
+        out.append((d, PolygonClass(tuple(rng.sample(sorted(pool), size)))))
+    return out
+
+
+def test_covering_degree_matches_fraction_oracle(basilica_tree, rabbit_tree, cubic_tree):
+    nodes = [n for t in (basilica_tree, rabbit_tree, cubic_tree) for n in t.all_nodes()]
+    cases = [(n.degree, c) for n in nodes for c in n.classes]
+    cases += _random_polygons(13, 6000)
+    kinds = set()
+    for d, poly in cases:
+        cov = covering_degree(poly, d)
+        assert cov == _fraction_covering_degree(poly, d), (d, str(poly))
+        kinds.add(cov.kind)
+    assert kinds == {COVERING, COLLAPSES_TO_POINT, COLLAPSES_TO_LEAF, NOT_COVERING}
 
 
 def _arc_total(decomp):

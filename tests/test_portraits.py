@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -63,6 +64,45 @@ def test_block_label_balance():
                     for p in b:
                         counts[p % n] += 1
                     assert len(set(counts)) == 1
+
+
+def _backtrack_portraits(i, n, injective):
+    """Reference enumeration by backtracking over the cyclic point sequence:
+    the first unused point starts a block, and each extension splits off
+    independent segments."""
+
+    def solve(region):
+        # region is a circularly contiguous run of free points, in order
+        if not region:
+            return [()]
+        out = []
+
+        def extend(block, segments, rest):
+            # block may close whenever labels wrap around completely
+            if len(block) % n == 0 and (not injective or len(block) == n):
+                pieces = [solve(seg) for seg in segments + [rest]]
+                for combo in product(*pieces):
+                    out.append((tuple(block),) + tuple(b for part in combo for b in part))
+            if injective and len(block) == n:
+                return
+            need = (block[-1] + 1) % n
+            for idx, q in enumerate(rest):
+                if q % n == need:
+                    extend(block + [q], segments + [rest[:idx]], rest[idx + 1 :])
+
+        extend([region[0]], [], tuple(region[1:]))
+        return out
+
+    shapes = {PortraitShape(i, n, blocks) for blocks in solve(tuple(range(i * n)))}
+    return sorted(shapes, key=lambda s: s.blocks)
+
+
+def test_enumeration_matches_backtracking_oracle():
+    for i in range(1, 6):
+        for n in range(2, 6):
+            if i * n <= 20:
+                assert enumerate_injective_portraits(i, n) == _backtrack_portraits(i, n, True), (i, n)
+                assert enumerate_all_portraits(i, n) == _backtrack_portraits(i, n, False), (i, n)
 
 
 def test_enumeration_is_canonically_sorted():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -15,6 +16,7 @@ from lamkit.circle import (
     sigma,
 )
 from lamkit.core import (
+    DEGREE_KNOWN,
     Chord,
     ChordSet,
     ClassLamination,
@@ -22,6 +24,9 @@ from lamkit.core import (
     PolygonClass,
     _first_crossing,
     chords_cross,
+    covering_degree,
+    gap_decomposition,
+    gap_degree,
 )
 from lamkit.fdl import enumerate_children
 from lamkit.pullback import (
@@ -29,6 +34,7 @@ from lamkit.pullback import (
     PropernessReport,
     PullbackError,
     _arc_within,
+    _chains,
     hyperbolic_approx,
     lamination_distance,
     leaf_distance,
@@ -197,6 +203,78 @@ def test_place_critical_chords():
     )
     with pytest.raises(PullbackError):
         place_critical_chords(ClassLamination.create(2, [RABBIT]))
+
+
+def _reference_place_critical_chords(lam, enumerate_all=False):
+    """Reference placement: its own gap walk, polygon covering degrees and
+    round-gap degrees, in one loop per gap kind."""
+    d = lam.degree
+    decomp = gap_decomposition(lam)
+    gap_anchor_options = []
+    for poly in decomp.polygon_gaps:
+        cov = covering_degree(poly, d)
+        if not cov.has_degree:
+            raise PullbackError(f"polygon {poly} has no degree; cannot place chords")
+        if cov.degree < 2:
+            continue
+        anchors = [poly.vertices[0]] if not enumerate_all else list(poly.vertices)
+        gap_anchor_options.append(
+            _chains(anchors, cov.degree, d, lambda p, poly=poly: p in set(poly.vertices))
+        )
+    for gap in decomp.round_gaps:
+        status = gap_degree(gap, d)
+        if status.kind != DEGREE_KNOWN:
+            raise PullbackError(f"{gap} has no degree; cannot place chords")
+        if status.degree < 2:
+            continue
+        if not enumerate_all:
+            anchors = [gap.smallest_angle()]
+        else:
+            anchors = sorted({p for s, e in gap.arcs for p in (s, e)})
+            if gap.is_full_circle:
+                anchors = [F(0)]
+        gap_anchor_options.append(_chains(anchors, status.degree, d, gap.contains_point))
+
+    if not gap_anchor_options:
+        raise PullbackError("no critical gaps; nothing to place")
+
+    results = []
+    for combo in product(*gap_anchor_options):
+        chords = [c for chain in combo for c in chain]
+        results.append(CriticalChordSet.create(d, chords))
+    seen = set()
+    out = []
+    for cs in results:
+        if cs.chords not in seen:
+            seen.add(cs.chords)
+            out.append(cs)
+    return out
+
+
+def _placements_or_error(place, lam, enumerate_all):
+    try:
+        return [cs.chords for cs in place(lam, enumerate_all)]
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_place_critical_chords_matches_two_loop_oracle(rabbit_tree, cubic_tree, basilica_tree):
+    lams = [n.lamination for t in (rabbit_tree, cubic_tree) for n in t.all_nodes()]
+    lams += [n.lamination for level in basilica_tree.levels[:7] for n in level]
+    reversing = PolygonClass((F(0), F(1, 8), F(3, 8)))
+    lams += [ClassLamination.create(3, [reversing])]
+    lams += [ClassLamination.create(d, []) for d in (2, 3)]
+    outcomes = set()
+    for lam in lams:
+        for enumerate_all in (False, True):
+            got = _placements_or_error(place_critical_chords, lam, enumerate_all)
+            assert got == _placements_or_error(_reference_place_critical_chords, lam, enumerate_all), (
+                sorted(lam.classes),
+                enumerate_all,
+            )
+            outcomes.add(min(len(got), 2) if isinstance(got, list) else got[1].split("(")[0])
+    # one and several placements, and gaps without a degree of both kinds
+    assert outcomes == {1, 2, "RoundGap", "polygon {0,1/8,3/8} has no degree; cannot place chords"}
 
 
 def test_place_critical_chords_inside_critical_polygon():
