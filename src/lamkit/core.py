@@ -5,15 +5,16 @@ A finite lamination is stored either as disjoint polygon classes
 (:class:`ChordSet`, which tolerates shared endpoints and therefore wedges
 and unclean points).  The complement of a class lamination decomposes into
 polygon gaps (the hulls themselves) and round gaps (components carrying
-circle arcs); round gaps are found by a boundary walk on integer residues.
+circle arcs); round gaps are the regions of the hull edges on integer residues.
 A polygon gets its covering degree from its vertex images as residues, and
 a round gap by exact preimage counting on residues, one point per interval
 between images of its basis endpoints.  Non-crossing is decided by one
 stack sweep over the sorted endpoints; one region sweep in the same order
 (``_labels``) gives points their innermost enclosing edge, which names
-their region, for portrait placement and critical-chord branches.
+their region, for portrait placement, and groups the arcs between them
+into regions (``_regions``) for round gaps and critical-chord branches.
 ``_IntModel`` is the integer view of a set of classes (angles as residues
-mod a common denominator) that the gap walk, portrait placement,
+mod a common denominator) that the round gaps, portrait placement,
 validation and keys share; its class depths come from the tail walk
 ``circle._orbits``.  The criticality audit gives every gap its degree,
 once, for the excess-degree identity ``sum_i (d_i - 1) = d - 1`` and for
@@ -179,6 +180,17 @@ def _labels(edges: Iterable[tuple], points: Iterable) -> dict:
         else:
             out[x] = stack[-1] if stack else None
     return out
+
+
+def _regions(edges: Iterable[tuple], points: list) -> list[tuple[tuple, ...]]:
+    """The arcs between consecutive sorted points, grouped by the label
+    (see :func:`_labels`) at their start, in order of first arc: the
+    complementary regions of the edges that touch the circle."""
+    label = _labels(edges, points)
+    regions: dict = {}
+    for s, e in zip(points, points[1:] + points[:1]):
+        regions.setdefault(label[s], []).append((s, e))
+    return [tuple(r) for r in regions.values()]
 
 
 def _residues(angles: Iterable[Angle], scale: int = 1) -> tuple[int, list[int]]:
@@ -423,14 +435,13 @@ class DegreeStatus:
 class RoundGap:
     """Closure of a complementary component touching the circle.
 
-    ``arcs`` lists the closed basis arcs (start, end) in walk order,
-    canonicalized to begin at the smallest start angle; the full circle is
-    encoded as the single arc (0, 0).  ``chords`` are the bounding hull
-    edges, one per hole.
+    ``arcs`` lists the closed basis arcs (start, end) in boundary-walk
+    order, beginning at the smallest start angle; the full circle is
+    encoded as the single arc (0, 0).  The bounding hull edge after each
+    arc joins its end to the start of the next arc.
     """
 
     arcs: tuple[tuple[Angle, Angle], ...]
-    chords: tuple[Chord, ...]
 
     @property
     def is_full_circle(self) -> bool:
@@ -462,42 +473,24 @@ class GapDecomposition:
 def gap_decomposition(lam: ClassLamination) -> GapDecomposition:
     """Split the disk along the lamination's hulls.
 
-    Round gaps come from a boundary walk on the residues of ``_IntModel``:
-    follow the circle counterclockwise to the next vertex w, then jump along
-    the hull edge to w's predecessor in its class, until the walk closes.
-    This step permutes the vertices, so each arc lies on one walk, and a walk
-    started at the smallest unused vertex begins with its smallest arc.  The
-    arc spans of all walks sum to ``D``.
+    Round gaps are the regions (:func:`_regions`) of the hull edges on the
+    residues of ``_IntModel``, with the vertices as points.  Every arc
+    between consecutive vertices lands in exactly one region, so the arcs
+    of all round gaps sum to 1.  A region's boundary meets its arcs in
+    circular order, so each region's arcs, read from its smallest start,
+    are already in boundary-walk order.
     """
     lam.check()
     if not lam.classes:
-        full = RoundGap(arcs=((Fraction(0), Fraction(0)),), chords=())
+        full = RoundGap(arcs=((Fraction(0), Fraction(0)),))
         return GapDecomposition(lam.degree, (), (full,))
 
     model = _IntModel(lam.degree, lam.classes)
     verts = sorted(model.vertices)
-    succ = dict(zip(verts, verts[1:] + verts[:1]))
-    prev = {v: c[i - 1] for c in model.classes for i, v in enumerate(c)}
-    walks, unused = [], set(verts)
-    for start in verts:
-        if start in unused:
-            walk, p = [], start
-            while p in unused:
-                unused.remove(p)
-                walk.append(p)
-                p = prev[succ[p]]
-            walks.append(walk)
-    span = sum((succ[p] - p) % model.D for walk in walks for p in walk)
-    if span != model.D:
-        raise LaminationError(f"round gap arcs sum to {Fraction(span, model.D)}, expected 1")
-
     angle = {v: model.angle(v) for v in verts}
     round_gaps = tuple(
-        RoundGap(
-            tuple((angle[p], angle[succ[p]]) for p in walk),
-            tuple(Chord(angle[succ[p]], angle[prev[succ[p]]]) for p in walk),
-        )
-        for walk in walks
+        RoundGap(tuple((angle[s], angle[e]) for s, e in arcs))
+        for arcs in _regions(model.edges, verts)
     )
     polys = tuple(model.poly[c] for c in model.classes)
     return GapDecomposition(lam.degree, polys, round_gaps)

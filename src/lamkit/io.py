@@ -153,6 +153,9 @@ def write_atomic(path: str, text: str):
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        mask = os.umask(0)  # the only way to read the umask; restored at once
+        os.umask(mask)
+        os.chmod(tmp, 0o666 & ~mask)  # what open(path, "w") gives a new file
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

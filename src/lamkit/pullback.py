@@ -1,21 +1,21 @@
 """Critical-chord placement, pullback approximations, metric, and scans.
 
 Placement chains k - 1 critical chords through every gap of degree k,
-reading the gaps and their degrees from the criticality audit.  A set of
-d-1 pairwise compatible critical chords (no closed loop) cuts the disk
-into d branches whose bases each map onto the circle.  One region
-sweep (``core._labels``) groups the arcs between cut points by the
-innermost chord around their start; the chords close a loop exactly when
-fewer regions than distinct chords plus one touch the circle.  Pulling a
-chord set back means lifting every chord through every branch: a chord's
-subtended arc of length L lifts to d arcs of length L/d, one per preimage
-of its start point, and the lift whose arc fits inside the branch supplies
-that branch's preimage chord.  When a chord endpoint equals a critical
-value both of its lifts can fit; candidates that would cross the inputs
-are discarded and the shorter surviving lift wins, which reproduces the
-wedges that accumulate at forced endpoints.  A step runs on integer
-residues mod ``M = d * lcm(denominators)``, where the preimages of x are
-``x // d + j * M / d`` and arc tests are integer comparisons.
+reading the gaps and their degrees from the criticality audit.  A set of d-1
+pairwise compatible critical chords (no closed loop) cuts the disk into d
+branches whose bases each map onto the circle: the regions of
+``core._regions``, as for round gaps, which group the arcs between cut
+points by the innermost chord around their start.  The chords close a loop
+exactly when fewer regions than distinct chords plus one touch the circle.
+Pulling a chord set back means lifting every chord through every branch: a
+chord's subtended arc of length L lifts to d arcs of length L/d, one per
+preimage of its start point, and the lift whose arc fits inside the branch
+supplies that branch's preimage chord.  When a chord endpoint equals a
+critical value both of its lifts can fit; candidates that would cross the
+inputs are discarded and the shorter surviving lift wins, which reproduces
+the wedges that accumulate at forced endpoints.  A step runs on integer
+residues mod ``M = d * lcm(denominators)``, where the preimages of x
+are ``x // d + j * M / d`` and arc tests are integer comparisons.
 
 This module also exposes the exact lamination metric (Hausdorff over
 leaves plus all degenerate leaves, by a pruned nearest-leaf scan on
@@ -50,7 +50,7 @@ from .core import (
     LaminationError,
     RoundGap,
     _first_crossing,
-    _labels,
+    _regions,
     _residues,
     chords_cross,
     criticality_audit,
@@ -116,26 +116,13 @@ class CriticalChordSet:
         return sorted({p for c in self.chords for p in (c.a, c.b)})
 
     def branches(self) -> list[tuple[tuple[Angle, Angle], ...]]:
-        """The complementary regions that touch the circle, each as a tuple of
-        closed basis arcs: the arcs between consecutive cut points, grouped by
-        the region label at their start."""
+        """The complementary regions that touch the circle (see
+        :func:`~lamkit.core._regions`), each as a tuple of closed basis arcs
+        between consecutive cut points, in order of first arc."""
         cuts = self.cut_points()
         if not cuts:
             return [((Fraction(0), Fraction(0)),)]  # whole circle (degree 1 never occurs)
-        label = _labels(((c.a, c.b) for c in self.chords), cuts)
-        regions: dict = {}
-        for s, e in zip(cuts, cuts[1:] + cuts[:1]):
-            regions.setdefault(label[s], []).append((s, e))
-        return sorted(tuple(r) for r in regions.values())
-
-
-def _arc_within(arc: tuple[Angle, Angle], a: Angle, b: Angle) -> bool:
-    """Is the closed arc contained in the closed counterclockwise arc [a, b]?"""
-    s, e = arc
-    rel_s = (s - a) % 1
-    rel_e = (e - a) % 1
-    span = (b - a) % 1
-    return rel_s <= rel_e <= span
+        return _regions(((c.a, c.b) for c in self.chords), cuts)
 
 
 # --- placement of critical chords ------------------------------------------------
@@ -246,9 +233,9 @@ def pullback_step(chord_set: ChordSet, crit: CriticalChordSet) -> ChordSet:
     """One level of preimages of every chord, through every branch.
 
     Runs on residues mod ``M = d * lcm(denominators)`` of the chords and
-    the critical chords, so each point's preimages are residues too; only
-    the new chords become ``Chord`` objects.  The result contains its
-    input and is verified non-crossing.
+    the critical chords, so each point's preimages and the branches'
+    arcs are residues too; only the new chords become ``Chord`` objects.
+    The result contains its input and is verified non-crossing.
     """
     d = chord_set.degree
     if d != crit.degree:
@@ -263,8 +250,8 @@ def pullback_step(chord_set: ChordSet, crit: CriticalChordSet) -> ChordSet:
     M, res = _residues((p for c in chords for p in (c.a, c.b)), scale=d)
     obstacles = list(zip(res[::2], res[1::2]))  # the inputs, then the critical chords
     inputs = sorted(obstacles[: len(fixed)])  # residue pairs sort like chords
-    at = dict(zip((p for c in crit.chords for p in (c.a, c.b)), res[2 * len(fixed) :]))
-    branches = [tuple((at[s], at[e]) for s, e in b) for b in crit.branches()]
+    cuts = res[2 * len(fixed) :]
+    branches = _regions(zip(cuts[::2], cuts[1::2]), sorted(set(cuts)))
     added = {_lift(x, y, b, M, d, obstacles) for x, y in inputs for b in branches}
     new = [Chord(Fraction(u, M), Fraction(v, M)) for u, v in added.difference(inputs)]
     return ChordSet.create(d, chord_set.chords.union(new))
@@ -441,7 +428,7 @@ class NestingReport:
     arc_counts: list[list[int]]
 
 
-def _critical_round_gaps(lam: ClassLamination) -> list[RoundGap]:
+def _critical_round_gaps(lam: ClassLamination) -> list[tuple[int, RoundGap]]:
     out = []
     for gap in gap_decomposition(lam).round_gaps:
         status = gap_degree(gap, lam.degree)
@@ -453,13 +440,11 @@ def _critical_round_gaps(lam: ClassLamination) -> list[RoundGap]:
 
 
 def _gap_inside(inner: RoundGap, outer: RoundGap) -> bool:
-    if outer.is_full_circle:
-        return True
-    if inner.is_full_circle:
-        return False
-    return all(
-        any(_arc_within(arc, s, e) for s, e in outer.arcs) for arc in inner.arcs
-    )
+    # Precondition: inner is a gap of a lamination that refines outer's.  Then
+    # inner lies in the one gap of outer's lamination that holds the midpoint
+    # of inner's first arc, and no vertex of either lamination lies there.
+    s, e = inner.arcs[0]
+    return outer.contains_point(s + (e - s) % 1 / 2)
 
 
 def hyperbolic_approx(start: FDL, depth: int) -> NestingReport:
@@ -506,16 +491,10 @@ def hyperbolic_approx(start: FDL, depth: int) -> NestingReport:
         _, current, current_tracked = best
         steps.append(NestingStep(current, [g for _, g in current_tracked]))
 
-    nested = True
-    strict = []
-    arc_counts = []
-    for prev, nxt in zip(steps, steps[1:]):
-        for g_prev, g_next in zip(prev.tracked, nxt.tracked):
-            if not _gap_inside(g_next, g_prev):
-                nested = False
-        strict.append(
-            any(g_next != g_prev for g_prev, g_next in zip(prev.tracked, nxt.tracked))
-        )
-    for s in steps:
-        arc_counts.append([len(g.arcs) for g in s.tracked])
-    return NestingReport(steps, nested, strict, arc_counts)
+    strict = [
+        any(g_next != g_prev for g_prev, g_next in zip(prev.tracked, nxt.tracked))
+        for prev, nxt in zip(steps, steps[1:])
+    ]
+    arc_counts = [[len(g.arcs) for g in s.tracked] for s in steps]
+    # nested: each successor was chosen only among gaps that pass _gap_inside
+    return NestingReport(steps, True, strict, arc_counts)

@@ -282,7 +282,7 @@ def _fraction_gap_decomposition(lam):
     lam.check()
     polys = lam.sorted_classes()
     if not polys:
-        full = RoundGap(arcs=((F(0), F(0)),), chords=())
+        full = RoundGap(arcs=((F(0), F(0)),))
         return GapDecomposition(lam.degree, (), (full,))
 
     owner = {v: p for p in polys for v in p.vertices}
@@ -309,9 +309,12 @@ def _fraction_gap_decomposition(lam):
             if p == start:
                 break
             assert unused_arcs[p], "gap walk revisited an arc"
+        # the bounding chord after each arc joins its end to the next arc's start
+        for k, chord in enumerate(chords):
+            assert chord == Chord(arcs[k][1], arcs[(k + 1) % len(arcs)][0])
         # rotate the arc list to begin at the smallest start
         k = min(range(len(arcs)), key=lambda i: arcs[i][0])
-        round_gaps.append(RoundGap(tuple(arcs[k:] + arcs[:k]), tuple(chords[k:] + chords[:k])))
+        round_gaps.append(RoundGap(tuple(arcs[k:] + arcs[:k])))
     round_gaps.sort(key=lambda g: g.arcs[0][0])
     decomp = GapDecomposition(lam.degree, tuple(polys), tuple(round_gaps))
     assert _arc_total(decomp) == 1

@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import stat
 from fractions import Fraction as F
 
 import pytest
@@ -142,6 +144,15 @@ def test_write_atomic(tmp_path):
     assert path.read_text() == "hello\n"
     leftovers = [p for p in tmp_path.iterdir() if p.name != "out.txt"]
     assert not leftovers
+    # a new file gets the mode that open(path, "w") would give it
+    old = os.umask(0o022)
+    try:
+        for mask in (0o022, 0o077):
+            os.umask(mask)
+            write_atomic(str(path), "again\n")
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~mask
+    finally:
+        os.umask(old)
 
 
 def test_parse_bfile():

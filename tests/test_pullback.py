@@ -33,8 +33,8 @@ from lamkit.pullback import (
     CriticalChordSet,
     PropernessReport,
     PullbackError,
-    _arc_within,
     _chains,
+    _gap_inside,
     hyperbolic_approx,
     lamination_distance,
     leaf_distance,
@@ -102,6 +102,15 @@ def _has_loop(chords):
                 if w != par:
                     stack.append((w, v))
     return False
+
+
+def _arc_within(arc, a, b):
+    """Is the closed arc contained in the closed counterclockwise arc [a, b]?"""
+    s, e = arc
+    rel_s = (s - a) % 1
+    rel_e = (e - a) % 1
+    span = (b - a) % 1
+    return rel_s <= rel_e <= span
 
 
 def _split_branches(chords):
@@ -749,6 +758,32 @@ def test_hyperbolic_approx_degree3():
     for step in report.steps:
         (gap,) = step.tracked
         assert gap_degree(gap, 3).degree == 3
+
+
+def _arcs_inside(inner, outer):
+    """Reference nesting: every arc of inner lies in some arc of outer."""
+    if outer.is_full_circle:
+        return True
+    if inner.is_full_circle:
+        return False
+    return all(any(_arc_within(arc, s, e) for s, e in outer.arcs) for arc in inner.arcs)
+
+
+def test_gap_inside_matches_arc_containment(rabbit_tree, basilica_tree, cubic_tree):
+    outcomes = set()
+    for tree, top in ((rabbit_tree, 5), (basilica_tree, 5), (cubic_tree, 2)):
+        gaps = {
+            f.key(): gap_decomposition(f.lamination).round_gaps
+            for lv in tree.levels[: top + 1]
+            for f in lv
+        }
+        for child, parent in tree.parent.items():
+            if child in gaps:
+                for inner, outer in product(gaps[child], gaps[parent]):
+                    expected = _arcs_inside(inner, outer)
+                    assert _gap_inside(inner, outer) == expected, (child, inner, outer)
+                    outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_hyperbolic_approx_needs_critical_gap(rabbit_root):
