@@ -8,11 +8,11 @@ polygon gaps (the hulls themselves) and round gaps (components carrying
 circle arcs); round gaps are the regions of the hull edges on integer residues.
 A polygon gets its covering degree from its vertex images as residues, and
 a round gap by exact preimage counting on residues, one point per interval
-between images of its basis endpoints.  Non-crossing is decided by one
-stack sweep over the sorted endpoints; one region sweep in the same order
-(``_labels``) gives points their innermost enclosing edge, which names
-their region, for portrait placement, and groups the arcs between them
-into regions (``_regions``) for round gaps and critical-chord branches.
+between images of its basis endpoints.  One bracket sweep over the sorted
+endpoints (``_sweep``) decides non-crossing and gives points their
+innermost enclosing edge, which names their region, for portrait
+placement, and groups the arcs between them into regions (``_regions``)
+for round gaps and critical-chord branches.
 ``_IntModel`` is the integer view of a set of classes (angles as residues
 mod a common denominator) that the round gaps, portrait placement,
 validation and keys share; its class depths come from the tail walk
@@ -121,10 +121,7 @@ class PolygonClass:
         return len(self.vertices)
 
     def edges(self) -> tuple[Chord, ...]:
-        v = self.vertices
-        if len(v) == 2:
-            return (Chord(v[0], v[1]),)
-        return tuple(Chord(v[i], v[(i + 1) % len(v)]) for i in range(len(v)))
+        return tuple(Chord(a, b) for a, b in _hull_edges(self.vertices))
 
     def image_vertices(self, d: int) -> tuple[Angle, ...]:
         return tuple(sorted({sigma(v, d) for v in self.vertices}))
@@ -140,53 +137,39 @@ class PolygonClass:
         return "{" + ",".join(str(v) for v in self.vertices) + "}"
 
 
-def _edge_events(edges: Iterable[tuple]) -> list[tuple]:
-    # the sweep order of _first_crossing, as sortable tuples
-    return [ev for a, b in edges for ev in ((b, 0, -a, a, b), (a, 1, -b, a, b))]
+def _sweep(edges: Iterable[tuple], points: Iterable = ()) -> tuple[Optional[tuple], dict]:
+    """One bracket sweep: the first crossing pair among ``(a, b)`` edges
+    with ``a < b`` (or None), and the label of each point.
 
-
-def _first_crossing(edges: Iterable[tuple]) -> Optional[tuple[tuple, tuple]]:
-    """One crossing pair among ``(a, b)`` edges with ``a < b``, or None.
-
-    Any ordered coordinates work (angles or integer ranks).  Endpoints are
-    swept in increasing order; at each point edges close innermost first,
-    then open outermost first, so sharing an endpoint is not crossing.
-    Non-crossing edges nest like brackets, so an edge that closes while
-    another edge is on top of the stack crosses that edge.  The pair comes
-    back ordered by first endpoint.
+    Any ordered coordinates work (angles or integer ranks).  At each
+    coordinate, edges close innermost first, then open outermost first,
+    then points are read, so sharing an endpoint is not crossing.
+    Non-crossing edges nest like brackets, so an edge that closes below
+    the top of the stack crosses the top edge; the sweep stops there, with
+    the pair ordered by first endpoint.  A point's label is its innermost
+    enclosing edge (None outside every edge), shared by its whole region.
     """
+    events = [ev for a, b in edges for ev in ((b, 0, -a, a, b), (a, 1, -b, a, b))]
+    events += [(p, 2, 0, p, p) for p in points]
     stack: list[tuple] = []
-    for _, opening, _, a, b in sorted(_edge_events(edges)):
-        if opening:
-            stack.append((a, b))
-        elif stack[-1] != (a, b):
-            return (a, b), stack[-1]
-        else:
-            stack.pop()
-    return None
-
-
-def _labels(edges: Iterable[tuple], points: Iterable) -> dict:
-    """Innermost of the non-crossing edges around each point (None outside
-    every edge), read after the edges that close and open at the point.
-    The edges nest, so the points of one region share one label."""
-    stack: list[tuple] = []
-    out: dict = {}
-    for x, kind, _, a, b in sorted(_edge_events(edges) + [(p, 2, 0, p, p) for p in points]):
+    labels: dict = {}
+    for x, kind, _, a, b in sorted(events):
         if kind == 1:
             stack.append((a, b))
-        elif kind == 0:
-            stack.pop()
+        elif kind:
+            labels[x] = stack[-1] if stack else None
+        elif stack[-1] != (a, b):
+            return ((a, b), stack[-1]), labels
         else:
-            out[x] = stack[-1] if stack else None
-    return out
+            stack.pop()
+    return None, labels
 
 
 def _regions(edges: Iterable[tuple], points: list) -> list[tuple[tuple, ...]]:
     """The arcs between consecutive sorted points, grouped by the label
-    (see :func:`_labels`) at their start, in order of first arc: the
+    (see :func:`_sweep`) at their start, in order of first arc: the
     complementary regions of the edges that touch the circle."""
-    label = _labels(edges, points)
+    label = _sweep(edges, points)[1]
     regions: dict = {}
     for s, e in zip(points, points[1:] + points[:1]):
         regions.setdefault(label[s], []).append((s, e))
@@ -241,10 +224,10 @@ class _IntModel:
         return f"{x // g}/{self.D // g}" if x else "0"
 
     def labels(self, points: Iterable[int]) -> dict[int, Optional[tuple[int, int]]]:
-        """Region label (see :func:`_labels`) of each point that is no model
+        """Region label (see :func:`_sweep`) of each point that is no model
         vertex: two such points share a complementary region exactly when
         they share the label."""
-        return _labels(self.edges, (p for p in points if p not in self.vertices))
+        return _sweep(self.edges, (p for p in points if p not in self.vertices))[1]
 
     def res(self, a: Angle) -> int:
         return a.numerator * (self.D // a.denominator)
@@ -297,7 +280,7 @@ class ClassLamination:
                 if v in owner:
                     raise LaminationError(f"classes {owner[v]} and {p} share a vertex")
                 owner[v] = p
-        hit = _first_crossing((e.a, e.b) for e in self.all_edges())
+        hit = _sweep(e for c in self.classes for e in _hull_edges(c.vertices))[0]
         if hit is not None:
             p1, p2 = sorted(owner[a] for a, _ in hit)
             raise LaminationError(f"classes {p1} and {p2} cross")
@@ -310,10 +293,7 @@ class ClassLamination:
         return sorted(self.classes, key=lambda c: c.vertices)
 
     def all_edges(self) -> set[Chord]:
-        out: set[Chord] = set()
-        for c in self.classes:
-            out.update(c.edges())
-        return out
+        return {e for c in self.classes for e in c.edges()}
 
     def all_vertices(self) -> set[Angle]:
         out: set[Angle] = set()
@@ -348,7 +328,7 @@ class ChordSet:
     def check(self):
         # residues keep the order of the angles, so the sweep names the same pair
         M, res = _residues(p for c in self.chords for p in (c.a, c.b))
-        hit = _first_crossing(zip(res[::2], res[1::2]))
+        hit = _sweep(zip(res[::2], res[1::2]))[0]
         if hit is not None:
             c1, c2 = (Chord(Fraction(u, M), Fraction(v, M)) for u, v in hit)
             raise LaminationError(f"chords {c1} and {c2} cross")
@@ -448,13 +428,9 @@ class RoundGap:
         return len(self.arcs) == 1 and self.arcs[0][0] == self.arcs[0][1]
 
     def contains_point(self, x: Angle) -> bool:
-        if self.is_full_circle:
-            return True
         return any(in_closed_arc(x, s, e) for s, e in self.arcs)
 
     def smallest_angle(self) -> Angle:
-        if self.is_full_circle:
-            return Fraction(0)
         return min(s for s, _ in self.arcs)
 
     def __str__(self):

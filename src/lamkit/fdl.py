@@ -28,9 +28,9 @@ from .core import (
     ClassLamination,
     LaminationError,
     PolygonClass,
-    _first_crossing,
     _hull_edges,
     _IntModel,
+    _sweep,
     covering_degree,
 )
 from .portraits import _portrait_residues, bind_shape, enumerate_all_portraits
@@ -321,7 +321,7 @@ def enumerate_children(fdl: FDL) -> list[FDL]:
         # each placement comes from a non-crossing shape and blocks for
         # distinct targets use disjoint fibers, so a crossing among the new
         # residue edges is one between placements
-        if _first_crossing(e for _, _, edges in combo for e in edges) is not None:
+        if _sweep(e for _, _, edges in combo for e in edges)[0] is not None:
             continue
         new = [vs for blocks, _, _ in combo for vs in blocks]
         for vs in new:

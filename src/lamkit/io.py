@@ -84,7 +84,7 @@ def load_lamination(doc) -> ClassLamination:
         raise DocumentError(str(exc)) from exc
 
 
-def save_lamination(lam: ClassLamination, name: Optional[str] = None, level: Optional[int] = None) -> dict:
+def save_lamination(lam: ClassLamination, level: Optional[int] = None) -> dict:
     """Canonical document: classes sorted by first vertex, reduced fractions."""
     doc = {
         "degree": lam.degree,
@@ -92,8 +92,6 @@ def save_lamination(lam: ClassLamination, name: Optional[str] = None, level: Opt
             [format_angle(v) for v in cls.vertices] for cls in lam.sorted_classes()
         ],
     }
-    if name is not None:
-        doc["name"] = name
     if level is not None:
         doc["level"] = level
     return doc
@@ -149,13 +147,20 @@ def dumps(doc: dict) -> str:
 def write_atomic(path: str, text: str):
     """Write via a temp file and rename, so readers never see partial output."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lamkit-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lamkit-")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None  # name the user's path
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        mask = os.umask(0)  # the only way to read the umask; restored at once
-        os.umask(mask)
-        os.chmod(tmp, 0o666 & ~mask)  # what open(path, "w") gives a new file
+        try:
+            mode = os.stat(path).st_mode & 0o7777  # open(path, "w") keeps the old mode
+        except FileNotFoundError:
+            mask = os.umask(0)  # the only way to read the umask; restored at once
+            os.umask(mask)
+            mode = 0o666 & ~mask  # what open(path, "w") gives a new file
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -49,9 +49,9 @@ from .core import (
     ClassLamination,
     LaminationError,
     RoundGap,
-    _first_crossing,
     _regions,
     _residues,
+    _sweep,
     chords_cross,
     criticality_audit,
     gap_decomposition,
@@ -98,12 +98,12 @@ class CriticalChordSet:
         for c in self.chords:
             if not c.is_critical(d):
                 raise PullbackError(f"chord {c} is not critical in degree {d}")
-        hit = _first_crossing((c.a, c.b) for c in self.chords)
+        # each cut point starts one arc of a branch: count the labels of the cut points
+        hit, label = _sweep(((c.a, c.b) for c in self.chords), self.cut_points())
         if hit is not None:
             c1, c2 = Chord(*hit[0]), Chord(*hit[1])
             raise PullbackError(f"critical chords {c1} and {c2} cross")
-        branches = self.branches()
-        if len(branches) < len(set(self.chords)) + 1:
+        if len(set(label.values())) < len(set(self.chords)) + 1:
             raise PullbackError("critical chords close a loop")
         for c, prev in zip(self.chords[1:], self.chords):
             if c == prev:
@@ -278,15 +278,13 @@ def pullback_lamination(
         raise PullbackError("degree mismatch")
     if depth < 0:
         raise PullbackError(f"pullback depth must be >= 0, got {depth}")
+    # each level contains the one before it: pullback_step returns its input plus the lifts
     levels = [start.as_chordset()]
     for step in range(1, depth + 1):
         try:
             levels.append(pullback_step(levels[-1], crit))
         except LaminationError as exc:
             raise PullbackError(f"pullback step {step}: the lifts make crossing chords: {exc}") from exc
-    for prev, nxt in zip(levels, levels[1:]):
-        if not prev.chords <= nxt.chords:
-            raise PullbackError("pullback levels failed to nest")
     return ApproxSequence(start.degree, crit, start, levels)
 
 

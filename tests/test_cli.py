@@ -282,3 +282,10 @@ def test_repeated_critical_chord_is_classified(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: chord (0,1/3) does not split any region\n"
     assert captured.out == ""
+
+
+def test_unwritable_output_names_the_given_path(rabbit_file, tmp_path, capsys):
+    dot = tmp_path / "missing" / "x.dot"
+    assert main(["tree", rabbit_file, "--depth", "2", "--dot", str(dot)]) == 1
+    err = capsys.readouterr().err
+    assert str(dot) in err and ".lamkit-" not in err

@@ -26,7 +26,7 @@ from lamkit.core import (
     PolygonClass,
     RoundGap,
     _IntModel,
-    _first_crossing,
+    _sweep,
     chords_cross,
     covering_degree,
     criticality_audit,
@@ -407,7 +407,7 @@ def test_chordset_check_names_the_fraction_sweep_pair():
         for _ in range(rng.randrange(1, 7)):
             a, b = rng.sample(range(den), 2)
             chords.add(Chord(F(a, den), F(b, den)))
-        hit = _first_crossing((c.a, c.b) for c in chords)
+        hit = _sweep((c.a, c.b) for c in chords)[0]
         if hit is None:
             ChordSet(2, chords).check()
             continue
@@ -416,6 +416,30 @@ def test_chordset_check_names_the_fraction_sweep_pair():
         assert str(err.value) == f"chords {Chord(*hit[0])} and {Chord(*hit[1])} cross"
         named += 1
     assert named > 500
+
+
+def test_sweep_labels_match_brute_force():
+    # seeded non-crossing integer families, repeats allowed; a point's label
+    # is the innermost edge with a <= p < b: the largest a, then the smallest b
+    rng = random.Random(43)
+    at_ends = 0
+    for _ in range(3000):
+        n = rng.randrange(2, 20)
+        edges = []
+        for _ in range(rng.randrange(8)):
+            a, b = sorted(rng.sample(range(n), 2))
+            if not any(c < a < e < b or a < c < b < e for c, e in edges):
+                edges.append((a, b))
+        if edges and rng.random() < 0.3:
+            edges.append(rng.choice(edges))
+        hit, labels = _sweep(edges, range(n))
+        assert hit is None
+        for p in range(n):
+            around = [(a, b) for a, b in edges if a <= p < b]
+            want = max(around, key=lambda e: (e[0], -e[1])) if around else None
+            assert labels[p] == want
+            at_ends += any(p in e for e in edges)
+    assert at_ends > 1000
 
 
 def test_class_lamination_check_matches_pairwise_oracle():

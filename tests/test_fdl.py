@@ -9,9 +9,9 @@ from lamkit.core import (
     ClassLamination,
     LaminationError,
     PolygonClass,
-    _first_crossing,
     _hull_edges,
     _IntModel,
+    _sweep,
 )
 from lamkit.fdl import (
     FDL,
@@ -292,7 +292,7 @@ def _reference_children(fdl):
         options.append([p for p in placed if p is not None and p[0]])
     keys = set()
     for combo in product(*options):
-        if _first_crossing(e for _, edges in combo for e in edges) is not None:
+        if _sweep(e for _, edges in combo for e in edges)[0] is not None:
             continue
         new = {PolygonClass(tuple(map(model.angle, vs))) for blocks, _ in combo for vs in blocks}
         candidate = ClassLamination(d, lam.classes | new)

@@ -144,13 +144,20 @@ def test_write_atomic(tmp_path):
     assert path.read_text() == "hello\n"
     leftovers = [p for p in tmp_path.iterdir() if p.name != "out.txt"]
     assert not leftovers
-    # a new file gets the mode that open(path, "w") would give it
     old = os.umask(0o022)
     try:
+        # a new file gets the mode that open(path, "w") would give it
         for mask in (0o022, 0o077):
             os.umask(mask)
-            write_atomic(str(path), "again\n")
-            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~mask
+            fresh = tmp_path / f"new-{mask:03o}.txt"
+            write_atomic(str(fresh), "again\n")
+            assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~mask
+        # a rewrite keeps the mode of the file it replaces, as open(path, "w") does
+        os.chmod(path, 0o600)
+        os.umask(0o022)
+        write_atomic(str(path), "again\n")
+        assert path.read_text() == "again\n"
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
     finally:
         os.umask(old)
 

@@ -22,7 +22,7 @@ from lamkit.core import (
     ClassLamination,
     LaminationError,
     PolygonClass,
-    _first_crossing,
+    _sweep,
     chords_cross,
     covering_degree,
     gap_decomposition,
@@ -140,7 +140,7 @@ def _reference_create(d, chords):
     for c in chords:
         if not c.is_critical(d):
             return f"chord {c} is not critical in degree {d}"
-    hit = _first_crossing((c.a, c.b) for c in chords)
+    hit = _sweep((c.a, c.b) for c in chords)[0]
     if hit is not None:
         return f"critical chords {Chord(*hit[0])} and {Chord(*hit[1])} cross"
     if _has_loop(chords):
