@@ -13,12 +13,13 @@ endpoints (``_sweep``) decides non-crossing and gives points their
 innermost enclosing edge, which names their region, for portrait
 placement, and groups the arcs between them into regions (``_regions``)
 for round gaps and critical-chord branches.
-``_IntModel`` is the integer view of a set of classes (angles as residues
-mod a common denominator) that the round gaps, portrait placement,
-validation and keys share; its class depths come from the tail walk
-``circle._orbits``.  The criticality audit gives every gap its degree,
-once, for the excess-degree identity ``sum_i (d_i - 1) = d - 1`` and for
-critical-chord placement.
+``_IntModel`` is the integer view of a set of classes that the round gaps,
+portrait placement, validation and keys share.  It is built from vertex
+residue tuples mod a common modulus M: tree nodes carry theirs, and
+``_class_residues`` converts the classes of a lamination.  Its class depths
+come from the tail walk ``circle._orbits``.  The criticality audit gives
+every gap its degree, once, for the excess-degree identity
+``sum_i (d_i - 1) = d - 1`` and for critical-chord placement.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional, Sequence
 
 from .circle import (
     Angle,
@@ -190,24 +191,26 @@ def _hull_edges(vs: tuple) -> list[tuple]:
     return list(zip(vs, vs[1:])) + [(vs[0], vs[-1])]
 
 
+def _class_residues(polys: Collection[PolygonClass]) -> tuple[int, list[tuple[int, ...]]]:
+    """Vertex residues of each class, in order, mod ``M = lcm(denominators)``."""
+    M = lcm(*(v.denominator for c in polys for v in c.vertices))
+    return M, [tuple(v.numerator * (M // v.denominator) for v in c.vertices) for c in polys]
+
+
 class _IntModel:
     """Integer residues for polygon classes under sigma_d.
 
-    Angles become residues mod ``D = d * lcm(denominators)`` of the class
-    vertices and of ``extra``, so sigma is multiplication by d mod D, every
+    Built from sorted vertex residue tuples mod ``M``, scaled by d into
+    residues mod ``D = d * M``: sigma is multiplication by d mod D, every
     vertex preimage is itself a residue, and circular order is integer
-    order.  ``classes`` holds the residue tuples in sorted-class order,
-    ``poly`` maps them back, and ``edges`` lists their hull edges.
+    order.  ``classes`` holds the scaled tuples in sorted order, ``known``
+    the same as a set, and ``edges`` their hull edges.
     """
 
-    def __init__(self, d: int, polys: Iterable[PolygonClass], extra: Iterable[Angle] = ()):
-        polys = list(polys)
-        angles = [v for c in polys for v in c.vertices] + list(extra)
-        self.d = d
-        self.D = d * lcm(*(a.denominator for a in angles))
-        self.poly = {tuple(map(self.res, c.vertices)): c for c in polys}
-        # res is increasing, so integer order of the tuples is class order
-        self.classes = sorted(self.poly)
+    def __init__(self, d: int, M: int, classes: Iterable[tuple[int, ...]]):
+        self.d, self.D = d, d * M
+        self.classes = sorted(tuple(d * x for x in c) for c in classes)
+        self.known = set(self.classes)
         self.vertices = {v for c in self.classes for v in c}
         self.edges = [e for c in self.classes for e in _hull_edges(c)]
 
@@ -229,11 +232,11 @@ class _IntModel:
         they share the label."""
         return _sweep(self.edges, (p for p in points if p not in self.vertices))[1]
 
-    def res(self, a: Angle) -> int:
-        return a.numerator * (self.D // a.denominator)
-
     def angle(self, x: int) -> Angle:
         return Fraction(x, self.D)
+
+    def polygon(self, c: tuple[int, ...]) -> PolygonClass:
+        return PolygonClass(tuple(map(self.angle, c)))
 
     def sigma(self, x: int) -> int:
         return (x * self.d) % self.D
@@ -247,7 +250,7 @@ class _IntModel:
         image = {}
         for c in self.classes:
             img = tuple(sorted({self.sigma(v) for v in c}))
-            image[c] = img if img in self.poly else None
+            image[c] = img if img in self.known else None
         walks = _orbits(image.get, self.classes)
         return {c: None if w is None else w.preperiod for c, w in walks.items()}
 
@@ -296,10 +299,7 @@ class ClassLamination:
         return {e for c in self.classes for e in c.edges()}
 
     def all_vertices(self) -> set[Angle]:
-        out: set[Angle] = set()
-        for c in self.classes:
-            out.update(c.vertices)
-        return out
+        return {v for c in self.classes for v in c.vertices}
 
     def as_chordset(self) -> "ChordSet":
         return ChordSet(self.degree, frozenset(self.all_edges()))
@@ -371,17 +371,21 @@ def covering_degree(poly: PolygonClass, d: int) -> CoveringResult:
     """Classify the boundary map of a polygon under sigma, on the vertex
     residues mod the lcm of their denominators."""
     check_degree(d)
-    q, res = _residues(poly.vertices)
+    return _covering(*_residues(poly.vertices), d)
+
+
+def _covering(q: int, res: Sequence[int], d: int) -> CoveringResult:
+    """:func:`covering_degree` of sorted vertex residues ``res`` mod ``q``."""
     imgs = [d * x % q for x in res]
     distinct = set(imgs)
     if len(distinct) == 1:
-        return CoveringResult(COLLAPSES_TO_POINT, degree=len(poly))
+        return CoveringResult(COLLAPSES_TO_POINT, degree=len(res))
     if len(distinct) == 2:
-        if len(poly) == 2:
+        if len(res) == 2:
             return CoveringResult(COVERING, degree=1)
         # degree k needs 2k vertices alternating between the two fibers
-        if len(poly) % 2 == 0 and all(imgs[i] != imgs[i + 1] for i in range(len(imgs) - 1)):
-            return CoveringResult(COLLAPSES_TO_LEAF, degree=len(poly) // 2)
+        if len(res) % 2 == 0 and all(imgs[i] != imgs[i + 1] for i in range(len(imgs) - 1)):
+            return CoveringResult(COLLAPSES_TO_LEAF, degree=len(res) // 2)
         return CoveringResult(NOT_COVERING)
     if len(imgs) % len(distinct) != 0:
         return CoveringResult(NOT_COVERING)
@@ -461,14 +465,15 @@ def gap_decomposition(lam: ClassLamination) -> GapDecomposition:
         full = RoundGap(arcs=((Fraction(0), Fraction(0)),))
         return GapDecomposition(lam.degree, (), (full,))
 
-    model = _IntModel(lam.degree, lam.classes)
+    M, res = _class_residues(lam.classes)
+    model = _IntModel(lam.degree, M, res)
     verts = sorted(model.vertices)
     angle = {v: model.angle(v) for v in verts}
     round_gaps = tuple(
         RoundGap(tuple((angle[s], angle[e]) for s, e in arcs))
         for arcs in _regions(model.edges, verts)
     )
-    polys = tuple(model.poly[c] for c in model.classes)
+    polys = tuple(c for _, c in sorted(zip(res, lam.classes)))  # residues are distinct
     return GapDecomposition(lam.degree, polys, round_gaps)
 
 

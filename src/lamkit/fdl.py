@@ -10,7 +10,7 @@ Children of such a lamination add one more layer of preimages: a sibling
 portrait, placed in the whole disk, over the preimages of each deepest
 class.  They are built from portrait shapes on the parent's integer-residue
 model (``core._IntModel``); the parent being valid, every non-crossing
-choice of placements is a child, and keys come from residue tuples.
+choice of placements is a child, kept with its key as residue tuples.
 The pullback tree validates its root in full, then collects all its
 descendants level by level, deduplicated by canonical form.
 """
@@ -18,6 +18,7 @@ descendants level by level, deduplicated by canonical form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Optional
 
@@ -28,6 +29,7 @@ from .core import (
     ClassLamination,
     LaminationError,
     PolygonClass,
+    _class_residues,
     _hull_edges,
     _IntModel,
     _sweep,
@@ -42,7 +44,7 @@ class FdlError(ValueError):
 
 def canonical_form(lam: ClassLamination) -> str:
     """Stable text key: degree, then classes sorted by first vertex."""
-    return _IntModel(lam.degree, lam.classes).key()
+    return _IntModel(lam.degree, *_class_residues(lam.classes)).key()
 
 
 def classes_from_chords(degree: int, chords: Iterable[Chord]) -> list[PolygonClass]:
@@ -122,7 +124,7 @@ def validate_fdl(lam: ClassLamination) -> FdlReport:
         axioms[0] = AxiomResult(False, (str(exc),))
         return FdlReport(False, axioms, None)
 
-    model = _IntModel(d, lam.classes)
+    model = _IntModel(d, *_class_residues(lam.classes))
 
     # 1: finitely many leaves, and at least one class
     axioms[1] = AxiomResult(bool(lam.classes), () if lam.classes else ("empty lamination",))
@@ -144,7 +146,7 @@ def validate_fdl(lam: ClassLamination) -> FdlReport:
     axioms[3] = AxiomResult(not bad3, tuple(bad3))
 
     depth = model.depths()
-    periodic = tuple(model.poly[c] for c in model.classes if depth[c] == 0)
+    periodic = tuple(model.polygon(c) for c in model.classes if depth[c] == 0)
 
     # 6: every leaf is a hull edge of its class (structural in this
     # representation; raw chord imports go through classes_from_chords)
@@ -227,20 +229,23 @@ def _has_disjoint_collection(leaf, same_image, d: int) -> bool:
 
 
 class FDL:
-    """A validated finite dynamical lamination with its depth parameter; a tree
-    node builds its ``lamination`` on first use.  Equal when key and depth are."""
+    """A validated finite dynamical lamination with its depth parameter: its
+    classes once, as sorted vertex residue tuples mod ``modulus`` in key order.
+    A tree node builds its ``lamination`` on first use.  Equal when key and depth are."""
 
-    __slots__ = ("degree", "depth_n", "classes", "_key", "_lamination")
+    __slots__ = ("degree", "depth_n", "modulus", "residues", "_key", "_lamination")
 
     def __init__(self, lamination: ClassLamination, depth_n: int):
         self.degree, self.depth_n, self._lamination = lamination.degree, depth_n, lamination
-        self.classes, self._key = tuple(lamination.classes), canonical_form(lamination)
+        self.modulus, residues = _class_residues(lamination.classes)
+        self.residues = tuple(sorted(residues))
+        self._key = _IntModel(self.degree, self.modulus, self.residues).key()
 
     @classmethod
-    def _node(cls, degree: int, depth_n: int, classes: tuple, key: str) -> "FDL":
+    def _node(cls, degree: int, depth_n: int, modulus: int, residues: tuple, key: str) -> "FDL":
         node = object.__new__(cls)
-        node.degree, node.depth_n, node.classes, node._key = degree, depth_n, classes, key
-        node._lamination = None
+        node.degree, node.depth_n, node._key = degree, depth_n, key
+        node.modulus, node.residues, node._lamination = modulus, residues, None
         return node
 
     @classmethod
@@ -253,7 +258,10 @@ class FDL:
     @property
     def lamination(self) -> ClassLamination:
         if self._lamination is None:
-            self._lamination = ClassLamination(self.degree, frozenset(self.classes))
+            M = self.modulus  # sorted, distinct residues in [0, M): skip the class checks
+            vertices = (tuple(Fraction(x, M) for x in c) for c in self.residues)
+            classes = frozenset(map(PolygonClass._from_sorted, vertices))
+            self._lamination = ClassLamination(self.degree, classes)
             self._lamination._mark_checked()
         return self._lamination
 
@@ -279,8 +287,8 @@ def _deepest(model: _IntModel, n: int) -> list[tuple[int, ...]]:
 
 def deepest_classes(fdl: FDL) -> list[PolygonClass]:
     """Classes at depth ``fdl.depth_n``: the periodic ones when it is 0."""
-    model = _IntModel(fdl.degree, fdl.classes)
-    return [model.poly[c] for c in _deepest(model, fdl.depth_n)]
+    model = _IntModel(fdl.degree, fdl.modulus, fdl.residues)
+    return [model.polygon(c) for c in _deepest(model, fdl.depth_n)]
 
 
 def enumerate_children(fdl: FDL) -> list[FDL]:
@@ -300,7 +308,7 @@ def enumerate_children(fdl: FDL) -> list[FDL]:
     blocks among them (axiom 5).  Children come back canonically ordered.
     """
     d = fdl.degree
-    model = _IntModel(d, fdl.classes)
+    model = _IntModel(d, fdl.modulus, fdl.residues)
     targets = _deepest(model, fdl.depth_n)
     if not targets:
         raise FdlError(f"no class sits at the depth parameter {fdl.depth_n}")
@@ -315,8 +323,8 @@ def enumerate_children(fdl: FDL) -> list[FDL]:
             return []
 
     children: dict[str, FDL] = {}
-    text = {c: model.text(c) for c in model.classes}
-    made: dict[tuple[int, ...], PolygonClass] = {}  # new blocks, shared among siblings
+    # keys list classes in residue order; new blocks' texts are shared among siblings
+    text = dict(zip(model.classes, fdl.key().split("|")[1:]))
     for combo in product(*options):
         # each placement comes from a non-crossing shape and blocks for
         # distinct targets use disjoint fibers, so a crossing among the new
@@ -325,13 +333,12 @@ def enumerate_children(fdl: FDL) -> list[FDL]:
             continue
         new = [vs for blocks, _, _ in combo for vs in blocks]
         for vs in new:
-            if vs not in made:
-                made[vs] = PolygonClass._from_sorted(tuple(map(model.angle, vs)))
+            if vs not in text:
                 text[vs] = model.text(vs)
         # the child's own model would scale these residues by d: same order and fractions
-        key = "|".join([str(d)] + [text[c] for c in sorted(model.classes + new)])
-        classes = fdl.classes + tuple(made[vs] for vs in new)
-        children[key] = FDL._node(d, fdl.depth_n + 1, classes, key)
+        residues = tuple(sorted(model.classes + new))
+        key = "|".join([str(d)] + [text[c] for c in residues])
+        children[key] = FDL._node(d, fdl.depth_n + 1, model.D, residues, key)
     return [children[k] for k in sorted(children)]
 
 
@@ -384,10 +391,8 @@ def build_pullback_tree(root: FDL, depth: int) -> PullbackTree:
     for _ in range(depth):
         nxt: dict[str, FDL] = {}
         for node in tree.levels[-1]:
-            node_key = node.key()
             for child in enumerate_children(node):
-                key = child.key()
-                nxt[key] = child
-                tree.parent[key] = node_key
+                nxt[child.key()] = child
+                tree.parent[child.key()] = node.key()
         tree.levels.append([nxt[k] for k in sorted(nxt)])
     return tree

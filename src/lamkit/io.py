@@ -146,22 +146,22 @@ def dumps(doc: dict) -> str:
 
 def write_atomic(path: str, text: str):
     """Write via a temp file and rename, so readers never see partial output."""
-    directory = os.path.dirname(os.path.abspath(path))
+    real = os.path.realpath(path)  # write through a symbolic link, as open(path, "w") does
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lamkit-")
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(real), prefix=".lamkit-")
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None  # name the user's path
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         try:
-            mode = os.stat(path).st_mode & 0o7777  # open(path, "w") keeps the old mode
+            mode = os.stat(real).st_mode & 0o7777  # open(path, "w") keeps the old mode
         except FileNotFoundError:
             mask = os.umask(0)  # the only way to read the umask; restored at once
             os.umask(mask)
             mode = 0o666 & ~mask  # what open(path, "w") gives a new file
         os.chmod(tmp, mode)
-        os.replace(tmp, path)
+        os.replace(tmp, real)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

@@ -5,7 +5,8 @@ criticality the excess in its round gaps (from the audit); they sum to d - 1
 once every gap has a degree.  One relation on a tree level holds the pairs
 (a, b) where b traps more than a and a's classes refine b's; the graph draws
 the pairs one unit apart and keeps the relation as ``GenGraph.related``;
-the transitive closure of the edges must give it back.
+the transitive closure of the edges must give it back.  Both read tree
+nodes as stored: their residues and the vertex texts of their keys.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import covering_degree, criticality_audit
+from .core import _covering, criticality_audit
 from .fdl import FDL, PullbackTree
 
 
@@ -33,10 +34,10 @@ class CriticalityRecord:
 
 
 def _trapped(fdl: FDL) -> int:
-    """Sum over classes of (covering degree - 1)."""
-    degrees = [covering_degree(c, fdl.degree).degree for c in fdl.classes]
+    """Sum over classes of (covering degree - 1), on the node's residues."""
+    degrees = [_covering(fdl.modulus, c, fdl.degree).degree for c in fdl.residues]
     if None in degrees:
-        bad = min(c for c, k in zip(fdl.classes, degrees) if k is None)
+        bad = fdl.lamination.sorted_classes()[degrees.index(None)]  # residues sort alike
         raise ParamGraphError(f"class {bad} has no degree; criticality undefined")
     return sum(k - 1 for k in degrees)
 
@@ -55,24 +56,30 @@ def refines(a: FDL, b: FDL) -> bool:
     """True iff every class of ``a`` sits inside some class of ``b``."""
     if a.degree != b.degree:
         raise ParamGraphError("refinement compares laminations of equal degree")
-    return _inside(a, _class_index(b))
+    return _inside(_vertex_texts(a), _class_index(_vertex_texts(b)))
 
 
-def _class_index(fdl: FDL) -> dict:
-    return {v: i for i, c in enumerate(fdl.classes) for v in c.vertices}
+def _vertex_texts(fdl: FDL) -> list[list[str]]:
+    """Each class's vertices as key texts: one text per angle at any modulus."""
+    return [c.split(",") for c in fdl.key().split("|")[1:]]
 
 
-def _inside(a: FDL, index: dict) -> bool:
-    """Do all vertices of each class of ``a`` map to one class in ``index``?"""
-    homes = ({index.get(v) for v in c.vertices} for c in a.classes)
+def _class_index(classes: list[list[str]]) -> dict[str, int]:
+    return {v: i for i, c in enumerate(classes) for v in c}
+
+
+def _inside(classes: list[list[str]], index: dict[str, int]) -> bool:
+    """Do all vertices of each class map to one class in ``index``?"""
+    homes = ({index.get(v) for v in c} for c in classes)
     return all(len(h) == 1 and None not in h for h in homes)
 
 
 def _refinement(nodes: dict, trapped: dict) -> set[tuple[str, str]]:
     """Key pairs (a, b) where b traps more criticality than a and a refines b."""
-    index = {k: _class_index(f) for k, f in nodes.items()}
+    classes = {k: _vertex_texts(f) for k, f in nodes.items()}
+    index = {k: _class_index(c) for k, c in classes.items()}
     pairs = ((ka, kb) for ka in nodes for kb in nodes if trapped[kb] > trapped[ka])
-    return {(ka, kb) for ka, kb in pairs if _inside(nodes[ka], index[kb])}
+    return {(ka, kb) for ka, kb in pairs if _inside(classes[ka], index[kb])}
 
 
 @dataclass
@@ -104,14 +111,11 @@ def transitive_closure(vertices: list[str], edges: list[tuple[str, str]]) -> set
     closure = set()
     for start in vertices:
         stack = list(adj[start])
-        seen = set()
         while stack:
             v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            closure.add((start, v))
-            stack.extend(adj[v])
+            if (start, v) not in closure:
+                closure.add((start, v))
+                stack.extend(adj[v])
     return closure
 
 

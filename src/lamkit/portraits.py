@@ -26,7 +26,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from .circle import Angle, check_degree
-from .core import ClassLamination, PolygonClass, RoundGap, _hull_edges, _IntModel
+from .core import ClassLamination, PolygonClass, RoundGap, _class_residues, _hull_edges, _IntModel
 
 
 class PortraitError(ValueError):
@@ -255,15 +255,15 @@ def portrait_points(target: PolygonClass, d: int, region: Optional[RoundGap] = N
     vertex, and their labels must repeat 0..n-1 cyclically.
     """
     check_degree(d)
-    model = _IntModel(d, (), target.vertices)
-    pts = _portrait_residues(tuple(map(model.res, target.vertices)), model, region)
+    model = _IntModel(d, *_class_residues([target]))
+    pts = _portrait_residues(model.classes[0], model, region)
     return [model.angle(p) for p in pts]
 
 
 def _portrait_residues(
     target: tuple[int, ...], model: _IntModel, region: Optional[RoundGap]
 ) -> list[int]:
-    """:func:`portrait_points` on residues of a model whose D covers ``target``."""
+    """:func:`portrait_points` on residues mod ``model.D``, ``target`` included."""
     d, step = model.d, model.D // model.d
     pts = sorted(v // d + k * step for v in target for k in range(d))
     if region is not None:
@@ -297,7 +297,7 @@ def bind_shape(
     new, reused, new_edges = [], [], []
     for block in shape.blocks:
         vs = tuple(sorted(points[p] for p in block))
-        if vs in model.poly:
+        if vs in model.known:
             reused.append(vs)
             continue
         if any(v in model.vertices for v in vs):
@@ -322,8 +322,10 @@ def instantiate_portrait(
     overlap an existing class; a block that exactly reproduces an existing
     class is reported as reused rather than new.
     """
-    model = _IntModel(context.degree, context.classes, target.vertices)
-    points = _portrait_residues(tuple(map(model.res, target.vertices)), model, region)
+    d = context.degree
+    M, res = _class_residues([*context.classes, target])
+    model = _IntModel(d, M, res[:-1])
+    points = _portrait_residues(tuple(d * x for x in res[-1]), model, region)
     if len(points) != shape.i * shape.n:
         raise PortraitError(
             f"region supplies {len(points) // len(target)} preimages per vertex, "
@@ -335,5 +337,4 @@ def instantiate_portrait(
     if placed is None:
         return None
     new, reused, _ = placed
-    new_classes = (PolygonClass(tuple(map(model.angle, vs))) for vs in new)
-    return Placement(tuple(new_classes), tuple(model.poly[vs] for vs in reused))
+    return Placement(tuple(map(model.polygon, new)), tuple(map(model.polygon, reused)))

@@ -25,6 +25,8 @@ from lamkit.core import (
     LaminationError,
     PolygonClass,
     RoundGap,
+    _class_residues,
+    _covering,
     _IntModel,
     _sweep,
     chords_cross,
@@ -125,7 +127,7 @@ def _random_polygons(seed, count):
 
 def test_covering_degree_matches_fraction_oracle(basilica_tree, rabbit_tree, cubic_tree):
     nodes = [n for t in (basilica_tree, rabbit_tree, cubic_tree) for n in t.all_nodes()]
-    cases = [(n.degree, c) for n in nodes for c in n.classes]
+    cases = [(n.degree, c) for n in nodes for c in n.lamination.classes]
     cases += _random_polygons(13, 6000)
     kinds = set()
     for d, poly in cases:
@@ -133,6 +135,12 @@ def test_covering_degree_matches_fraction_oracle(basilica_tree, rabbit_tree, cub
         assert cov == _fraction_covering_degree(poly, d), (d, str(poly))
         kinds.add(cov.kind)
     assert kinds == {COVERING, COLLAPSES_TO_POINT, COLLAPSES_TO_LEAF, NOT_COVERING}
+    # the kernel on a node's residues, mod the node's modulus rather than
+    # the class's own lcm
+    for n in nodes:
+        for c in n.residues:
+            poly = PolygonClass(tuple(F(x, n.modulus) for x in c))
+            assert _covering(n.modulus, c, n.degree) == _fraction_covering_degree(poly, n.degree)
 
 
 def _arc_total(decomp):
@@ -526,11 +534,11 @@ def test_depths_match_brute_force(basilica_tree, rabbit_tree, cubic_tree):
     u = PolygonClass((F(9, 28), F(11, 28), F(15, 28)))
     w = PolygonClass((F(9, 56), F(11, 56), F(15, 56)))
     v = PolygonClass((F(37, 56), F(39, 56), F(43, 56)))
-    lams = [(n.degree, n.classes) for t in (basilica_tree, rabbit_tree, cubic_tree) for n in t.all_nodes()]
+    lams = [(n.degree, n.lamination.classes) for t in (basilica_tree, rabbit_tree, cubic_tree) for n in t.all_nodes()]
     lams += [(2, ClassLamination.create(2, cs).classes) for cs in ([hexagon], [RABBIT, u], [RABBIT, u, w, v])]
     values = set()
     for d, classes in lams:
-        model = _IntModel(d, classes)
+        model = _IntModel(d, *_class_residues(classes))
         depths = model.depths()
         assert depths == _brute_depths(model)
         values |= set(depths.values())

@@ -10,6 +10,7 @@ from lamkit.core import (
     LaminationError,
     PolygonClass,
     _hull_edges,
+    _class_residues,
     _IntModel,
     _sweep,
 )
@@ -267,7 +268,7 @@ def _reference_bind(shape, points, model):
     new, new_edges = [], []
     for block in shape.blocks:
         vs = tuple(sorted(points[p] for p in block))
-        if vs in model.poly:
+        if vs in model.known:
             continue
         if any(v in model.vertices for v in vs):
             return None
@@ -284,7 +285,7 @@ def _reference_children(fdl):
     validation and the Fraction key."""
     lam = fdl.lamination
     d = lam.degree
-    model = _IntModel(d, lam.classes)
+    model = _IntModel(d, *_class_residues(lam.classes))
     options = []
     for t in _deepest(model, fdl.depth_n):
         pts = _portrait_residues(t, model, None)
@@ -337,6 +338,18 @@ def test_each_child_has_one_parent(basilica_tree, rabbit_tree, cubic_tree):
 
 
 def test_tree_nodes_build_their_lamination_on_demand(basilica_tree, rabbit_tree, cubic_tree):
+    # nodes carry sorted residues mod root.modulus * d**n, in key order
+    for tree in (basilica_tree, rabbit_tree, cubic_tree):
+        root, d = tree.root, tree.degree
+        for level, nodes in enumerate(tree.levels):
+            for node in nodes:
+                assert node.modulus == root.modulus * d**level
+                assert list(node.residues) == sorted(node.residues)
+                model = _IntModel(d, node.modulus, node.residues)
+                assert [model.text(c) for c in model.classes] == node.key().split("|")[1:]
+                M = node.modulus
+                classes = {PolygonClass(tuple(F(x, M) for x in c)) for c in node.residues}
+                assert classes == node.lamination.classes
     for tree in (basilica_tree, rabbit_tree, cubic_tree):
         for kid in enumerate_children(tree.levels[-2][0]):
             assert kid._lamination is None and kid.degree == tree.degree

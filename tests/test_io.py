@@ -162,6 +162,18 @@ def test_write_atomic(tmp_path):
         os.umask(old)
 
 
+def test_write_atomic_writes_through_a_symbolic_link(tmp_path):
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_text("old\n")
+    os.chmod(target, 0o600)
+    link.symlink_to(target)
+    write_atomic(str(link), "new\n")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == "new\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
+
+
 def test_parse_bfile():
     bf = parse_bfile("# header\n0 1\n1 1\n\n2 3 # tail comment\n")
     assert bf.entries == ((0, 1), (1, 1), (2, 3))
