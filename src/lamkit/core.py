@@ -299,7 +299,10 @@ class ClassLamination:
         return {e for c in self.classes for e in c.edges()}
 
     def all_vertices(self) -> set[Angle]:
-        return {v for c in self.classes for v in c.vertices}
+        out: set[Angle] = set()
+        for c in self.classes:
+            out.update(c.vertices)
+        return out
 
     def as_chordset(self) -> "ChordSet":
         return ChordSet(self.degree, frozenset(self.all_edges()))

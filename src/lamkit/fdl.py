@@ -323,8 +323,7 @@ def enumerate_children(fdl: FDL) -> list[FDL]:
             return []
 
     children: dict[str, FDL] = {}
-    # keys list classes in residue order; new blocks' texts are shared among siblings
-    text = dict(zip(model.classes, fdl.key().split("|")[1:]))
+    text = {c: model.text(c) for c in model.classes}  # new blocks join, shared among siblings
     for combo in product(*options):
         # each placement comes from a non-crossing shape and blocks for
         # distinct targets use disjoint fibers, so a crossing among the new
@@ -391,8 +390,10 @@ def build_pullback_tree(root: FDL, depth: int) -> PullbackTree:
     for _ in range(depth):
         nxt: dict[str, FDL] = {}
         for node in tree.levels[-1]:
+            node_key = node.key()
             for child in enumerate_children(node):
-                nxt[child.key()] = child
-                tree.parent[child.key()] = node.key()
+                key = child.key()
+                nxt[key] = child
+                tree.parent[key] = node_key
         tree.levels.append([nxt[k] for k in sorted(nxt)])
     return tree

@@ -5,13 +5,14 @@ criticality the excess in its round gaps (from the audit); they sum to d - 1
 once every gap has a degree.  One relation on a tree level holds the pairs
 (a, b) where b traps more than a and a's classes refine b's; the graph draws
 the pairs one unit apart and keeps the relation as ``GenGraph.related``;
-the transitive closure of the edges must give it back.  Both read tree
-nodes as stored: their residues and the vertex texts of their keys.
+the transitive closure of the edges must give it back.  Both read the
+residues that tree nodes store, scaled to a common modulus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional
 
 from .core import _covering, criticality_audit
@@ -56,19 +57,20 @@ def refines(a: FDL, b: FDL) -> bool:
     """True iff every class of ``a`` sits inside some class of ``b``."""
     if a.degree != b.degree:
         raise ParamGraphError("refinement compares laminations of equal degree")
-    return _inside(_vertex_texts(a), _class_index(_vertex_texts(b)))
+    M = lcm(a.modulus, b.modulus)
+    return _inside(_scaled(a, M), _class_index(_scaled(b, M)))
 
 
-def _vertex_texts(fdl: FDL) -> list[list[str]]:
-    """Each class's vertices as key texts: one text per angle at any modulus."""
-    return [c.split(",") for c in fdl.key().split("|")[1:]]
+def _scaled(fdl: FDL, M: int) -> list[list[int]]:
+    """The node's classes as vertex residues mod ``M``, a multiple of its modulus."""
+    return [[x * (M // fdl.modulus) for x in c] for c in fdl.residues]
 
 
-def _class_index(classes: list[list[str]]) -> dict[str, int]:
+def _class_index(classes: list[list[int]]) -> dict[int, int]:
     return {v: i for i, c in enumerate(classes) for v in c}
 
 
-def _inside(classes: list[list[str]], index: dict[str, int]) -> bool:
+def _inside(classes: list[list[int]], index: dict[int, int]) -> bool:
     """Do all vertices of each class map to one class in ``index``?"""
     homes = ({index.get(v) for v in c} for c in classes)
     return all(len(h) == 1 and None not in h for h in homes)
@@ -76,7 +78,8 @@ def _inside(classes: list[list[str]], index: dict[str, int]) -> bool:
 
 def _refinement(nodes: dict, trapped: dict) -> set[tuple[str, str]]:
     """Key pairs (a, b) where b traps more criticality than a and a refines b."""
-    classes = {k: _vertex_texts(f) for k, f in nodes.items()}
+    M = lcm(*(f.modulus for f in nodes.values()))
+    classes = {k: _scaled(f, M) for k, f in nodes.items()}
     index = {k: _class_index(c) for k, c in classes.items()}
     pairs = ((ka, kb) for ka in nodes for kb in nodes if trapped[kb] > trapped[ka])
     return {(ka, kb) for ka, kb in pairs if _inside(classes[ka], index[kb])}
