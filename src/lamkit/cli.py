@@ -24,7 +24,6 @@ from .io import (
     DocumentError,
     export_dot_gengraph,
     export_dot_tree,
-    lamination_from_document,
     load_chordset,
     load_lamination,
     oeis_compare,
@@ -69,7 +68,7 @@ def _read(path: str) -> str:
 
 
 def cmd_validate(args) -> int:
-    lam = lamination_from_document(_read(args.file))
+    lam = load_lamination(_read(args.file))
     report = validate_fdl(lam)
     for num in sorted(report.axioms):
         res = report.axioms[num]

@@ -5,21 +5,22 @@ A finite lamination is stored either as disjoint polygon classes
 (:class:`ChordSet`, which tolerates shared endpoints and therefore wedges
 and unclean points).  The complement of a class lamination decomposes into
 polygon gaps (the hulls themselves) and round gaps (components carrying
-circle arcs); round gaps are the regions of the hull edges on integer residues.
-A polygon gets its covering degree from its vertex images as residues, and
-a round gap by exact preimage counting on residues, one point per interval
-between images of its basis endpoints.  One bracket sweep over the sorted
-endpoints (``_sweep``) decides non-crossing and gives points their
-innermost enclosing edge, which names their region, for portrait
-placement, and groups the arcs between them into regions (``_regions``)
-for round gaps and critical-chord branches.
-``_IntModel`` is the integer view of a set of classes that the round gaps,
+circle arcs).  One bracket sweep over the sorted endpoints (``_sweep``)
+decides non-crossing (the class and chord-set checks sweep integer
+residues) and gives points their innermost enclosing edge, which names
+their region, for portrait placement, and groups the arcs between them
+into regions (``_regions``) for round gaps and critical-chord branches.
+``_IntModel`` is the integer view of a set of classes that the gaps,
 portrait placement, validation and keys share.  It is built from vertex
 residue tuples mod a common modulus M: tree nodes carry theirs, and
 ``_class_residues`` converts the classes of a lamination.  Its class depths
-come from the tail walk ``circle._orbits``.  The criticality audit gives
-every gap its degree, once, for the excess-degree identity
-``sum_i (d_i - 1) = d - 1`` and for critical-chord placement.
+come from the tail walk ``circle._orbits``.  The criticality audit walks a
+lamination's model once and gives every gap its degree there: a polygon
+from its vertex images (``_covering``), a round gap, one region of the hull
+edges, by exact preimage counting at one point per interval between images
+of its basis endpoints (``_gap_degree``).  Its entries serve the
+excess-degree identity ``sum_i (d_i - 1) = d - 1``, the gap decomposition
+and critical-chord placement.
 """
 
 from __future__ import annotations
@@ -277,13 +278,15 @@ class ClassLamination:
         # immutable, so one successful check is enough for a lifetime
         if getattr(self, "_checked", False):
             return
-        owner: dict[Angle, PolygonClass] = {}
-        for p in self.sorted_classes():
-            for v in p.vertices:
+        # residues keep the order of the angles, so errors name the same classes
+        res = _class_residues(self.classes)[1]
+        owner: dict[int, PolygonClass] = {}
+        for r, p in sorted(zip(res, self.classes)):
+            for v in r:
                 if v in owner:
                     raise LaminationError(f"classes {owner[v]} and {p} share a vertex")
                 owner[v] = p
-        hit = _sweep(e for c in self.classes for e in _hull_edges(c.vertices))[0]
+        hit = _sweep(e for r in res for e in _hull_edges(r))[0]
         if hit is not None:
             p1, p2 = sorted(owner[a] for a, _ in hit)
             raise LaminationError(f"classes {p1} and {p2} cross")
@@ -454,30 +457,12 @@ class GapDecomposition:
 
 
 def gap_decomposition(lam: ClassLamination) -> GapDecomposition:
-    """Split the disk along the lamination's hulls.
-
-    Round gaps are the regions (:func:`_regions`) of the hull edges on the
-    residues of ``_IntModel``, with the vertices as points.  Every arc
-    between consecutive vertices lands in exactly one region, so the arcs
-    of all round gaps sum to 1.  A region's boundary meets its arcs in
-    circular order, so each region's arcs, read from its smallest start,
-    are already in boundary-walk order.
-    """
-    lam.check()
-    if not lam.classes:
-        full = RoundGap(arcs=((Fraction(0), Fraction(0)),))
-        return GapDecomposition(lam.degree, (), (full,))
-
-    M, res = _class_residues(lam.classes)
-    model = _IntModel(lam.degree, M, res)
-    verts = sorted(model.vertices)
-    angle = {v: model.angle(v) for v in verts}
-    round_gaps = tuple(
-        RoundGap(tuple((angle[s], angle[e]) for s, e in arcs))
-        for arcs in _regions(model.edges, verts)
-    )
-    polys = tuple(c for _, c in sorted(zip(res, lam.classes)))  # residues are distinct
-    return GapDecomposition(lam.degree, polys, round_gaps)
+    """Split the disk along the lamination's hulls: the polygon and round
+    gaps that :func:`criticality_audit` lists, in its order."""
+    entries = criticality_audit(lam).entries
+    polys = tuple(e.gap for e in entries if e.kind == GAP_POLYGON)
+    rounds = tuple(e.gap for e in entries if e.kind == GAP_ROUND)
+    return GapDecomposition(lam.degree, polys, rounds)
 
 
 def gap_degree(gap: RoundGap, d: int) -> DegreeStatus:
@@ -489,24 +474,30 @@ def gap_degree(gap: RoundGap, d: int) -> DegreeStatus:
     when every nonzero count is k and every basis arc maps injectively
     (length <= 1/d); a gap whose basis image is the whole circle (no count
     is 0) without meeting that bar is partly critical; anything else has
-    no degree.  Counting runs on residues mod ``M = 2 * d * L`` (L the lcm
-    of the endpoint denominators), where the images, the midpoints and
-    their d preimages are all integers.
+    no degree.  Counting runs on the endpoint residues (:func:`_gap_degree`).
     """
     check_degree(d)
     if gap.is_full_circle:
         return DegreeStatus(DEGREE_KNOWN, d)
+    L, ends = _residues([p for arc in gap.arcs for p in arc])
+    return _gap_degree(L, list(zip(ends[::2], ends[1::2])), d)
 
-    M, ends = _residues([p for arc in gap.arcs for p in arc], 2 * d)
-    arcs = [(s, (e - s) % M) for s, e in zip(ends[::2], ends[1::2])]
-    images = sorted({x * d % M for x in ends})
+
+def _gap_degree(L: int, arcs: Sequence[tuple[int, int]], d: int) -> DegreeStatus:
+    """:func:`gap_degree` of basis arcs ``(start, end)`` given as residues
+    mod ``L``.  Scaled to ``M = 2 * d * L``, the images, the midpoints and
+    their d preimages are all integers; any interior point of an interval
+    gives the same count, so any common modulus L gives the same status."""
+    M = 2 * d * L
+    spans = [(2 * d * s, 2 * d * ((e - s) % L)) for s, e in arcs]
+    images = sorted({2 * d * d * x % M for arc in arcs for x in arc})
     counts = set()
     for x, y in zip(images, images[1:] + images[:1]):
         mid = (x + ((y - x) % M or M) // 2) % M // d
         preimages = (mid + k * M // d for k in range(d))
-        counts.add(sum(any((q - s) % M <= span for s, span in arcs) for q in preimages))
+        counts.add(sum(any((q - s) % M <= span for s, span in spans) for q in preimages))
     nonzero = counts - {0}
-    if len(nonzero) == 1 and all(d * span <= M for _, span in arcs):
+    if len(nonzero) == 1 and all(d * span <= M for _, span in spans):
         return DegreeStatus(DEGREE_KNOWN, nonzero.pop())
     if 0 not in counts:
         return DegreeStatus(PARTLY_CRITICAL)
@@ -536,19 +527,34 @@ class CriticalityAudit:
 def criticality_audit(lam: ClassLamination) -> CriticalityAudit:
     """Audit the excess-degree identity sum_i (d_i - 1) = d - 1 over all gaps.
 
-    Polygon gaps get their degree from :func:`covering_degree` (with the
-    degenerate-image conventions), round gaps from :func:`gap_degree`.  Any
-    gap without a degree makes the audit inapplicable and is listed as an
-    offender.
+    The lamination's ``_IntModel`` is built once and every degree is decided
+    on its residues.  Polygon gaps, in vertex order, get their degree from
+    :func:`_covering` (with the degenerate-image conventions).  Round gaps
+    are the regions (:func:`_regions`) of the hull edges, with the vertices
+    as points, and get their degree from :func:`_gap_degree`.  Every arc
+    between consecutive vertices lands in exactly one region, so the arcs
+    of all round gaps sum to 1.  A region's boundary meets its arcs in
+    circular order, so each region's arcs, read from its smallest start,
+    are already in boundary-walk order.  Any gap without a degree makes the
+    audit inapplicable and is listed as an offender.
     """
+    lam.check()
     d = lam.degree
-    decomp = gap_decomposition(lam)
-    entries = []
-    for poly in decomp.polygon_gaps:
-        cov = covering_degree(poly, d)
-        status = DegreeStatus(DEGREE_KNOWN if cov.has_degree else DEGREE_UNDEFINED, cov.degree)
-        entries.append(GapAudit(poly, GAP_POLYGON, status))
-    entries += [GapAudit(gap, GAP_ROUND, gap_degree(gap, d)) for gap in decomp.round_gaps]
+    if not lam.classes:
+        full = RoundGap(arcs=((Fraction(0), Fraction(0)),))
+        entries = [GapAudit(full, GAP_ROUND, DegreeStatus(DEGREE_KNOWN, d))]
+    else:
+        M, res = _class_residues(lam.classes)
+        model = _IntModel(d, M, res)
+        entries = []
+        # scaling keeps order, so model.classes lines up with the sorted residues
+        for c, (_, poly) in zip(model.classes, sorted(zip(res, lam.classes))):
+            cov = _covering(model.D, c, d)
+            status = DegreeStatus(DEGREE_KNOWN if cov.has_degree else DEGREE_UNDEFINED, cov.degree)
+            entries.append(GapAudit(poly, GAP_POLYGON, status))
+        for arcs in _regions(model.edges, sorted(model.vertices)):
+            gap = RoundGap(tuple((model.angle(s), model.angle(e)) for s, e in arcs))
+            entries.append(GapAudit(gap, GAP_ROUND, _gap_degree(model.D, arcs, d)))
 
     offenders = tuple(e for e in entries if e.status.kind != DEGREE_KNOWN)
     if offenders:

@@ -3,8 +3,9 @@
 The interchange schema is a JSON object ``{"degree": d, "classes":
 [[angle literals]], ...}`` with optional ``name``/``level`` metadata;
 angle literals are ``p/q`` fractions or base-d itineraries (``_001``).
-Chord sets use ``"chords": [["a","b"], ...]`` instead of classes.  All
-emitters are byte-deterministic for identical inputs.
+Chord sets use ``"chords": [["a","b"], ...]`` instead of classes, and the
+lamination loader reassembles them into classes.  All emitters are
+byte-deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -58,26 +59,36 @@ def _object_degree(doc) -> int:
 
 
 def load_lamination(doc) -> ClassLamination:
-    """Parse a lamination document (dict or JSON text) into classes."""
+    """Parse a lamination document (dict or JSON text) into classes.
+
+    A chord document is reassembled into classes: chords are grouped by
+    shared endpoints and each group must be exactly the hull-edge set of
+    its vertices, which is the import-time face of the hull-edge axiom.
+    """
     doc = _parse(doc)
     d = _object_degree(doc)
-    raw = doc.get("classes")
-    if not isinstance(raw, list):
-        raise DocumentError("document lacks a 'classes' list")
-    classes = []
-    for ci, cls in enumerate(raw):
-        if not isinstance(cls, list) or len(cls) < 2:
-            raise DocumentError(f"classes[{ci}] must list >= 2 angle literals")
-        verts = []
-        for vi, lit in enumerate(cls):
-            try:
-                verts.append(parse_angle(lit, d))
-            except AngleError as exc:
-                raise DocumentError(f"classes[{ci}][{vi}]: {exc}") from exc
+    if "chords" in doc:
         try:
-            classes.append(PolygonClass(tuple(verts)))
-        except LaminationError as exc:
-            raise DocumentError(f"classes[{ci}]: {exc}") from exc
+            classes = classes_from_chords(d, load_chordset(doc).chords)
+        except FdlError as exc:
+            raise DocumentError(str(exc)) from exc
+    elif not isinstance(doc.get("classes"), list):
+        raise DocumentError("document lacks a 'classes' list")
+    else:
+        classes = []
+        for ci, cls in enumerate(doc["classes"]):
+            if not isinstance(cls, list) or len(cls) < 2:
+                raise DocumentError(f"classes[{ci}] must list >= 2 angle literals")
+            verts = []
+            for vi, lit in enumerate(cls):
+                try:
+                    verts.append(parse_angle(lit, d))
+                except AngleError as exc:
+                    raise DocumentError(f"classes[{ci}][{vi}]: {exc}") from exc
+            try:
+                classes.append(PolygonClass(tuple(verts)))
+            except LaminationError as exc:
+                raise DocumentError(f"classes[{ci}]: {exc}") from exc
     try:
         return ClassLamination.create(d, classes)
     except LaminationError as exc:
@@ -95,27 +106,6 @@ def save_lamination(lam: ClassLamination, level: Optional[int] = None) -> dict:
     if level is not None:
         doc["level"] = level
     return doc
-
-
-def lamination_from_document(doc) -> ClassLamination:
-    """Accept either schema; chord documents are reassembled into classes.
-
-    Reassembly groups chords by shared endpoints and demands that each
-    group is exactly the hull-edge set of its vertices, which is the
-    import-time face of the hull-edge axiom.
-    """
-    doc = _parse(doc)
-    if isinstance(doc, dict) and "chords" in doc:
-        cs = load_chordset(doc)
-        try:
-            classes = classes_from_chords(cs.degree, cs.chords)
-        except FdlError as exc:
-            raise DocumentError(str(exc)) from exc
-        try:
-            return ClassLamination.create(cs.degree, classes)
-        except LaminationError as exc:
-            raise DocumentError(str(exc)) from exc
-    return load_lamination(doc)
 
 
 def load_chordset(doc) -> ChordSet:
@@ -147,11 +137,9 @@ def dumps(doc: dict) -> str:
 def write_atomic(path: str, text: str):
     """Write via a temp file and rename, so readers never see partial output."""
     real = os.path.realpath(path)  # write through a symbolic link, as open(path, "w") does
+    tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(real), prefix=".lamkit-")
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from None  # name the user's path
-    try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         try:
@@ -162,9 +150,11 @@ def write_atomic(path: str, text: str):
             mode = 0o666 & ~mask  # what open(path, "w") gives a new file
         os.chmod(tmp, mode)
         os.replace(tmp, real)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None  # name the user's path
         raise
 
 

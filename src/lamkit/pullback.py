@@ -21,7 +21,8 @@ This module also exposes the exact lamination metric (Hausdorff over
 leaves plus all degenerate leaves, by a pruned nearest-leaf scan on
 integer residues), properness and cleanliness scans (on residues, with
 orbit periods from the tail walk ``circle._orbits``), and the finite-depth
-nested-critical-gap construction.
+nested-critical-gap construction, which tracks the audit's round gaps of
+degree >= 2.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .circle import (
 from .core import (
     DEGREE_KNOWN,
     GAP_POLYGON,
+    GAP_ROUND,
     Chord,
     ChordSet,
     ClassLamination,
@@ -54,8 +56,6 @@ from .core import (
     _sweep,
     chords_cross,
     criticality_audit,
-    gap_decomposition,
-    gap_degree,
 )
 from .fdl import FDL, enumerate_children
 
@@ -428,8 +428,10 @@ class NestingReport:
 
 def _critical_round_gaps(lam: ClassLamination) -> list[tuple[int, RoundGap]]:
     out = []
-    for gap in gap_decomposition(lam).round_gaps:
-        status = gap_degree(gap, lam.degree)
+    for entry in criticality_audit(lam).entries:
+        gap, status = entry.gap, entry.status
+        if entry.kind != GAP_ROUND:
+            continue
         if status.kind != DEGREE_KNOWN:
             raise PullbackError(f"{gap} has no degree")
         if status.degree >= 2:

@@ -58,6 +58,30 @@ def test_validate_rejects_non_hull_chords(tmp_path, capsys):
     assert "hull edges" in capsys.readouterr().err
 
 
+def test_tree_reads_chord_documents(tmp_path, rabbit_file, capsys):
+    p = tmp_path / "edges.json"
+    p.write_text(
+        '{"degree": 2, "chords": [["1/7", "2/7"], ["2/7", "4/7"], ["1/7", "4/7"]]}'
+    )
+    assert main(["tree", rabbit_file, "--depth", "4"]) == 0
+    want = capsys.readouterr().out
+    assert "level counts: [1, 1, 1, 1, 4]" in want
+    assert main(["tree", str(p), "--depth", "4"]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_tree_rejects_non_hull_chords(tmp_path, capsys):
+    p = tmp_path / "diag.json"
+    p.write_text(
+        '{"degree": 2, "chords": [["1/14", "1/7"], ["1/7", "2/7"], ["2/7", "4/7"],'
+        ' ["4/7", "9/14"], ["9/14", "11/14"], ["11/14", "1/14"], ["1/7", "4/7"]]}'
+    )
+    assert main(["tree", str(p), "--depth", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "hull edges" in captured.err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["tree"])  # missing required args

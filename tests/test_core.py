@@ -14,6 +14,8 @@ from lamkit.core import (
     COVERING,
     DEGREE_KNOWN,
     DEGREE_UNDEFINED,
+    GAP_POLYGON,
+    GAP_ROUND,
     NOT_COVERING,
     PARTLY_CRITICAL,
     Chord,
@@ -21,12 +23,14 @@ from lamkit.core import (
     ClassLamination,
     CoveringResult,
     DegreeStatus,
+    GapAudit,
     GapDecomposition,
     LaminationError,
     PolygonClass,
     RoundGap,
     _class_residues,
     _covering,
+    _hull_edges,
     _IntModel,
     _sweep,
     chords_cross,
@@ -262,6 +266,11 @@ def test_gap_degree_matches_dense_oracle(rabbit_tree, basilica_tree, cubic_root)
             status = gap_degree(gap, lam.degree)
             assert status == _dense_gap_degree(gap, lam.degree), (lam.classes, str(gap))
             kinds.add(status.kind)
+        # the audit counts on the lamination's residues, not on each gap's own
+        for entry in criticality_audit(lam).entries:
+            if entry.kind == GAP_ROUND:
+                want = _dense_gap_degree(entry.gap, lam.degree)
+                assert entry.status == want, (lam.classes, str(entry.gap))
     assert kinds == {DEGREE_KNOWN, PARTLY_CRITICAL, DEGREE_UNDEFINED}
 
 
@@ -339,6 +348,30 @@ def test_gap_decomposition_matches_fraction_walk(rabbit_root, rabbit_tree, basil
         assert decomp == _fraction_gap_decomposition(lam), sorted(lam.classes)
         multi_arc += any(len(g.arcs) > 1 for g in decomp.round_gaps)
     assert multi_arc > 100
+
+
+def test_criticality_audit_matches_fraction_composition(basilica_tree, rabbit_tree, cubic_tree):
+    # the reference gap walk, with each gap's degree from the Fraction and
+    # dense oracles; basilica stops at level 6, as in the dense test above
+    # (the dense oracle alone takes about a minute on level 8 on a 2-core machine)
+    lams = [n.lamination for t in (rabbit_tree, cubic_tree) for n in t.all_nodes()]
+    lams += [n.lamination for level in basilica_tree.levels[:7] for n in level]
+    lams += _random_laminations(11, 600)
+    kinds = set()
+    for lam in lams:
+        d = lam.degree
+        decomp = _fraction_gap_decomposition(lam)
+        want = []
+        for poly in decomp.polygon_gaps:
+            cov = _fraction_covering_degree(poly, d)
+            kind = DEGREE_KNOWN if cov.has_degree else DEGREE_UNDEFINED
+            want.append(GapAudit(poly, GAP_POLYGON, DegreeStatus(kind, cov.degree)))
+        want += [GapAudit(g, GAP_ROUND, _dense_gap_degree(g, d)) for g in decomp.round_gaps]
+        audit = criticality_audit(lam)
+        assert audit.entries == tuple(want), sorted(lam.classes)
+        assert audit.offenders == tuple(e for e in want if e.status.kind != DEGREE_KNOWN)
+        kinds |= {(e.kind, e.status.kind) for e in want}
+    assert len(kinds) == 5  # polygons with and without a degree, and every round status
 
 
 def test_criticality_audit():
@@ -448,6 +481,47 @@ def test_sweep_labels_match_brute_force():
             assert labels[p] == want
             at_ends += any(p in e for e in edges)
     assert at_ends > 1000
+
+
+def _fraction_class_check(lam):
+    """Reference class check on ``Fraction`` vertices: an owner map over
+    the sorted classes, then one sweep over every hull edge."""
+    owner = {}
+    for p in lam.sorted_classes():
+        for v in p.vertices:
+            if v in owner:
+                raise LaminationError(f"classes {owner[v]} and {p} share a vertex")
+            owner[v] = p
+    hit = _sweep(e for c in lam.classes for e in _hull_edges(c.vertices))[0]
+    if hit is not None:
+        p1, p2 = sorted(owner[a] for a, _ in hit)
+        raise LaminationError(f"classes {p1} and {p2} cross")
+
+
+def test_class_lamination_check_names_the_fraction_sweep_pair():
+    # the families of the pairwise test below, same seed and draws
+    rng = random.Random(37)
+    texts = []
+    tried = 0
+    while tried < 3000:
+        try:
+            classes = set(_random_classes(rng, 4))
+        except LaminationError:
+            continue
+        tried += 1
+        try:
+            _fraction_class_check(ClassLamination(2, classes))
+        except LaminationError as exc:
+            want = str(exc)
+        else:
+            ClassLamination(2, classes).check()
+            continue
+        with pytest.raises(LaminationError) as err:
+            ClassLamination(2, classes).check()
+        assert str(err.value) == want
+        texts.append(want)
+    assert any(t.endswith("share a vertex") for t in texts)
+    assert any(t.endswith("cross") for t in texts)
 
 
 def test_class_lamination_check_matches_pairwise_oracle():

@@ -174,6 +174,15 @@ def test_write_atomic_writes_through_a_symbolic_link(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
 
 
+def test_write_atomic_names_the_path_when_the_rename_fails(tmp_path):
+    target = tmp_path / "out"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError) as err:
+        write_atomic(str(target), "text\n")
+    assert err.value.filename == str(target)
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith(".lamkit-")]
+
+
 def test_parse_bfile():
     bf = parse_bfile("# header\n0 1\n1 1\n\n2 3 # tail comment\n")
     assert bf.entries == ((0, 1), (1, 1), (2, 3))

@@ -34,6 +34,7 @@ from lamkit.pullback import (
     PropernessReport,
     PullbackError,
     _chains,
+    _critical_round_gaps,
     _gap_inside,
     hyperbolic_approx,
     lamination_distance,
@@ -789,3 +790,34 @@ def test_gap_inside_matches_arc_containment(rabbit_tree, basilica_tree, cubic_tr
 def test_hyperbolic_approx_needs_critical_gap(rabbit_root):
     with pytest.raises(PullbackError):
         hyperbolic_approx(rabbit_root, 1)  # partly critical gap at the root
+
+
+def _reference_critical_round_gaps(lam):
+    """Reference list of (degree, gap) for the round gaps of degree >= 2,
+    from the gap decomposition and each gap's own degree."""
+    out = []
+    for gap in gap_decomposition(lam).round_gaps:
+        status = gap_degree(gap, lam.degree)
+        if status.kind != DEGREE_KNOWN:
+            raise PullbackError(f"{gap} has no degree")
+        if status.degree >= 2:
+            out.append((status.degree, gap))
+    return out
+
+
+def test_critical_round_gaps_match_reference(rabbit_root, rabbit_tree, basilica_tree, cubic_tree):
+    def outcome(find, lam):
+        try:
+            return find(lam)
+        except PullbackError as exc:
+            return str(exc)
+
+    lams = [rabbit_root.lamination]
+    for tree, top in ((rabbit_tree, 5), (basilica_tree, 6), (cubic_tree, 2)):
+        lams += [f.lamination for lv in tree.levels[: top + 1] for f in lv]
+    seen = set()
+    for lam in lams:
+        got = outcome(_critical_round_gaps, lam)
+        assert got == outcome(_reference_critical_round_gaps, lam), sorted(lam.classes)
+        seen.add("error" if isinstance(got, str) else len(got))
+    assert {"error", 0, 1} <= seen
