@@ -9,17 +9,23 @@ exactly the leaves within n-1 steps of the periodic part have preimages.
 Children of such a lamination add one more layer of preimages: a sibling
 portrait, placed in the whole disk, over the preimages of each deepest
 class.  They are built from portrait shapes on the parent's integer-residue
-model (``core._IntModel``); the parent being valid, every non-crossing
-choice of placements is a child, kept with its key as residue tuples.
-The pullback tree validates its root in full, then collects all its
-descendants level by level, deduplicated by canonical form.
+model (``core._IntModel``).  Each new block lies in one complementary
+region of the parent, so placements for distinct deepest classes can only
+cross through two new blocks in one region; these pairwise clashes decide
+which choices of one placement per class are non-crossing, and the parent
+being valid, each such choice is a child, kept with its key as residue
+tuples.  Its new blocks are its own deepest layer, which a node carries to
+the next level instead of walking its orbits again.  The pullback tree
+validates its root in full, then collects all its descendants level by
+level, deduplicated by canonical form.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from .circle import Angle
@@ -32,7 +38,6 @@ from .core import (
     _class_residues,
     _hull_edges,
     _IntModel,
-    _sweep,
     covering_degree,
 )
 from .portraits import _portrait_residues, bind_shape, enumerate_all_portraits
@@ -230,22 +235,29 @@ def _has_disjoint_collection(leaf, same_image, d: int) -> bool:
 
 class FDL:
     """A validated finite dynamical lamination with its depth parameter: its
-    classes once, as sorted vertex residue tuples mod ``modulus`` in key order.
+    classes once, as sorted vertex residue tuples mod ``modulus`` in key order,
+    and ``deepest``, those of its classes at depth ``depth_n``, sorted.
     A tree node builds its ``lamination`` on first use.  Equal when key and depth are."""
 
-    __slots__ = ("degree", "depth_n", "modulus", "residues", "_key", "_lamination")
+    __slots__ = ("degree", "depth_n", "modulus", "residues", "deepest", "_key", "_lamination")
 
     def __init__(self, lamination: ClassLamination, depth_n: int):
         self.degree, self.depth_n, self._lamination = lamination.degree, depth_n, lamination
         self.modulus, residues = _class_residues(lamination.classes)
         self.residues = tuple(sorted(residues))
-        self._key = _IntModel(self.degree, self.modulus, self.residues).key()
+        model = _IntModel(self.degree, self.modulus, self.residues)
+        self._key = model.key()
+        depth = model.depths()  # model.classes are self.residues scaled by d, in the same order
+        self.deepest = tuple(c for c, s in zip(self.residues, model.classes) if depth[s] == depth_n)
 
     @classmethod
-    def _node(cls, degree: int, depth_n: int, modulus: int, residues: tuple, key: str) -> "FDL":
+    def _node(
+        cls, degree: int, depth_n: int, modulus: int, residues: tuple, deepest: tuple, key: str
+    ) -> "FDL":
         node = object.__new__(cls)
         node.degree, node.depth_n, node._key = degree, depth_n, key
-        node.modulus, node.residues, node._lamination = modulus, residues, None
+        node.modulus, node.residues, node.deepest = modulus, residues, deepest
+        node._lamination = None
         return node
 
     @classmethod
@@ -280,38 +292,47 @@ class FDL:
     __repr__ = __str__
 
 
-def _deepest(model: _IntModel, n: int) -> list[tuple[int, ...]]:
-    depth = model.depths()
-    return [c for c in model.classes if depth[c] == n]
-
-
 def deepest_classes(fdl: FDL) -> list[PolygonClass]:
     """Classes at depth ``fdl.depth_n``: the periodic ones when it is 0."""
-    model = _IntModel(fdl.degree, fdl.modulus, fdl.residues)
-    return [model.polygon(c) for c in _deepest(model, fdl.depth_n)]
+    return [PolygonClass(tuple(Fraction(x, fdl.modulus) for x in c)) for c in fdl.deepest]
+
+
+def _blocks_cross(a: tuple, b: tuple) -> bool:
+    """Do disjoint sorted residue blocks cross?  Exactly when b's vertices
+    fall in more than one arc of a (indices 0 and len(a) name one arc)."""
+    return len({bisect(a, v) % len(a) for v in b}) > 1
 
 
 def enumerate_children(fdl: FDL) -> list[FDL]:
     """All laminations one pullback level deeper whose image is this one.
 
-    Per deepest class, disk-wide sibling portraits are bound to its vertex
-    preimages (reusing classes the portrait reproduces); every mutually
-    non-crossing choice of one placement per deepest class is a child, with
-    no further check.  ``fdl`` must be valid: then no class lies over a
-    deepest n-gon t but, at depth 0, t's periodic preimage, so every
-    placement keeps a new block.  The d*n points over t are labelled
-    0..n-1 cyclically by their images, and a portrait block steps its label
-    by +1 at each vertex.  So every new block maps onto t and every new edge
-    onto a hull edge of t (depth and axioms 2 and 3); one new block covers
-    every edge of t (axiom 4); and the placement partitions the whole fiber,
-    so over each edge of t lie d pairwise disjoint edges, reused periodic
-    blocks among them (axiom 5).  Children come back canonically ordered.
+    Per deepest class (``fdl.deepest`` scaled by d), disk-wide sibling
+    portraits are bound to its vertex preimages (reusing classes the
+    portrait reproduces); every mutually non-crossing choice of one
+    placement per deepest class is a child, with no further check.
+    ``fdl`` must be valid: then no class lies over a deepest n-gon t but,
+    at depth 0, t's periodic preimage, so every placement keeps a new
+    block.  The d*n points over t are labelled 0..n-1 cyclically by their
+    images, and a portrait block steps its label by +1 at each vertex.  So
+    every new block maps onto t and every new edge onto a hull edge of t
+    (depth and axioms 2 and 3); one new block covers every edge of t
+    (axiom 4); and the placement partitions the whole fiber, so over each
+    edge of t lie d pairwise disjoint edges, reused periodic blocks among
+    them (axiom 5).  The new blocks are thus the child's deepest layer.
+
+    Whether placements cross is decided pairwise, never per combination.
+    A new block lies in one complementary region of the model's edges,
+    and a placement comes from a non-crossing shape, so two placements
+    for distinct targets (on disjoint fibers) cross exactly when two of
+    their new blocks in one region do.  Such pairs are clashes, and the
+    choices are grown target by target, skipping any option that clashes
+    with one already chosen.  Children come back canonically ordered.
     """
     d = fdl.degree
-    model = _IntModel(d, fdl.modulus, fdl.residues)
-    targets = _deepest(model, fdl.depth_n)
-    if not targets:
+    if not fdl.deepest:
         raise FdlError(f"no class sits at the depth parameter {fdl.depth_n}")
+    model = _IntModel(d, fdl.modulus, fdl.residues)
+    targets = [tuple(d * x for x in c) for c in fdl.deepest]
     points = [_portrait_residues(t, model, None) for t in targets]
     labels = model.labels(p for pts in points for p in pts)
 
@@ -322,22 +343,37 @@ def enumerate_children(fdl: FDL) -> list[FDL]:
         if not options[-1]:
             return []
 
+    by_region: dict = {}
+    for k, opts in enumerate(options):
+        for a, (blocks, _, _) in enumerate(opts):
+            for vs in blocks:
+                by_region.setdefault(labels[vs[0]], []).append((k, a, vs))
+    clashes: dict = {}  # (l, b) -> the (k, a) with k < l whose placement crosses it
+    for blocks in by_region.values():
+        for (k, a, va), (l, b, vb) in combinations(blocks, 2):
+            if k != l and _blocks_cross(va, vb):
+                clashes.setdefault((l, b), set()).add((k, a))
+    choices: list[tuple] = [()]  # option index per target so far
+    for k, opts in enumerate(options):
+        choices = [
+            prior + (a,)
+            for prior in choices
+            for a in range(len(opts))
+            if all(prior[j] != c for j, c in clashes.get((k, a), ()))
+        ]
+
     children: dict[str, FDL] = {}
-    text = {c: model.text(c) for c in model.classes}  # new blocks join, shared among siblings
-    for combo in product(*options):
-        # each placement comes from a non-crossing shape and blocks for
-        # distinct targets use disjoint fibers, so a crossing among the new
-        # residue edges is one between placements
-        if _sweep(e for _, _, edges in combo for e in edges)[0] is not None:
-            continue
-        new = [vs for blocks, _, _ in combo for vs in blocks]
+    # the key lists the texts of model.classes in order; new blocks join, shared among siblings
+    text = dict(zip(model.classes, fdl.key().split("|")[1:]))
+    for choice in choices:
+        new = sorted(vs for k, a in enumerate(choice) for vs in options[k][a][0])
         for vs in new:
             if vs not in text:
                 text[vs] = model.text(vs)
         # the child's own model would scale these residues by d: same order and fractions
         residues = tuple(sorted(model.classes + new))
         key = "|".join([str(d)] + [text[c] for c in residues])
-        children[key] = FDL._node(d, fdl.depth_n + 1, model.D, residues, key)
+        children[key] = FDL._node(d, fdl.depth_n + 1, model.D, residues, tuple(new), key)
     return [children[k] for k in sorted(children)]
 
 

@@ -1,3 +1,5 @@
+import random
+from bisect import bisect
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -17,7 +19,7 @@ from lamkit.core import (
 from lamkit.fdl import (
     FDL,
     FdlError,
-    _deepest,
+    _blocks_cross,
     build_pullback_tree,
     canonical_form,
     classes_from_chords,
@@ -26,7 +28,7 @@ from lamkit.fdl import (
     root_fdl,
     validate_fdl,
 )
-from lamkit.portraits import _portrait_residues, enumerate_all_portraits
+from lamkit.portraits import _portrait_residues, bind_shape, enumerate_all_portraits
 
 RABBIT = PolygonClass((F(1, 7), F(2, 7), F(4, 7)))
 SIBLING = PolygonClass((F(1, 14), F(9, 14), F(11, 14)))
@@ -280,6 +282,12 @@ def _reference_bind(shape, points, model):
     return new, new_edges
 
 
+def _deepest(model, n):
+    # the classes of an _IntModel at depth n, by the model's own depth walk
+    depth = model.depths()
+    return [c for c in model.classes if depth[c] == n]
+
+
 def _reference_children(fdl):
     """Child keys by the edge-scan binder, Fraction child classes, a fresh
     validation and the Fraction key."""
@@ -312,6 +320,82 @@ def test_children_match_edge_scan_reference(basilica_tree, rabbit_tree, cubic_tr
                 assert got == _reference_children(node), node.key()
                 expanded += 1
     assert expanded == 86 + 8 + 3
+
+
+def _product_children(fdl):
+    """Child keys, in order, by the whole-combination enumerator: every
+    combination of one bound placement per deepest class, kept when one
+    sweep over all its new edges finds no crossing."""
+    d = fdl.degree
+    model = _IntModel(d, fdl.modulus, fdl.residues)
+    targets = _deepest(model, fdl.depth_n)
+    points = [_portrait_residues(t, model, None) for t in targets]
+    labels = model.labels(p for pts in points for p in pts)
+    options = []
+    for t, pts in zip(targets, points):
+        placed = (bind_shape(s, pts, model, labels) for s in enumerate_all_portraits(d, len(t)))
+        options.append([p for p in placed if p is not None])
+    keys = set()
+    for combo in product(*options):
+        if _sweep(e for _, _, edges in combo for e in edges)[0] is not None:
+            continue
+        new = [vs for blocks, _, _ in combo for vs in blocks]
+        keys.add("|".join([str(d)] + [model.text(c) for c in sorted(model.classes + new)]))
+    return sorted(keys)
+
+
+def test_children_match_the_product_enumerator(basilica_root, rabbit_root, cubic_tree):
+    # the clash graph against every combination swept whole, one level
+    # below each tree's deepest nodes
+    expanded = 0
+    for tree in (
+        build_pullback_tree(basilica_root, 9),
+        build_pullback_tree(rabbit_root, 8),
+        cubic_tree,
+    ):
+        for node in tree.all_nodes():
+            assert [k.key() for k in enumerate_children(node)] == _product_children(node), node.key()
+            expanded += 1
+    assert expanded == 342 + 111 + 19
+
+
+def _arc_case(a, b):
+    # where b's vertices fall among the arcs of a
+    arcs = {bisect(a, v) for v in b}
+    if len({i % len(a) for i in arcs}) > 1:
+        return "interleaved"
+    if arcs == {0, len(a)}:
+        return "wrap arc, both ends"
+    return "wrap arc, one end" if arcs <= {0, len(a)} else "nested"
+
+
+def test_block_clash_matches_the_sweep():
+    rng = random.Random(18)
+    cases = {}
+    for _ in range(5000):
+        na, nb = rng.randint(2, 5), rng.randint(2, 5)
+        points = rng.sample(range(rng.randint(na + nb, 16)), na + nb)
+        a, b = tuple(sorted(points[:na])), tuple(sorted(points[na:]))
+        crossing = _sweep(_hull_edges(a) + _hull_edges(b))[0] is not None
+        assert _blocks_cross(a, b) == _blocks_cross(b, a) == crossing, (a, b)
+        case = _arc_case(a, b)
+        assert (case == "interleaved") == crossing
+        cases[case] = cases.get(case, 0) + 1
+    assert set(cases) == {"interleaved", "wrap arc, both ends", "wrap arc, one end", "nested"}
+    assert min(cases.values()) >= 100, cases
+
+
+def test_nodes_carry_their_deepest_layer(basilica_tree, rabbit_tree, cubic_tree):
+    # tree nodes get it from their parent's new blocks, validated ones from
+    # the depth walk; either way it is the depth walk's answer
+    for tree in (basilica_tree, rabbit_tree, cubic_tree):
+        d = tree.degree
+        for node in tree.all_nodes():
+            for fdl in (node, FDL.validate(node.lamination)):
+                model = _IntModel(d, fdl.modulus, fdl.residues)
+                scaled = [tuple(d * x for x in c) for c in fdl.deepest]
+                assert scaled == _deepest(model, node.depth_n), node.key()
+    assert FDL(ClassLamination.create(2, [RABBIT]), 1).deepest == ()
 
 
 def test_residue_keys_match_fraction_keys(basilica_tree, rabbit_tree, cubic_tree):
