@@ -42,7 +42,10 @@ def check_degree(d: int) -> int:
 
 
 def mod1(a) -> Angle:
-    """Reduce a rational to the fundamental domain [0, 1)."""
+    """Reduce a rational to the fundamental domain [0, 1); a ``Fraction``
+    already there comes back unchanged."""
+    if type(a) is Fraction and 0 <= a.numerator < a.denominator:
+        return a
     return Fraction(a) % 1
 
 

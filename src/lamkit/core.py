@@ -17,8 +17,8 @@ residue tuples mod a common modulus M: tree nodes carry theirs, and
 come from the tail walk ``circle._orbits``.  The criticality audit walks a
 lamination's model once and gives every gap its degree there: a polygon
 from its vertex images (``_covering``), a round gap, one region of the hull
-edges, by exact preimage counting at one point per interval between images
-of its basis endpoints (``_gap_degree``).  Its entries serve the
+edges, by one coverage sweep over the images of its basis endpoints
+(``_gap_degree``).  Its entries serve the
 excess-degree identity ``sum_i (d_i - 1) = d - 1``, the gap decomposition
 and critical-chord placement.
 """
@@ -61,6 +61,14 @@ class Chord:
             a, b = b, a
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+
+    @classmethod
+    def _from_sorted(cls, a: Angle, b: Angle) -> "Chord":
+        # a < b, both in [0, 1): skip the checks
+        chord = object.__new__(cls)
+        object.__setattr__(chord, "a", a)
+        object.__setattr__(chord, "b", b)
+        return chord
 
     def is_critical(self, d: int) -> bool:
         return sigma(self.a, d) == sigma(self.b, d)
@@ -123,7 +131,7 @@ class PolygonClass:
         return len(self.vertices)
 
     def edges(self) -> tuple[Chord, ...]:
-        return tuple(Chord(a, b) for a, b in _hull_edges(self.vertices))
+        return tuple(Chord._from_sorted(a, b) for a, b in _hull_edges(self.vertices))
 
     def image_vertices(self, d: int) -> tuple[Angle, ...]:
         return tuple(sorted({sigma(v, d) for v in self.vertices}))
@@ -296,7 +304,8 @@ class ClassLamination:
         object.__setattr__(self, "_checked", True)
 
     def sorted_classes(self) -> list[PolygonClass]:
-        return sorted(self.classes, key=lambda c: c.vertices)
+        # residues keep the order of the angles, and distinct classes differ
+        return [c for _, c in sorted(zip(_class_residues(self.classes)[1], self.classes))]
 
     def all_edges(self) -> set[Chord]:
         return {e for c in self.classes for e in c.edges()}
@@ -469,8 +478,8 @@ def gap_degree(gap: RoundGap, d: int) -> DegreeStatus:
     """Degree of sigma on a round gap, by exact preimage counting.
 
     A point's number of preimages in the closed basis is constant on each
-    open interval between consecutive images of basis endpoints, so the
-    midpoint of every such interval gives every count.  A gap has degree k
+    open interval between consecutive images of basis endpoints, and one
+    coverage sweep over these images gives every count.  A gap has degree k
     when every nonzero count is k and every basis arc maps injectively
     (length <= 1/d); a gap whose basis image is the whole circle (no count
     is 0) without meeting that bar is partly critical; anything else has
@@ -485,19 +494,23 @@ def gap_degree(gap: RoundGap, d: int) -> DegreeStatus:
 
 def _gap_degree(L: int, arcs: Sequence[tuple[int, int]], d: int) -> DegreeStatus:
     """:func:`gap_degree` of basis arcs ``(start, end)`` given as residues
-    mod ``L``.  Scaled to ``M = 2 * d * L``, the images, the midpoints and
-    their d preimages are all integers; any interior point of an interval
-    gives the same count, so any common modulus L gives the same status."""
-    M = 2 * d * L
-    spans = [(2 * d * s, 2 * d * ((e - s) % L)) for s, e in arcs]
-    images = sorted({2 * d * d * x % M for arc in arcs for x in arc})
-    counts = set()
-    for x, y in zip(images, images[1:] + images[:1]):
-        mid = (x + ((y - x) % M or M) // 2) % M // d
-        preimages = (mid + k * M // d for k in range(d))
-        counts.add(sum(any((q - s) % M <= span for s, span in spans) for q in preimages))
+    mod ``L``.  The image of an arc of length l covers the circle
+    ``d * l // L`` times, and once more on the arc from the image of its
+    start to the image of its end (``a > b`` when that arc wraps past 0).
+    So the count is a constant plus one step up and one step down per arc,
+    and one sweep over the sorted images gives every count."""
+    count, step = 0, {}
+    for s, e in arcs:
+        a, b = d * s % L, d * e % L
+        count += d * ((e - s) % L) // L + (a > b)
+        step[a] = step.get(a, 0) + 1
+        step[b] = step.get(b, 0) - 1
+    counts = {count}
+    for x in sorted(step):
+        count += step[x]
+        counts.add(count)
     nonzero = counts - {0}
-    if len(nonzero) == 1 and all(d * span <= M for _, span in spans):
+    if len(nonzero) == 1 and all(d * ((e - s) % L) <= L for s, e in arcs):
         return DegreeStatus(DEGREE_KNOWN, nonzero.pop())
     if 0 not in counts:
         return DegreeStatus(PARTLY_CRITICAL)

@@ -345,7 +345,7 @@ def enumerate_children(fdl: FDL) -> list[FDL]:
 
     by_region: dict = {}
     for k, opts in enumerate(options):
-        for a, (blocks, _, _) in enumerate(opts):
+        for a, (blocks, _) in enumerate(opts):
             for vs in blocks:
                 by_region.setdefault(labels[vs[0]], []).append((k, a, vs))
     clashes: dict = {}  # (l, b) -> the (k, a) with k < l whose placement crosses it

@@ -26,7 +26,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from .circle import Angle, check_degree
-from .core import ClassLamination, PolygonClass, RoundGap, _class_residues, _hull_edges, _IntModel
+from .core import ClassLamination, PolygonClass, RoundGap, _class_residues, _IntModel
 
 
 class PortraitError(ValueError):
@@ -285,16 +285,15 @@ def _portrait_residues(
 
 def bind_shape(
     shape: PortraitShape, points: Sequence[int], model: _IntModel, labels: dict
-) -> Optional[tuple[list, list, list]]:
+) -> Optional[tuple[list, list]]:
     """Place a shape's blocks onto residue points against the model's classes.
 
     A block that exactly reproduces a model class is reused; one that
     otherwise touches a model vertex or spans two regions (``labels`` from
     ``model.labels``) makes the placement fail.  Returns ``(new residue
-    tuples, reused residue tuples, residue edges of the new blocks)``, or
-    None on conflict.
+    tuples, reused residue tuples)``, or None on conflict.
     """
-    new, reused, new_edges = [], [], []
+    new, reused = [], []
     for block in shape.blocks:
         vs = tuple(sorted(points[p] for p in block))
         if vs in model.known:
@@ -305,8 +304,7 @@ def bind_shape(
         if len({labels[v] for v in vs}) != 1:
             return None
         new.append(vs)
-        new_edges.extend(_hull_edges(vs))
-    return new, reused, new_edges
+    return new, reused
 
 
 def instantiate_portrait(
@@ -336,5 +334,5 @@ def instantiate_portrait(
     placed = bind_shape(shape, points, model, model.labels(points))
     if placed is None:
         return None
-    new, reused, _ = placed
+    new, reused = placed
     return Placement(tuple(map(model.polygon, new)), tuple(map(model.polygon, reused)))

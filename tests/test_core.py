@@ -7,7 +7,7 @@ from math import lcm
 import pytest
 
 from lamkit import build_pullback_tree
-from lamkit.circle import arc_len, preimages, sigma
+from lamkit.circle import arc_len, mod1, preimages, sigma
 from lamkit.core import (
     COLLAPSES_TO_LEAF,
     COLLAPSES_TO_POINT,
@@ -30,8 +30,10 @@ from lamkit.core import (
     RoundGap,
     _class_residues,
     _covering,
+    _gap_degree,
     _hull_edges,
     _IntModel,
+    _residues,
     _sweep,
     chords_cross,
     covering_degree,
@@ -292,6 +294,89 @@ def test_gap_degree_where_sampling_was_wrong():
         [["3/14", "9/14", "6/7"], ["2/7", "4/7"]],
         [("3/14", "2/7"), ("4/7", "9/14")],
     ) == DegreeStatus(DEGREE_UNDEFINED)
+
+
+def _preimage_scan_gap_degree(L, arcs, d):
+    """Reference round-gap degree on residue arcs mod L: preimage counts at
+    the midpoint of every interval between endpoint images.  Scaled to
+    ``M = 2 * d * L``, the images, the midpoints and their d preimages are
+    all integers."""
+    M = 2 * d * L
+    spans = [(2 * d * s, 2 * d * ((e - s) % L)) for s, e in arcs]
+    images = sorted({2 * d * d * x % M for arc in arcs for x in arc})
+    counts = set()
+    for x, y in zip(images, images[1:] + images[:1]):
+        mid = (x + ((y - x) % M or M) // 2) % M // d
+        preimages = (mid + k * M // d for k in range(d))
+        counts.add(sum(any((q - s) % M <= span for s, span in spans) for q in preimages))
+    nonzero = counts - {0}
+    if len(nonzero) == 1 and all(d * span <= M for _, span in spans):
+        return DegreeStatus(DEGREE_KNOWN, nonzero.pop())
+    if 0 not in counts:
+        return DegreeStatus(PARTLY_CRITICAL)
+    return DegreeStatus(DEGREE_UNDEFINED)
+
+
+def test_gap_degree_sweep_matches_preimage_scan():
+    # disjoint arcs between distinct residues; the pairing starts at a random
+    # point, so the last arc may wrap past 0
+    rng = random.Random(19)
+    kinds, wraps, long_arcs = set(), 0, 0
+    for _ in range(20000):
+        d, n = rng.randint(2, 5), rng.randint(1, 4)
+        L = rng.randint(2 * n, 60)
+        ends = sorted(rng.sample(range(L), 2 * n))
+        k = rng.randrange(2 * n)
+        ends = ends[k:] + ends[:k]
+        arcs = list(zip(ends[::2], ends[1::2]))
+        status = _gap_degree(L, arcs, d)
+        assert status == _preimage_scan_gap_degree(L, arcs, d), (L, arcs, d)
+        kinds.add(status.kind)
+        wraps += any(s > e for s, e in arcs)
+        long_arcs += any(d * ((e - s) % L) > L for s, e in arcs)
+    assert kinds == {DEGREE_KNOWN, PARTLY_CRITICAL, DEGREE_UNDEFINED}
+    assert wraps > 1000 and long_arcs > 1000
+
+
+def test_audit_round_gaps_match_preimage_scan(basilica_tree, rabbit_tree, cubic_tree):
+    kinds = set()
+
+    def check(lam):
+        for entry in criticality_audit(lam).entries:
+            if entry.kind != GAP_ROUND:
+                continue
+            L, ends = _residues([p for arc in entry.gap.arcs for p in arc])
+            arcs = list(zip(ends[::2], ends[1::2]))
+            want = _preimage_scan_gap_degree(L, arcs, lam.degree)
+            assert _gap_degree(L, arcs, lam.degree) == entry.status == want, (lam.classes, str(entry.gap))
+            kinds.add(want.kind)
+
+    # every fixture node, basilica-8 included
+    for tree in (basilica_tree, rabbit_tree, cubic_tree):
+        for node in tree.all_nodes():
+            check(node.lamination)
+    # no fixture gap lacks a degree outright; the random laminations have such gaps
+    assert kinds == {DEGREE_KNOWN, PARTLY_CRITICAL}
+    for lam in _random_laminations(11, 600):
+        check(lam)
+    assert kinds == {DEGREE_KNOWN, PARTLY_CRITICAL, DEGREE_UNDEFINED}
+
+
+def test_trusted_constructors_match_checking_ones(basilica_tree, rabbit_tree, cubic_tree):
+    lams = [n.lamination for t in (basilica_tree, rabbit_tree, cubic_tree) for n in t.all_nodes()]
+    lams += _random_laminations(11, 600)
+    for lam in lams:
+        assert lam.sorted_classes() == sorted(lam.classes, key=lambda c: c.vertices)
+        for c in lam.classes:
+            want = tuple(Chord(a, b) for a, b in _hull_edges(c.vertices))
+            got = c.edges()
+            assert got == want
+            assert [hash(e) for e in got] == [hash(e) for e in want]
+            assert [str(e) for e in got] == [str(e) for e in want]
+            for v in c.vertices:
+                assert mod1(v) is v
+    for x in (0, 3, -2, 1, -1, F(0), F(1, 7), F(6, 7), F(1), F(9, 7), F(-1, 7), F(-15, 4), 0.375, -2.75):
+        assert mod1(x) == F(x) % 1 and type(mod1(x)) is F, x
 
 
 def _fraction_gap_decomposition(lam):

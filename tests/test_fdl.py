@@ -337,9 +337,9 @@ def _product_children(fdl):
         options.append([p for p in placed if p is not None])
     keys = set()
     for combo in product(*options):
-        if _sweep(e for _, _, edges in combo for e in edges)[0] is not None:
+        new = [vs for blocks, _ in combo for vs in blocks]
+        if _sweep(e for vs in new for e in _hull_edges(vs))[0] is not None:
             continue
-        new = [vs for blocks, _, _ in combo for vs in blocks]
         keys.add("|".join([str(d)] + [model.text(c) for c in sorted(model.classes + new)]))
     return sorted(keys)
 
