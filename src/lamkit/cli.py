@@ -67,6 +67,13 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _root(path: str) -> FDL:
+    root = FDL.validate(load_lamination(_read(path)))
+    if root.depth_n != 0:
+        raise FdlError(f"root must be its own image (depth parameter 0, got {root.depth_n})")
+    return root
+
+
 def cmd_validate(args) -> int:
     lam = load_lamination(_read(args.file))
     report = validate_fdl(lam)
@@ -108,12 +115,7 @@ def cmd_children(args) -> int:
 
 
 def cmd_tree(args) -> int:
-    lam = load_lamination(_read(args.file))
-    root = FDL.validate(lam)
-    if root.depth_n != 0:
-        print(f"root must be its own image (depth parameter 0, got {root.depth_n})", file=sys.stderr)
-        return 1
-    tree = build_pullback_tree(root, args.depth)
+    tree = build_pullback_tree(_root(args.file), args.depth)
     counts = tree.level_counts()
     print(f"level counts: {counts}")
     if args.dot:
@@ -126,10 +128,8 @@ def cmd_tree(args) -> int:
 
 
 def cmd_gengraph(args) -> int:
-    lam = load_lamination(_read(args.file))
-    root = FDL.validate(lam)
     # a negative level gets generational_graph's own error
-    tree = build_pullback_tree(root, max(args.level, 0))
+    tree = build_pullback_tree(_root(args.file), max(args.level, 0))
     graph = generational_graph(tree, args.level)
     print(f"vertices: {len(graph.vertices)}, edges: {len(graph.edges)}")
     print(f"closure matches refinement: {closure_is_refinement(graph)}")

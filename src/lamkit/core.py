@@ -12,8 +12,8 @@ their region, for portrait placement, and groups the arcs between them
 into regions (``_regions``) for round gaps and critical-chord branches.
 ``_IntModel`` is the integer view of a set of classes that the gaps,
 portrait placement, validation and keys share.  It is built from vertex
-residue tuples mod a common modulus M: tree nodes carry theirs, and
-``_class_residues`` converts the classes of a lamination.  Its class depths
+residue tuples mod a common modulus M: a tree node's, or a lamination's
+residue view (``ClassLamination._view``), converted once.  Its class depths
 come from the tail walk ``circle._orbits``.  The criticality audit walks a
 lamination's model once and gives every gap its degree there: a polygon
 from its vertex images (``_covering``), a round gap, one region of the hull
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Collection, Iterable, Optional, Sequence
 
@@ -212,8 +213,8 @@ class _IntModel:
     Built from sorted vertex residue tuples mod ``M``, scaled by d into
     residues mod ``D = d * M``: sigma is multiplication by d mod D, every
     vertex preimage is itself a residue, and circular order is integer
-    order.  ``classes`` holds the scaled tuples in sorted order, ``known``
-    the same as a set, and ``edges`` their hull edges.
+    order.  ``classes`` holds the scaled tuples sorted (scaling keeps a
+    sorted order), ``known`` the same as a set, ``edges`` their hull edges.
     """
 
     def __init__(self, d: int, M: int, classes: Iterable[tuple[int, ...]]):
@@ -282,14 +283,30 @@ class ClassLamination:
         lam.check()
         return lam
 
+    @classmethod
+    def _from_residues(cls, degree: int, M: int, residues: Sequence[tuple]) -> "ClassLamination":
+        """A checked lamination from its valid, sorted vertex residue tuples mod ``M``."""
+        g = gcd(M, *(x for r in residues for x in r))  # the view is mod the lcm
+        M, residues = M // g, tuple(tuple(x // g for x in r) for r in residues)
+        polys = tuple(PolygonClass._from_sorted(tuple(Fraction(x, M) for x in r)) for r in residues)
+        lam = cls(degree, frozenset(polys))
+        lam.__dict__.update(_view=(M, residues, polys), _checked=True)
+        return lam
+
+    @cached_property
+    def _view(self) -> tuple:
+        """``(M, residues, classes)``: sorted vertex residue tuples mod the lcm M, classes alike."""
+        M, res = _class_residues(self.classes)
+        pairs = sorted(zip(res, self.classes))  # residues sort as the angles; classes differ
+        return M, tuple(r for r, _ in pairs), tuple(c for _, c in pairs)
+
     def check(self):
         # immutable, so one successful check is enough for a lifetime
         if getattr(self, "_checked", False):
             return
-        # residues keep the order of the angles, so errors name the same classes
-        res = _class_residues(self.classes)[1]
+        _, res, classes = self._view
         owner: dict[int, PolygonClass] = {}
-        for r, p in sorted(zip(res, self.classes)):
+        for r, p in zip(res, classes):
             for v in r:
                 if v in owner:
                     raise LaminationError(f"classes {owner[v]} and {p} share a vertex")
@@ -298,14 +315,10 @@ class ClassLamination:
         if hit is not None:
             p1, p2 = sorted(owner[a] for a, _ in hit)
             raise LaminationError(f"classes {p1} and {p2} cross")
-        self._mark_checked()
-
-    def _mark_checked(self):
         object.__setattr__(self, "_checked", True)
 
     def sorted_classes(self) -> list[PolygonClass]:
-        # residues keep the order of the angles, and distinct classes differ
-        return [c for _, c in sorted(zip(_class_residues(self.classes)[1], self.classes))]
+        return list(self._view[2])
 
     def all_edges(self) -> set[Chord]:
         return {e for c in self.classes for e in c.edges()}
@@ -557,11 +570,9 @@ def criticality_audit(lam: ClassLamination) -> CriticalityAudit:
         full = RoundGap(arcs=((Fraction(0), Fraction(0)),))
         entries = [GapAudit(full, GAP_ROUND, DegreeStatus(DEGREE_KNOWN, d))]
     else:
-        M, res = _class_residues(lam.classes)
-        model = _IntModel(d, M, res)
+        model = _IntModel(d, *lam._view[:2])
         entries = []
-        # scaling keeps order, so model.classes lines up with the sorted residues
-        for c, (_, poly) in zip(model.classes, sorted(zip(res, lam.classes))):
+        for c, poly in zip(model.classes, lam._view[2]):
             cov = _covering(model.D, c, d)
             status = DegreeStatus(DEGREE_KNOWN if cov.has_degree else DEGREE_UNDEFINED, cov.degree)
             entries.append(GapAudit(poly, GAP_POLYGON, status))

@@ -14,17 +14,17 @@ region of the parent, so placements for distinct deepest classes can only
 cross through two new blocks in one region; these pairwise clashes decide
 which choices of one placement per class are non-crossing, and the parent
 being valid, each such choice is a child, kept with its key as residue
-tuples.  Its new blocks are its own deepest layer, which a node carries to
-the next level instead of walking its orbits again.  The pullback tree
-validates its root in full, then collects all its descendants level by
-level, deduplicated by canonical form.
+tuples, the residue view of its lamination when that is built.  Its new
+blocks are its own deepest layer, which a node carries to the next level
+instead of walking its orbits again.  The pullback tree validates its root
+in full, then collects all its descendants level by level, deduplicated by
+canonical form.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
@@ -35,10 +35,9 @@ from .core import (
     ClassLamination,
     LaminationError,
     PolygonClass,
-    _class_residues,
+    _covering,
     _hull_edges,
     _IntModel,
-    covering_degree,
 )
 from .portraits import _portrait_residues, bind_shape, enumerate_all_portraits
 
@@ -49,7 +48,7 @@ class FdlError(ValueError):
 
 def canonical_form(lam: ClassLamination) -> str:
     """Stable text key: degree, then classes sorted by first vertex."""
-    return _IntModel(lam.degree, *_class_residues(lam.classes)).key()
+    return _IntModel(lam.degree, *lam._view[:2]).key()
 
 
 def classes_from_chords(degree: int, chords: Iterable[Chord]) -> list[PolygonClass]:
@@ -129,7 +128,7 @@ def validate_fdl(lam: ClassLamination) -> FdlReport:
         axioms[0] = AxiomResult(False, (str(exc),))
         return FdlReport(False, axioms, None)
 
-    model = _IntModel(d, *_class_residues(lam.classes))
+    model = _IntModel(d, *lam._view[:2])
 
     # 1: finitely many leaves, and at least one class
     axioms[1] = AxiomResult(bool(lam.classes), () if lam.classes else ("empty lamination",))
@@ -151,18 +150,17 @@ def validate_fdl(lam: ClassLamination) -> FdlReport:
     axioms[3] = AxiomResult(not bad3, tuple(bad3))
 
     depth = model.depths()
-    periodic = tuple(model.polygon(c) for c in model.classes if depth[c] == 0)
+    periodic = tuple(p for c, p in zip(model.classes, lam._view[2]) if depth[c] == 0)
 
     # 6: every leaf is a hull edge of its class (structural in this
     # representation; raw chord imports go through classes_from_chords)
     axioms[6] = AxiomResult(True)
 
     # 7: periodic classes cover with positive orientation
-    bad7 = []
-    for poly in periodic:
-        kind = covering_degree(poly, d).kind
-        if kind != COVERING:
-            bad7.append(f"periodic class {poly} has boundary map {kind}")
+    kinds = (_covering(model.D, c, d).kind for c in model.classes if depth[c] == 0)
+    bad7 = [
+        f"periodic class {p} has boundary map {k}" for p, k in zip(periodic, kinds) if k != COVERING
+    ]
     axioms[7] = AxiomResult(not bad7, tuple(bad7))
 
     if any(v is None for v in depth.values()) or not axioms[3].passed:
@@ -243,8 +241,7 @@ class FDL:
 
     def __init__(self, lamination: ClassLamination, depth_n: int):
         self.degree, self.depth_n, self._lamination = lamination.degree, depth_n, lamination
-        self.modulus, residues = _class_residues(lamination.classes)
-        self.residues = tuple(sorted(residues))
+        self.modulus, self.residues, _ = lamination._view
         model = _IntModel(self.degree, self.modulus, self.residues)
         self._key = model.key()
         depth = model.depths()  # model.classes are self.residues scaled by d, in the same order
@@ -270,11 +267,8 @@ class FDL:
     @property
     def lamination(self) -> ClassLamination:
         if self._lamination is None:
-            M = self.modulus  # sorted, distinct residues in [0, M): skip the class checks
-            vertices = (tuple(Fraction(x, M) for x in c) for c in self.residues)
-            classes = frozenset(map(PolygonClass._from_sorted, vertices))
-            self._lamination = ClassLamination(self.degree, classes)
-            self._lamination._mark_checked()
+            lam = ClassLamination._from_residues(self.degree, self.modulus, self.residues)
+            self._lamination = lam
         return self._lamination
 
     def key(self) -> str:
@@ -294,7 +288,8 @@ class FDL:
 
 def deepest_classes(fdl: FDL) -> list[PolygonClass]:
     """Classes at depth ``fdl.depth_n``: the periodic ones when it is 0."""
-    return [PolygonClass(tuple(Fraction(x, fdl.modulus) for x in c)) for c in fdl.deepest]
+    deepest = set(fdl.deepest)  # sorted like fdl.residues, which the classes follow
+    return [p for r, p in zip(fdl.residues, fdl.lamination.sorted_classes()) if r in deepest]
 
 
 def _blocks_cross(a: tuple, b: tuple) -> bool:

@@ -90,9 +90,13 @@ def load_lamination(doc) -> ClassLamination:
             except LaminationError as exc:
                 raise DocumentError(f"classes[{ci}]: {exc}") from exc
     try:
-        return ClassLamination.create(d, classes)
+        lam = ClassLamination.create(d, classes)
     except LaminationError as exc:
         raise DocumentError(str(exc)) from exc
+    if len(lam.classes) != len(classes):  # the class set merged a class listed twice
+        i, j = next((i, j) for j, c in enumerate(classes) for i in range(j) if classes[i] == c)
+        raise DocumentError(f"classes[{i}] and classes[{j}] list the same class {classes[i]}")
+    return lam
 
 
 def save_lamination(lam: ClassLamination, level: Optional[int] = None) -> dict:

@@ -313,3 +313,20 @@ def test_unwritable_output_names_the_given_path(rabbit_file, tmp_path, capsys):
     assert main(["tree", rabbit_file, "--depth", "2", "--dot", str(dot)]) == 1
     err = capsys.readouterr().err
     assert str(dot) in err and ".lamkit-" not in err
+
+
+@pytest.mark.parametrize("command", [["tree", "--depth", "1"], ["gengraph", "--level", "2"]])
+def test_tree_commands_need_a_root_that_is_its_own_image(level1_file, capsys, command):
+    assert main([command[0], level1_file, *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: root must be its own image (depth parameter 0, got 1)\n"
+    assert captured.out == ""
+
+
+def test_a_class_listed_twice_is_classified(tmp_path, capsys):
+    p = tmp_path / "twice.json"
+    p.write_text('{"degree": 2, "classes": [["1/3","2/3"],["2/3","1/3"]]}')
+    assert main(["validate", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: classes[0] and classes[1] list the same class {1/3,2/3}\n"
+    assert captured.out == ""

@@ -1,4 +1,5 @@
 import random
+import sys
 from bisect import bisect
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -15,6 +16,7 @@ from lamkit.core import (
     _class_residues,
     _IntModel,
     _sweep,
+    criticality_audit,
 )
 from lamkit.fdl import (
     FDL,
@@ -28,7 +30,9 @@ from lamkit.fdl import (
     root_fdl,
     validate_fdl,
 )
+from lamkit.io import dumps, load_lamination, save_lamination
 from lamkit.portraits import _portrait_residues, bind_shape, enumerate_all_portraits
+from lamkit.pullback import hyperbolic_approx
 
 RABBIT = PolygonClass((F(1, 7), F(2, 7), F(4, 7)))
 SIBLING = PolygonClass((F(1, 14), F(9, 14), F(11, 14)))
@@ -447,3 +451,64 @@ def test_tree_nodes_build_their_lamination_on_demand(basilica_tree, rabbit_tree,
                 int(degree), [PolygonClass(tuple(map(F, p.split(",")))) for p in parts]
             )
             assert lam.classes == rebuilt.classes
+
+
+@pytest.fixture()
+def residue_conversions(monkeypatch):
+    """Counts calls of ``core._class_residues``, through every binding of it."""
+    calls = []
+
+    def counted(polys):
+        calls.append(len(polys))
+        return _class_residues(polys)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lamkit") and getattr(module, "_class_residues", 0) is _class_residues:
+            monkeypatch.setattr(module, "_class_residues", counted)
+    return calls
+
+
+def test_a_loaded_lamination_converts_to_residues_once(basilica_tree, residue_conversions):
+    docs = [dumps(save_lamination(n.lamination)) for n in basilica_tree.levels[6]]
+    residue_conversions.clear()
+    for doc in docs:
+        lam = load_lamination(doc)
+        lam.check()
+        assert validate_fdl(lam).valid and criticality_audit(lam).passed
+        assert dumps(save_lamination(lam)) == doc
+        canonical_form(lam)
+    assert len(residue_conversions) == len(docs) == 21
+
+
+def test_tree_nodes_never_convert_back_to_residues(basilica_root, residue_conversions):
+    tree = build_pullback_tree(basilica_root, 5)  # fresh nodes, no lamination built yet
+    residue_conversions.clear()
+    for node in list(tree.all_nodes())[1:]:
+        lam = node.lamination
+        assert validate_fdl(lam).depth_n == node.depth_n
+        criticality_audit(lam)
+        lam.sorted_classes()
+    hyperbolic_approx(build_pullback_tree(basilica_root, 1).levels[1][0], 4)
+    assert residue_conversions == []
+
+
+def test_trusted_laminations_match_checked_ones(basilica_tree, rabbit_tree, cubic_tree):
+    # each node's twin keeps the same classes mod three times its modulus,
+    # which is no lcm of denominators
+    def tripled(classes):
+        return tuple(tuple(3 * x for x in c) for c in classes)
+
+    for tree, depth in ((basilica_tree, 6), (rabbit_tree, 5), (cubic_tree, 2)):
+        for node in (n for lv in tree.levels[: depth + 1] for n in lv):
+            M, d, n = node.modulus, node.degree, node.depth_n
+            twin = FDL._node(d, n, 3 * M, tripled(node.residues), tripled(node.deepest), node.key())
+            for a in (node.lamination, twin.lamination):
+                b = ClassLamination.create(d, a.classes)
+                assert a.sorted_classes() == b.sorted_classes()
+                assert canonical_form(a) == canonical_form(b) == node.key()
+                assert validate_fdl(a) == validate_fdl(b)
+                assert criticality_audit(a) == criticality_audit(b)
+                fa, fb = FDL(a, n), FDL(b, n)
+                assert (fa.modulus, fa.residues, fa.deepest, fa.key()) == (
+                    fb.modulus, fb.residues, fb.deepest, fb.key()
+                )

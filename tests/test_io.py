@@ -201,3 +201,19 @@ def test_oeis_compare():
     assert bad["verdict"] == "mismatch at index 2"
     longer = oeis_compare([1, 1, 1], parse_bfile("0 1\n"))
     assert longer["compared"] == 1
+
+
+def test_load_rejects_a_class_listed_twice():
+    doc = '{"degree": 2, "classes": [["1/3","2/3"],["2/3","1/3"]]}'
+    with pytest.raises(DocumentError) as exc:
+        load_lamination(doc)
+    assert str(exc.value) == "classes[0] and classes[1] list the same class {1/3,2/3}"
+    doc = (
+        '{"degree": 2, "classes": '
+        '[["1/7","2/7","4/7"], ["1/14","9/14","11/14"], ["_010","_100","_001"]]}'
+    )
+    with pytest.raises(DocumentError, match=r"^classes\[0\] and classes\[2\] "):
+        load_lamination(doc)
+    # a chord set is a set of leaves: a chord listed twice is one leaf
+    chords = '{"degree": 2, "chords": [["1/3","2/3"],["2/3","1/3"]]}'
+    assert canonical_form(load_lamination(chords)) == "2|1/3,2/3"
