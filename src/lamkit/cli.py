@@ -17,6 +17,7 @@ from .fdl import (
     FdlError,
     build_pullback_tree,
     canonical_form,
+    check_root,
     enumerate_children,
     validate_fdl,
 )
@@ -68,10 +69,7 @@ def _read(path: str) -> str:
 
 
 def _root(path: str) -> FDL:
-    root = FDL.validate(load_lamination(_read(path)))
-    if root.depth_n != 0:
-        raise FdlError(f"root must be its own image (depth parameter 0, got {root.depth_n})")
-    return root
+    return check_root(FDL.validate(load_lamination(_read(path))))
 
 
 def cmd_validate(args) -> int:

@@ -8,17 +8,18 @@ exactly the leaves within n-1 steps of the periodic part have preimages.
 
 Children of such a lamination add one more layer of preimages: a sibling
 portrait, placed in the whole disk, over the preimages of each deepest
-class.  They are built from portrait shapes on the parent's integer-residue
+class (already in circular order, lift by lift), on the parent's residue
 model (``core._IntModel``).  Each new block lies in one complementary
-region of the parent, so placements for distinct deepest classes can only
-cross through two new blocks in one region; these pairwise clashes decide
-which choices of one placement per class are non-crossing, and the parent
-being valid, each such choice is a child, kept with its key as residue
-tuples, the residue view of its lamination when that is built.  Its new
-blocks are its own deepest layer, which a node carries to the next level
-instead of walking its orbits again.  The pullback tree validates its root
-in full, then collects all its descendants level by level, deduplicated by
-canonical form.
+region, so a placement is exactly a product of region-local shapes and
+reused classes: a target whose regions each hold n of its points is
+forced, with one placement and no portrait, and a region holding k*n
+points takes its ``count_all(k, n)`` portraits.  Placements cross only
+through two new blocks in one region; these pairwise clashes decide which
+choices over the free targets are non-crossing, and the parent being
+valid, each is a child, kept with its key as residue tuples.  Its new
+blocks are its own deepest layer, carried to the next level.  The pullback
+tree validates its root in full, then collects all its descendants level
+by level, deduplicated by canonical form.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .core import (
     _hull_edges,
     _IntModel,
 )
-from .portraits import _portrait_residues, bind_shape, enumerate_all_portraits
+from .portraits import bind_shape, enumerate_all_portraits
 
 
 class FdlError(ValueError):
@@ -298,13 +299,41 @@ def _blocks_cross(a: tuple, b: tuple) -> bool:
     return len({bisect(a, v) % len(a) for v in b}) > 1
 
 
+def _placements(c: tuple, model: _IntModel, labels: dict) -> Optional[list[list]]:
+    """The options (lists of new blocks) of the target over the deepest class
+    ``c``, mod ``model.D // d``: one if forced, None if none binds.  Its d*n
+    whole-disk preimages, in circular order and labelled 0..n-1 repeating,
+    group by region or by owning class (reused whole; at depth 0 only).  Groups
+    do not interleave, so when each holds k*n points, only whole groups lie
+    between two points of one, and its labels step by +1: n points are one
+    block, k*n points take any ``count_all(k, n)`` local shape."""
+    d, M, n = model.d, model.D // model.d, len(c)
+    groups: dict = {}
+    for p in [x + s for s in range(0, d * M, M) for x in c]:
+        key = labels[p] if p in labels else next(i for i, o in enumerate(model.classes) if p in o)
+        groups.setdefault(key, []).append(p)
+    options: list[list] = [[]]
+    for vs in map(tuple, groups.values()):
+        if len(vs) % n or vs[0] in model.vertices and vs not in model.known:
+            return None
+        if vs[0] in model.vertices:
+            continue
+        if len(vs) == n:
+            for o in options:
+                o.append(vs)
+        else:
+            local = [bind_shape(s, vs, model, labels)[0] for s in enumerate_all_portraits(len(vs) // n, n)]
+            options = [o + b for o in options for b in local]
+    return options
+
+
 def enumerate_children(fdl: FDL) -> list[FDL]:
     """All laminations one pullback level deeper whose image is this one.
 
-    Per deepest class (``fdl.deepest`` scaled by d), disk-wide sibling
-    portraits are bound to its vertex preimages (reusing classes the
-    portrait reproduces); every mutually non-crossing choice of one
-    placement per deepest class is a child, with no further check.
+    Per deepest class (``fdl.deepest``), sibling portraits are placed in the
+    whole disk over its vertex preimages (reusing classes they reproduce);
+    every mutually non-crossing choice of one placement per deepest class
+    is a child, with no further check.
     ``fdl`` must be valid: then no class lies over a deepest n-gon t but,
     at depth 0, t's periodic preimage, so every placement keeps a new
     block.  The d*n points over t are labelled 0..n-1 cyclically by their
@@ -315,56 +344,51 @@ def enumerate_children(fdl: FDL) -> list[FDL]:
     edge of t lie d pairwise disjoint edges, reused periodic blocks among
     them (axiom 5).  The new blocks are thus the child's deepest layer.
 
-    Whether placements cross is decided pairwise, never per combination.
-    A new block lies in one complementary region of the model's edges,
-    and a placement comes from a non-crossing shape, so two placements
-    for distinct targets (on disjoint fibers) cross exactly when two of
-    their new blocks in one region do.  Such pairs are clashes, and the
-    choices are grown target by target, skipping any option that clashes
-    with one already chosen.  Children come back canonically ordered.
+    A new block lies in one complementary region of the model's edges, so a
+    placement is a product of region-local shapes (:func:`_placements`), and
+    placements for distinct targets (on disjoint fibers) cross exactly when
+    two of their new blocks in one region do.  Forced targets' blocks are in
+    every child: two of them crossing leave none, and a free option crossing
+    one is dropped.  Other crossing pairs are clashes; choices grow over free
+    targets past them.  Children come back canonically ordered.
     """
     d = fdl.degree
     if not fdl.deepest:
         raise FdlError(f"no class sits at the depth parameter {fdl.depth_n}")
     model = _IntModel(d, fdl.modulus, fdl.residues)
-    targets = [tuple(d * x for x in c) for c in fdl.deepest]
-    points = [_portrait_residues(t, model, None) for t in targets]
-    labels = model.labels(p for pts in points for p in pts)
-
-    options = []
-    for t, pts in zip(targets, points):
-        placed = (bind_shape(s, pts, model, labels) for s in enumerate_all_portraits(d, len(t)))
-        options.append([p for p in placed if p is not None])
-        if not options[-1]:
-            return []
-
-    by_region: dict = {}
-    for k, opts in enumerate(options):
-        for a, (blocks, _) in enumerate(opts):
+    labels = model.labels([x + k * fdl.modulus for c in fdl.deepest for k in range(d) for x in c])
+    placed = [_placements(c, model, labels) for c in fdl.deepest]
+    if None in placed:
+        return []
+    forced = [vs for opts in placed if len(opts) == 1 for vs in opts[0]]  # in every child
+    free = [opts for opts in placed if len(opts) > 1]
+    by_region: dict = {}  # region -> (free target, option, block), forced first as (None, 0, block)
+    for k, opts in [(None, [forced])] + list(enumerate(free)):
+        for a, blocks in enumerate(opts):
             for vs in blocks:
                 by_region.setdefault(labels[vs[0]], []).append((k, a, vs))
-    clashes: dict = {}  # (l, b) -> the (k, a) with k < l whose placement crosses it
+    clashes: dict = {}  # (l, b) -> the (k, a) with k < l, or a forced (None, 0), crossing it
     for blocks in by_region.values():
         for (k, a, va), (l, b, vb) in combinations(blocks, 2):
-            if k != l and _blocks_cross(va, vb):
+            if (k is None or k != l) and _blocks_cross(va, vb):
+                if l is None:
+                    return []
                 clashes.setdefault((l, b), set()).add((k, a))
-    choices: list[tuple] = [()]  # option index per target so far
-    for k, opts in enumerate(options):
+    choices: list[tuple] = [()]  # option index per free target so far
+    for k, opts in enumerate(free):
         choices = [
             prior + (a,)
             for prior in choices
             for a in range(len(opts))
-            if all(prior[j] != c for j, c in clashes.get((k, a), ()))
+            if all(j is not None and prior[j] != c for j, c in clashes.get((k, a), ()))
         ]
 
     children: dict[str, FDL] = {}
     # the key lists the texts of model.classes in order; new blocks join, shared among siblings
     text = dict(zip(model.classes, fdl.key().split("|")[1:]))
     for choice in choices:
-        new = sorted(vs for k, a in enumerate(choice) for vs in options[k][a][0])
-        for vs in new:
-            if vs not in text:
-                text[vs] = model.text(vs)
+        new = sorted(forced + [vs for k, a in enumerate(choice) for vs in free[k][a]])
+        text.update((vs, model.text(vs)) for vs in new if vs not in text)
         # the child's own model would scale these residues by d: same order and fractions
         residues = tuple(sorted(model.classes + new))
         key = "|".join([str(d)] + [text[c] for c in residues])
@@ -398,19 +422,24 @@ class PullbackTree:
             yield by_key[parent_key], by_key[child_key]
 
 
+def check_root(node: FDL) -> FDL:
+    """``node`` itself, if it may root a pullback tree: it must be its own image."""
+    if node.depth_n != 0:
+        raise FdlError(f"root must be its own image (depth parameter 0, not {node.depth_n})")
+    return node
+
+
 def root_fdl(degree: int, periodic: Iterable[PolygonClass]) -> FDL:
     """Validate a self-image root lamination (depth parameter 0)."""
     lam = ClassLamination.create(degree, set(periodic))
     report = validate_fdl(lam)
     if not report.valid:
         raise FdlError(f"root rejected: {report.failure_text()}")
-    if report.depth_n != 0:
-        raise FdlError(f"root must be its own image; depth parameter is {report.depth_n}")
-    return FDL(lam, 0)
+    return check_root(FDL(lam, report.depth_n))
 
 
 def build_pullback_tree(root: FDL, depth: int) -> PullbackTree:
-    """Breadth-first tree of all descendants down to ``depth``."""
+    """Breadth-first tree of all descendants down to ``depth``, below any valid node."""
     if depth < 0:
         raise FdlError(f"tree depth must be >= 0, got {depth}")
     # children are valid by construction, so the tree is as valid as its root

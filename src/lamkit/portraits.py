@@ -14,8 +14,8 @@ label removal.  They are bound to concrete circle geometry by
 :func:`bind_shape`.  Placement runs on the integer residues of
 ``core._IntModel``: the preimages of a vertex residue are residues too,
 and a new block crosses no edge exactly when all its points carry one
-region label.  Child enumeration and :func:`instantiate_portrait` share
-that binder.
+region label.  :func:`instantiate_portrait` binds whole shapes with it,
+child enumeration region-local ones where a region holds k*n > n points.
 """
 
 from __future__ import annotations

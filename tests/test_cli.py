@@ -319,7 +319,7 @@ def test_unwritable_output_names_the_given_path(rabbit_file, tmp_path, capsys):
 def test_tree_commands_need_a_root_that_is_its_own_image(level1_file, capsys, command):
     assert main([command[0], level1_file, *command[1:]]) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: root must be its own image (depth parameter 0, got 1)\n"
+    assert captured.err == "error: root must be its own image (depth parameter 0, not 1)\n"
     assert captured.out == ""
 
 

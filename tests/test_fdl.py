@@ -1,6 +1,7 @@
 import random
 import sys
 from bisect import bisect
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -22,6 +23,7 @@ from lamkit.fdl import (
     FDL,
     FdlError,
     _blocks_cross,
+    _placements,
     build_pullback_tree,
     canonical_form,
     classes_from_chords,
@@ -103,7 +105,7 @@ def test_classes_from_chords():
 
 
 def test_root_rejects_non_self_image():
-    with pytest.raises(FdlError):
+    with pytest.raises(FdlError, match=r"^root must be its own image \(depth parameter 0, not 1\)$"):
         root_fdl(2, [RABBIT, SIBLING])
     with pytest.raises(FdlError, match=r"axiom 3: image of \(2/7,4/7\) is not a leaf"):
         root_fdl(2, [PolygonClass((F(1, 7), F(2, 7), F(4, 7), F(9, 14)))])
@@ -326,10 +328,12 @@ def test_children_match_edge_scan_reference(basilica_tree, rabbit_tree, cubic_tr
     assert expanded == 86 + 8 + 3
 
 
-def _product_children(fdl):
+def _product_children(fdl, census):
     """Child keys, in order, by the whole-combination enumerator: every
     combination of one bound placement per deepest class, kept when one
-    sweep over all its new edges finds no crossing."""
+    sweep over all its new edges finds no crossing.  On the way, each
+    target's disk-wide placements check its region-local ``_placements``,
+    and ``census`` counts targets and free ones."""
     d = fdl.degree
     model = _IntModel(d, fdl.modulus, fdl.residues)
     targets = _deepest(model, fdl.depth_n)
@@ -339,6 +343,7 @@ def _product_children(fdl):
     for t, pts in zip(targets, points):
         placed = (bind_shape(s, pts, model, labels) for s in enumerate_all_portraits(d, len(t)))
         options.append([p for p in placed if p is not None])
+        _check_placements(tuple(x // d for x in t), model, labels, options[-1], census)
     keys = set()
     for combo in product(*options):
         new = [vs for blocks, _ in combo for vs in blocks]
@@ -348,19 +353,96 @@ def _product_children(fdl):
     return sorted(keys)
 
 
-def test_children_match_the_product_enumerator(basilica_root, rabbit_root, cubic_tree):
+def _check_placements(c, model, labels, bound, census):
+    # the forced/free split gives exactly the disk-wide placements that bind,
+    # so a target it finds forced (one option) is one where one of them binds
+    got = _placements(c, model, labels)
+    want = sorted(sorted(new) for new, _ in bound)
+    assert (got is None) == (not want) and sorted(map(sorted, got or [])) == want, c
+    census["targets"] += 1
+    census["free" if len(want) > 1 else "forced" if want else "none"] += 1
+
+
+@pytest.fixture(scope="module")
+def basilica9_tree(basilica_root):
+    return build_pullback_tree(basilica_root, 9)
+
+
+def test_children_match_the_product_enumerator(basilica9_tree, rabbit_root, cubic_tree):
     # the clash graph against every combination swept whole, one level
     # below each tree's deepest nodes
     expanded = 0
-    for tree in (
-        build_pullback_tree(basilica_root, 9),
-        build_pullback_tree(rabbit_root, 8),
-        cubic_tree,
-    ):
+    censuses = []
+    for tree in (basilica9_tree, build_pullback_tree(rabbit_root, 8), cubic_tree):
+        census = Counter()
         for node in tree.all_nodes():
-            assert [k.key() for k in enumerate_children(node)] == _product_children(node), node.key()
+            keys = _product_children(node, census)
+            assert [k.key() for k in enumerate_children(node)] == keys, node.key()
             expanded += 1
+        censuses.append(dict(census))
     assert expanded == 342 + 111 + 19
+    # targets (deepest classes of every node), those with more than one placement, none failing
+    assert censuses == [
+        {"targets": 57771, "free": 170, "forced": 57601},
+        {"targets": 9316, "free": 36, "forced": 9280},
+        {"targets": 586, "free": 26, "forced": 560},
+    ]
+
+
+def test_placements_match_disk_wide_binding_on_random_targets(basilica_tree, rabbit_tree, cubic_tree):
+    # seeded random targets over the fixture nodes: a random 2- or 3-gon,
+    # whose preimages may fall into a region in a number that no shape takes;
+    # two vertices of a class, whose preimages may fill a class in part; and a
+    # class over a random part of the node's classes, whose preimages are
+    # partly reused
+    rng = random.Random(21)
+    census = Counter()
+    for tree in (basilica_tree, rabbit_tree, cubic_tree):
+        d = tree.degree
+        for node in tree.all_nodes():
+            M = node.modulus
+            whole = _IntModel(d, M, node.residues)
+            for _ in range(3):
+                kept = _IntModel(d, M, [r for r in node.residues if rng.random() < 0.7])
+                targets = [
+                    tuple(sorted(rng.sample(range(M), rng.choice((2, 3))))),
+                    tuple(sorted(rng.sample(rng.choice(node.residues), 2))),
+                    rng.choice(node.residues),
+                ]
+                for c, model in zip(targets, (whole, whole, kept)):
+                    labels = model.labels(x + k * M for k in range(d) for x in c)
+                    pts = _portrait_residues(tuple(d * x for x in c), model, None)
+                    bound = (bind_shape(s, pts, model, labels) for s in enumerate_all_portraits(d, len(c)))
+                    _check_placements(c, model, labels, [b for b in bound if b is not None], census)
+    assert census == {"targets": 1845, "forced": 1162, "free": 19, "none": 664}
+
+
+@pytest.fixture()
+def shape_bindings(monkeypatch):
+    """Counts calls of ``portraits.bind_shape``, through every binding of it."""
+    calls = []
+
+    def counted(shape, *args):
+        calls.append((shape.i, shape.n))
+        return bind_shape(shape, *args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lamkit") and getattr(module, "bind_shape", 0) is bind_shape:
+            monkeypatch.setattr(module, "bind_shape", counted)
+    return calls
+
+
+def test_only_free_regions_bind_portraits(basilica9_tree, cubic_tree, shape_bindings):
+    # each of the basilica tree's 170 free targets binds the 3 shapes of its
+    # one region holding 4 of its points, and a forced target binds none
+    for node in basilica9_tree.all_nodes():
+        enumerate_children(node)
+    assert shape_bindings == [(2, 2)] * 510
+    # in degree 3 a free region holds 2 of the 3 preimages of each vertex
+    shape_bindings.clear()
+    for node in cubic_tree.all_nodes():
+        enumerate_children(node)
+    assert shape_bindings == [(2, 3)] * 104
 
 
 def _arc_case(a, b):
