@@ -212,7 +212,7 @@ def cmd_oeis_compare(args) -> int:
             counts = [int(x) for x in counts_text.split()]
         except ValueError:
             counts = None
-    if not isinstance(counts, list) or not all(isinstance(x, int) for x in counts):
+    if not isinstance(counts, list) or not all(type(x) is int for x in counts):
         raise DocumentError("counts file must hold a JSON list or whitespace-separated integers")
     bfile = parse_bfile(_read(args.bfile))
     report = oeis_compare(counts, bfile)

@@ -13,13 +13,16 @@ model (``core._IntModel``).  Each new block lies in one complementary
 region, so a placement is exactly a product of region-local shapes and
 reused classes: a target whose regions each hold n of its points is
 forced, with one placement and no portrait, and a region holding k*n
-points takes its ``count_all(k, n)`` portraits.  Placements cross only
-through two new blocks in one region; these pairwise clashes decide which
-choices over the free targets are non-crossing, and the parent being
-valid, each is a child, kept with its key as residue tuples.  Its new
-blocks are its own deepest layer, carried to the next level.  The pullback
-tree validates its root in full, then collects all its descendants level
-by level, deduplicated by canonical form.
+points takes its ``count_all(k, n)`` portraits.  Region lemma: between two
+points of one target's group in a region, another target's group holds as
+many preimages of each vertex of its class (each closed pocket behind a
+leaf of the region does, by axioms 2 and 3, as nothing maps onto a deepest
+class but its periodic preimage; so does the whole arc).  So forced blocks
+cross nothing, only free options of distinct targets clash, and the parent
+being valid, each clash-free choice over free targets is a child, kept with
+its key as residue tuples.  Its new blocks are its own deepest layer,
+carried to the next level.  The pullback tree validates its root in full,
+then collects all its descendants level by level, deduped by canonical form.
 """
 
 from __future__ import annotations
@@ -304,9 +307,10 @@ def _placements(c: tuple, model: _IntModel, labels: dict) -> Optional[list[list]
     ``c``, mod ``model.D // d``: one if forced, None if none binds.  Its d*n
     whole-disk preimages, in circular order and labelled 0..n-1 repeating,
     group by region or by owning class (reused whole; at depth 0 only).  Groups
-    do not interleave, so when each holds k*n points, only whole groups lie
-    between two points of one, and its labels step by +1: n points are one
-    block, k*n points take any ``count_all(k, n)`` local shape."""
+    do not interleave, so when each holds k*n points (as the region lemma's
+    pockets give a deepest class), only whole groups lie between two points of
+    one, and its labels step by +1: n points are one block, k*n points take any
+    ``count_all(k, n)`` local shape."""
     d, M, n = model.d, model.D // model.d, len(c)
     groups: dict = {}
     for p in [x + s for s in range(0, d * M, M) for x in c]:
@@ -344,13 +348,10 @@ def enumerate_children(fdl: FDL) -> list[FDL]:
     edge of t lie d pairwise disjoint edges, reused periodic blocks among
     them (axiom 5).  The new blocks are thus the child's deepest layer.
 
-    A new block lies in one complementary region of the model's edges, so a
-    placement is a product of region-local shapes (:func:`_placements`), and
-    placements for distinct targets (on disjoint fibers) cross exactly when
-    two of their new blocks in one region do.  Forced targets' blocks are in
-    every child: two of them crossing leave none, and a free option crossing
-    one is dropped.  Other crossing pairs are clashes; choices grow over free
-    targets past them.  Children come back canonically ordered.
+    A placement is a product of region-local shapes (:func:`_placements`).
+    By the region lemma (module docstring), only free options of distinct
+    targets cross, through two new blocks in one region; choices grow over
+    free targets past these clashes.  Children come back sorted by key.
     """
     d = fdl.degree
     if not fdl.deepest:
@@ -360,19 +361,17 @@ def enumerate_children(fdl: FDL) -> list[FDL]:
     placed = [_placements(c, model, labels) for c in fdl.deepest]
     if None in placed:
         return []
-    forced = [vs for opts in placed if len(opts) == 1 for vs in opts[0]]  # in every child
+    forced = [vs for opts in placed if len(opts) == 1 for vs in opts[0]]  # in every child, crossing nothing
     free = [opts for opts in placed if len(opts) > 1]
-    by_region: dict = {}  # region -> (free target, option, block), forced first as (None, 0, block)
-    for k, opts in [(None, [forced])] + list(enumerate(free)):
+    by_region: dict = {}  # region -> (free target, option, block)
+    for k, opts in enumerate(free):
         for a, blocks in enumerate(opts):
             for vs in blocks:
                 by_region.setdefault(labels[vs[0]], []).append((k, a, vs))
-    clashes: dict = {}  # (l, b) -> the (k, a) with k < l, or a forced (None, 0), crossing it
+    clashes: dict = {}  # (l, b) -> the (k, a) with k < l crossing it
     for blocks in by_region.values():
         for (k, a, va), (l, b, vb) in combinations(blocks, 2):
-            if (k is None or k != l) and _blocks_cross(va, vb):
-                if l is None:
-                    return []
+            if k != l and _blocks_cross(va, vb):
                 clashes.setdefault((l, b), set()).add((k, a))
     choices: list[tuple] = [()]  # option index per free target so far
     for k, opts in enumerate(free):
@@ -380,7 +379,7 @@ def enumerate_children(fdl: FDL) -> list[FDL]:
             prior + (a,)
             for prior in choices
             for a in range(len(opts))
-            if all(j is not None and prior[j] != c for j, c in clashes.get((k, a), ()))
+            if all(prior[j] != c for j, c in clashes.get((k, a), ()))
         ]
 
     children: dict[str, FDL] = {}

@@ -242,6 +242,11 @@ def test_oeis_compare_cli(tmp_path, capsys):
     bfile.write_text("0 1\n1 1\n2 1\n3 3\n4 5\n")
     assert main(["oeis-compare", "--counts", str(counts), "--bfile", str(bfile)]) == 0
     assert "consistent with conjecture up to depth 3" in capsys.readouterr().out
+    # JSON booleans are no counts, though Python's bool is an int
+    counts.write_text("[true, true, true, false]")
+    assert main(["oeis-compare", "--counts", str(counts), "--bfile", str(bfile)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: counts file must hold") and captured.out == ""
 
 
 def test_chords_that_are_not_a_list_are_classified(tmp_path, capsys):

@@ -344,6 +344,15 @@ def _product_children(fdl, census):
         placed = (bind_shape(s, pts, model, labels) for s in enumerate_all_portraits(d, len(t)))
         options.append([p for p in placed if p is not None])
         _check_placements(tuple(x // d for x in t), model, labels, options[-1], census)
+    # the region lemma's consequence: a forced target's blocks cross no block
+    # of another target's placements in their region
+    by_region = {}
+    for i, opts in enumerate(options):
+        for vs in {vs for blocks, _ in opts for vs in blocks}:
+            by_region.setdefault(labels[vs[0]], []).append((i, len(opts) == 1, vs))
+    for blocks in by_region.values():
+        for (i, fa, va), (j, fb, vb) in combinations(blocks, 2):
+            assert not ((fa or fb) and i != j and _blocks_cross(va, vb)), (fdl.key(), va, vb)
     keys = set()
     for combo in product(*options):
         new = [vs for blocks, _ in combo for vs in blocks]
@@ -415,6 +424,77 @@ def test_placements_match_disk_wide_binding_on_random_targets(basilica_tree, rab
                     bound = (bind_shape(s, pts, model, labels) for s in enumerate_all_portraits(d, len(c)))
                     _check_placements(c, model, labels, [b for b in bound if b is not None], census)
     assert census == {"targets": 1845, "forced": 1162, "free": 19, "none": 664}
+
+
+def _region_lemma_cases(d, M, residues, targets, cases):
+    # per region, each target's group: its non-vertex preimages there, with
+    # the index of the vertex of its class they map to; then for each ordered
+    # pair of groups of distinct targets and each b != e of the first, the
+    # second group's points in the open arc (b, e), counted per index
+    model = _IntModel(d, M, residues)
+    fibers = [[(x + k * M, j) for k in range(d) for j, x in enumerate(c)] for c in targets]
+    labels = model.labels(p for fiber in fibers for p, _ in fiber)
+    regions = {}
+    for i, fiber in enumerate(fibers):
+        for p, j in fiber:
+            if p in labels:
+                regions.setdefault(labels[p], {}).setdefault(i, []).append((p, j))
+    for groups in regions.values():
+        for (s, gs), (t, gt) in product(groups.items(), repeat=2):
+            if s == t:
+                continue
+            for (b, _), (e, _) in product(gs, repeat=2):
+                if b == e:
+                    continue
+                inside = Counter(j for p, j in gt if (b < p < e if b < e else p > b or p < e))
+                counts = {inside[j] for j in range(len(targets[t]))}
+                assert len(counts) == 1, (targets, b, e, gt)
+                cases[(len(gt) // len(targets[t]), counts.pop() > 0)] += 1
+
+
+def test_region_lemma_on_fixture_nodes(basilica_tree, rabbit_tree, cubic_tree):
+    """Region lemma.  Let L satisfy axioms 2 and 3, and let t be a deepest
+    class, an n-gon onto which nothing in L maps but, at depth 0, its
+    periodic preimage tau, one-to-one with positive orientation (axioms 4
+    and 7).  Let R be a complementary region of L.  The circle minus R's
+    basis is a union of pockets, each the open arc behind one boundary leaf
+    (p, q) of R.
+
+    1. Pocket count: a closed pocket holds as many preimages of each vertex
+       of t.  Its image winds K full turns, then once over the closed arc
+       from sigma(p) to sigma(q).  If the leaf's class does not map onto t,
+       its image is a leaf of another class (axioms 2 and 3), and t lies on
+       one side of it, so that arc holds all of t or none.  Otherwise the
+       class is tau and the pocket is the long arc behind an edge of tau;
+       the open short arc in front holds no vertex of tau and maps onto K'
+       turns plus an arc between consecutive vertices of t, so the closed
+       pocket hits each vertex of t exactly d - K' times.
+    2. Path count: for points b != e of R's basis that are no vertices, with
+       sigma(b) and sigma(e) vertices of a class s other than t, the open
+       arc (b, e) hits each vertex of t equally often: K turns plus the arc
+       (sigma(b), sigma(e)), which holds all of t or none, as the classes s
+       and t do not cross.
+    3. (b, e) is made of parts of R's basis and whole closed pockets, so t's
+       group in R (its preimages there that are no vertices) meets (b, e)
+       equally often on each vertex of t.
+
+    So a group of n points lies wholly inside or outside (b, e): in one gap
+    of every other target's group in R, crossing no block of any placement
+    of that target.  Forced blocks therefore never clash, and
+    ``enumerate_children`` leaves them out of its clash graph.  The lemma
+    needs only axioms 2 and 3 and that nothing maps onto a target, so it
+    also holds on a copy of each node with some deepest classes dropped.
+    """
+    rng = random.Random(22)
+    cases = Counter()  # (group size / n, whether the group meets the arc)
+    for tree in (basilica_tree, rabbit_tree, cubic_tree):
+        for node in tree.all_nodes():
+            dropped = {c for c in node.deepest if rng.random() < 0.5}
+            for lost in (set(), dropped):
+                residues = [c for c in node.residues if c not in lost]
+                targets = [c for c in node.deepest if c not in lost]
+                _region_lemma_cases(tree.degree, node.modulus, residues, targets, cases)
+    assert cases == {(1, False): 46185, (1, True): 46185, (2, False): 520, (2, True): 2320}
 
 
 @pytest.fixture()
