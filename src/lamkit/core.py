@@ -117,7 +117,7 @@ class PolygonClass:
         verts = tuple(sorted(mod1(v) for v in self.vertices))
         if len(verts) < 2:
             raise LaminationError(f"polygon class needs >= 2 vertices, got {verts}")
-        if len(set(verts)) != len(verts):
+        if any(a == b for a, b in zip(verts, verts[1:])):
             raise LaminationError(f"duplicate vertices in {verts}")
         object.__setattr__(self, "vertices", verts)
 
@@ -148,9 +148,16 @@ class PolygonClass:
         return "{" + ",".join(str(v) for v in self.vertices) + "}"
 
 
-def _sweep(edges: Iterable[tuple], points: Iterable = ()) -> tuple[Optional[tuple], dict]:
+def _events(edges: Iterable[tuple], points: Iterable = ()) -> list[tuple]:
+    """The sweep events (see :func:`_sweep`) of ``(a, b)`` edges and of points."""
+    events = [ev for a, b in edges for ev in ((b, 0, -a, a, b), (a, 1, -b, a, b))]
+    return events + [(p, 2, 0, p, p) for p in points]
+
+
+def _sweep(edges: Iterable = (), points: Iterable = (), events: Optional[list] = None) -> tuple:
     """One bracket sweep: the first crossing pair among ``(a, b)`` edges
-    with ``a < b`` (or None), and the label of each point.
+    with ``a < b`` (or None), and the label of each point.  ``events``,
+    if given, replaces both by their prebuilt :func:`_events`.
 
     Any ordered coordinates work (angles or integer ranks).  At each
     coordinate, edges close innermost first, then open outermost first,
@@ -160,11 +167,9 @@ def _sweep(edges: Iterable[tuple], points: Iterable = ()) -> tuple[Optional[tupl
     the pair ordered by first endpoint.  A point's label is its innermost
     enclosing edge (None outside every edge), shared by its whole region.
     """
-    events = [ev for a, b in edges for ev in ((b, 0, -a, a, b), (a, 1, -b, a, b))]
-    events += [(p, 2, 0, p, p) for p in points]
     stack: list[tuple] = []
     labels: dict = {}
-    for x, kind, _, a, b in sorted(events):
+    for x, kind, _, a, b in sorted(_events(edges, points) if events is None else events):
         if kind == 1:
             stack.append((a, b))
         elif kind:
@@ -214,15 +219,17 @@ class _IntModel:
     residues mod ``D = d * M``: sigma is multiplication by d mod D, every
     vertex preimage is itself a residue, and circular order is integer
     order.  ``classes`` holds the scaled tuples sorted (scaling keeps a
-    sorted order), ``known`` the same as a set, ``edges`` their hull edges.
+    sorted order; ``scaled`` ones come so), ``known`` the same as a set and
+    ``edges`` their hull edges, both built on first use.
     """
 
-    def __init__(self, d: int, M: int, classes: Iterable[tuple[int, ...]]):
+    def __init__(self, d: int, M: int, classes: Iterable[tuple[int, ...]], scaled: bool = False):
         self.d, self.D = d, d * M
-        self.classes = sorted(tuple(d * x for x in c) for c in classes)
-        self.known = set(self.classes)
-        self.vertices = {v for c in self.classes for v in c}
-        self.edges = [e for c in self.classes for e in _hull_edges(c)]
+        self.classes = list(classes) if scaled else sorted(tuple(d * x for x in c) for c in classes)
+        self.vertices = set().union(*self.classes)
+
+    known = cached_property(lambda self: set(self.classes))
+    edges = cached_property(lambda self: [e for c in self.classes for e in _hull_edges(c)])
 
     def key(self) -> str:
         """Canonical text key: degree, then each class as reduced fractions."""

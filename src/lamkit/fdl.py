@@ -22,14 +22,17 @@ cross nothing, only free options of distinct targets clash, and the parent
 being valid, each clash-free choice over free targets is a child, kept with
 its key as residue tuples.  Its new blocks are its own deepest layer,
 carried to the next level.  The pullback tree validates its root in full,
-then collects all its descendants level by level, deduped by canonical form.
+then collects all its descendants level by level, on one table per level
+(``_Level``, keyed by value), deduped by canonical form.  In the basilica,
+rabbit and cubic trees each level-k node has vertex set sigma^-k(V_0) (level
+10 of the basilica: 4,780 classes in 347,932 slots); nothing rests on that.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Optional
 
 from .circle import Angle
@@ -40,8 +43,10 @@ from .core import (
     LaminationError,
     PolygonClass,
     _covering,
+    _events,
     _hull_edges,
     _IntModel,
+    _sweep,
 )
 from .portraits import bind_shape, enumerate_all_portraits
 
@@ -331,7 +336,31 @@ def _placements(c: tuple, model: _IntModel, labels: dict) -> Optional[list[list]
     return options
 
 
-def enumerate_children(fdl: FDL) -> list[FDL]:
+class _Memo(dict):
+    """A dict that fills in a missing key ``k`` with ``fn(k)``."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        return self.setdefault(key, self.fn(key))
+
+
+class _Level:
+    """One tree level's shared work for degree ``d`` and node modulus ``M``, by
+    value: scaled classes (one copy each), the sweep events of their hull edges
+    and of each deepest class's preimages, key texts, and one copy of each block."""
+
+    def __init__(self, d: int, M: int):
+        self.d, self.M = d, M
+        self.scaled = _Memo(lambda c: tuple(d * x for x in c))
+        self.edges = _Memo(lambda c: _events(_hull_edges(c)))
+        self.points = _Memo(lambda c: _events((), [x + s for s in range(0, d * M, M) for x in c]))
+        self.texts = _Memo(_IntModel(d, M, ()).text)
+        self.blocks = _Memo(lambda vs: vs)
+
+
+def enumerate_children(fdl: FDL, level: Optional[_Level] = None) -> list[FDL]:
     """All laminations one pullback level deeper whose image is this one.
 
     Per deepest class (``fdl.deepest``), sibling portraits are placed in the
@@ -352,17 +381,23 @@ def enumerate_children(fdl: FDL) -> list[FDL]:
     By the region lemma (module docstring), only free options of distinct
     targets cross, through two new blocks in one region; choices grow over
     free targets past these clashes.  Children come back sorted by key.
+    ``level`` is the tree's :class:`_Level` for this degree and modulus (a
+    fresh one replaces any other); filled by value, it changes no result.
     """
     d = fdl.degree
     if not fdl.deepest:
         raise FdlError(f"no class sits at the depth parameter {fdl.depth_n}")
-    model = _IntModel(d, fdl.modulus, fdl.residues)
-    labels = model.labels([x + k * fdl.modulus for c in fdl.deepest for k in range(d) for x in c])
+    level = level if level and (level.d, level.M) == (d, fdl.modulus) else _Level(d, fdl.modulus)
+    model = _IntModel(d, fdl.modulus, map(level.scaled.__getitem__, fdl.residues), scaled=True)
+    events = list(chain.from_iterable(map(level.edges.__getitem__, model.classes)))
+    events += [ev for c in fdl.deepest for ev in level.points[c] if ev[0] not in model.vertices]
+    labels = _sweep(events=events)[1]
     placed = [_placements(c, model, labels) for c in fdl.deepest]
     if None in placed:
         return []
-    forced = [vs for opts in placed if len(opts) == 1 for vs in opts[0]]  # in every child, crossing nothing
-    free = [opts for opts in placed if len(opts) > 1]
+    # in every child, crossing nothing
+    forced = [level.blocks[vs] for opts in placed if len(opts) == 1 for vs in opts[0]]
+    free = [[[level.blocks[vs] for vs in o] for o in opts] for opts in placed if len(opts) > 1]
     by_region: dict = {}  # region -> (free target, option, block)
     for k, opts in enumerate(free):
         for a, blocks in enumerate(opts):
@@ -383,14 +418,11 @@ def enumerate_children(fdl: FDL) -> list[FDL]:
         ]
 
     children: dict[str, FDL] = {}
-    # the key lists the texts of model.classes in order; new blocks join, shared among siblings
-    text = dict(zip(model.classes, fdl.key().split("|")[1:]))
     for choice in choices:
         new = sorted(forced + [vs for k, a in enumerate(choice) for vs in free[k][a]])
-        text.update((vs, model.text(vs)) for vs in new if vs not in text)
         # the child's own model would scale these residues by d: same order and fractions
         residues = tuple(sorted(model.classes + new))
-        key = "|".join([str(d)] + [text[c] for c in residues])
+        key = "|".join([str(d), *map(level.texts.__getitem__, residues)])
         children[key] = FDL._node(d, fdl.depth_n + 1, model.D, residues, tuple(new), key)
     return [children[k] for k in sorted(children)]
 
@@ -448,9 +480,10 @@ def build_pullback_tree(root: FDL, depth: int) -> PullbackTree:
     tree = PullbackTree(root, [[root]])
     for _ in range(depth):
         nxt: dict[str, FDL] = {}
+        tables = _Memo(lambda M: _Level(root.degree, M))  # one per node modulus
         for node in tree.levels[-1]:
             node_key = node.key()
-            for child in enumerate_children(node):
+            for child in enumerate_children(node, tables[node.modulus]):
                 key = child.key()
                 nxt[key] = child
                 tree.parent[key] = node_key

@@ -53,6 +53,20 @@ def test_chord_normalization():
         Chord(F(1, 3), F(1, 3))
 
 
+def test_polygon_class_finds_duplicates_without_hashing(monkeypatch):
+    # sorted neighbours are compared, so no Fraction is hashed
+    hashed = []
+    monkeypatch.setattr(F, "__hash__", lambda self: hashed.append(self) or 0)
+    assert PolygonClass((F(2, 3), F(1, 3), F(1, 7))).vertices == (F(1, 7), F(1, 3), F(2, 3))
+    for verts in ((F(2, 3), F(1, 3), F(4, 3)), (F(1, 3), F(1, 2), F(1, 3))):
+        with pytest.raises(LaminationError) as err:
+            PolygonClass(verts)
+        assert str(err.value) == f"duplicate vertices in {tuple(sorted(map(mod1, verts)))}"
+    assert hashed == []
+    with pytest.raises(LaminationError, match=r"^duplicate vertices in \(Fraction\(1, 3\), Fraction\(1, 3\)"):
+        PolygonClass((F(4, 3), F(1, 3), F(2, 3)))
+
+
 def test_chords_cross_examples():
     assert chords_cross(Chord(F(0), F(1, 2)), Chord(F(1, 4), F(3, 4)))
     assert not chords_cross(Chord(F(0), F(1, 2)), Chord(F(0), F(1, 4)))

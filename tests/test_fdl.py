@@ -19,9 +19,11 @@ from lamkit.core import (
     _sweep,
     criticality_audit,
 )
+from lamkit import fdl as fdl_module
 from lamkit.fdl import (
     FDL,
     FdlError,
+    _Level,
     _blocks_cross,
     _placements,
     build_pullback_tree,
@@ -495,6 +497,83 @@ def test_region_lemma_on_fixture_nodes(basilica_tree, rabbit_tree, cubic_tree):
                 targets = [c for c in node.deepest if c not in lost]
                 _region_lemma_cases(tree.degree, node.modulus, residues, targets, cases)
     assert cases == {(1, False): 46185, (1, True): 46185, (2, False): 520, (2, True): 2320}
+
+
+def _fields(node):
+    return node.key(), node.residues, node.deepest, node.modulus, node.depth_n
+
+
+def _tables_of(level):
+    return level.scaled, level.edges, level.points, level.texts, level.blocks
+
+
+def test_level_tables_match_fresh_enumeration(basilica9_tree, rabbit_root, cubic_root):
+    # a tree grows each level on one shared table; each node's children in
+    # it, in order, are those enumerate_children(node) finds on a fresh one
+    expanded = 0
+    for tree in (basilica9_tree, build_pullback_tree(rabbit_root, 8), build_pullback_tree(cubic_root, 4)):
+        kids = {}
+        for node in tree.all_nodes():
+            kids.setdefault(tree.parent.get(node.key()), []).append(_fields(node))
+        for node in (n for level in tree.levels[:-1] for n in level):
+            assert [_fields(k) for k in enumerate_children(node)] == kids.get(node.key(), []), node.key()
+            expanded += 1
+        # one copy of each class per level: nodes share their residue tuples
+        for level in tree.levels:
+            classes = [c for node in level for c in node.residues]
+            assert len({id(c) for c in classes}) == len(set(classes))
+    assert expanded == 171 + 56 + 19
+
+
+def test_a_level_table_serves_one_degree_and_modulus(basilica_tree, basilica_root, cubic_root, monkeypatch):
+    calls = []  # (table, node): holding the tables keeps their ids apart
+
+    def spy(node, level=None):
+        calls.append((level, node))
+        return enumerate_children(node, level)
+
+    monkeypatch.setattr(fdl_module, "enumerate_children", spy)
+    for root, depth in ((basilica_root, 6), (cubic_root, 3)):
+        expanded = sum(len(level) for level in build_pullback_tree(root, depth).levels[:-1])
+        assert len(calls) == expanded
+        bound = {}
+        for level, node in calls:
+            assert (level.d, level.M) == (node.degree, node.modulus)
+            bound.setdefault(id(level), set()).add((node.degree, node.modulus))
+        assert len(bound) == depth and all(len(b) == 1 for b in bound.values())
+        calls.clear()
+    # a table of another modulus or degree is left alone, and changes nothing
+    node = basilica_tree.levels[5][0]
+    for other in (_Level(2, 2 * node.modulus), _Level(3, node.modulus)):
+        got = enumerate_children(node, other)
+        assert [_fields(k) for k in got] == [_fields(k) for k in enumerate_children(node)]
+        assert not any(_tables_of(other))
+
+
+def test_level_nodes_share_the_preimages_of_the_root_vertices(basilica_tree, rabbit_tree, cubic_tree):
+    # every level-k node has the vertex set sigma^-k(V_0); the tables are
+    # keyed by value, so a node off it still gets the fresh-table answer
+    off = 0
+    for tree in (basilica_tree, rabbit_tree, cubic_tree):
+        d, root = tree.degree, tree.root
+        v0 = {F(x, root.modulus) for c in root.residues for x in c}
+        for k, level in enumerate(tree.levels):
+            want = {(v + j) / d**k for v in v0 for j in range(d**k)}
+            for node in level:
+                assert {F(x, node.modulus) for c in node.residues for x in c} == want, node.key()
+            table = _Level(d, level[0].modulus)
+            for node in level:
+                enumerate_children(node, table)
+            for node in level:
+                if len(node.deepest) < 2:
+                    continue
+                lost = node.deepest[0]
+                residues = tuple(c for c in node.residues if c != lost)
+                thin = FDL._node(d, node.depth_n, node.modulus, residues, node.deepest[1:], "thin")
+                got = [_fields(kid) for kid in enumerate_children(thin, table)]
+                assert got and got == [_fields(kid) for kid in enumerate_children(thin)], node.key()
+                off += 1
+    assert off == 201
 
 
 @pytest.fixture()
