@@ -11,16 +11,17 @@ portrait, placed in the whole disk, over the preimages of each deepest
 class (already in circular order, lift by lift), on the parent's residue
 model (``core._IntModel``).  Each new block lies in one complementary
 region, so a placement is exactly a product of region-local shapes and
-reused classes: a target whose regions each hold n of its points is
-forced, with one placement and no portrait, and a region holding k*n
-points takes its ``count_all(k, n)`` portraits.  Region lemma: between two
-points of one target's group in a region, another target's group holds as
-many preimages of each vertex of its class (each closed pocket behind a
-leaf of the region does, by axioms 2 and 3, as nothing maps onto a deepest
-class but its periodic preimage; so does the whole arc).  So forced blocks
-cross nothing, only free options of distinct targets clash, and the parent
-being valid, each clash-free choice over free targets is a child, kept with
-its key as residue tuples.  Its new blocks are its own deepest layer,
+reused classes: a target's group of n points in a region is a forced
+block, with no portrait, and a group of k*n points takes its
+``count_all(k, n)`` portraits.  Region lemma: between two points of one
+target's group in a region, another target's group holds as many preimages
+of each vertex of its class (each closed pocket behind a leaf of the region
+does, by axioms 2 and 3, as nothing maps onto a deepest class but its
+periodic preimage; so does the whole arc).  So forced blocks cross nothing,
+and only free groups of distinct targets in one region can cross: the
+children are the product over regions of each region's non-crossing
+choices, and the parent being valid, each is a child, kept with its key as
+residue tuples.  Its new blocks are its own deepest layer,
 carried to the next level.  The pullback tree validates its root in full,
 then collects all its descendants level by level, on one table per level
 (``_Level``, keyed by value), deduped by canonical form.  In the basilica,
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import chain, product
 from typing import Iterable, Iterator, Optional
 
 from .circle import Angle
@@ -307,33 +308,40 @@ def _blocks_cross(a: tuple, b: tuple) -> bool:
     return len({bisect(a, v) % len(a) for v in b}) > 1
 
 
-def _placements(c: tuple, model: _IntModel, labels: dict) -> Optional[list[list]]:
-    """The options (lists of new blocks) of the target over the deepest class
-    ``c``, mod ``model.D // d``: one if forced, None if none binds.  Its d*n
-    whole-disk preimages, in circular order and labelled 0..n-1 repeating,
-    group by region or by owning class (reused whole; at depth 0 only).  Groups
-    do not interleave, so when each holds k*n points (as the region lemma's
-    pockets give a deepest class), only whole groups lie between two points of
-    one, and its labels step by +1: n points are one block, k*n points take any
-    ``count_all(k, n)`` local shape."""
-    d, M, n = model.d, model.D // model.d, len(c)
-    groups: dict = {}
-    for p in [x + s for s in range(0, d * M, M) for x in c]:
-        key = labels[p] if p in labels else next(i for i, o in enumerate(model.classes) if p in o)
-        groups.setdefault(key, []).append(p)
-    options: list[list] = [[]]
-    for vs in map(tuple, groups.values()):
+def _placements(targets, model: _IntModel, labels: dict) -> list[list]:
+    """Every placement (a list of new blocks) over the deepest classes
+    ``targets``, mod ``model.D // d``; ``[]`` when none binds.  The d*n
+    whole-disk preimages of each target, in circular order and labelled
+    0..n-1 repeating, group by target and region or owning class (reused
+    whole; at depth 0 only).  Groups do not interleave, so when each holds
+    k*n points (as the region lemma's pockets give a deepest class), only
+    whole groups lie between two points of one, and its labels step by +1:
+    n points are one block, crossing nothing (region lemma), and k*n points
+    take any ``count_all(k, n)`` local shape.  Each region grows its groups'
+    shapes one group at a time past crossing blocks; a placement is the
+    blocks of n points plus one choice per region."""
+    d, M = model.d, model.D // model.d
+    groups: dict = {}  # (region label or owning class index, target) -> points
+    for t, c in enumerate(targets):
+        for p in [x + s for s in range(0, d * M, M) for x in c]:
+            key = labels[p] if p in labels else next(i for i, o in enumerate(model.classes) if p in o)
+            groups.setdefault((key, t), []).append(p)
+    forced, regions = [], {}
+    for (region, t), vs in groups.items():
+        vs, n = tuple(vs), len(targets[t])
         if len(vs) % n or vs[0] in model.vertices and vs not in model.known:
-            return None
+            return []
         if vs[0] in model.vertices:
             continue
         if len(vs) == n:
-            for o in options:
-                o.append(vs)
-        else:
-            local = [bind_shape(s, vs, model, labels)[0] for s in enumerate_all_portraits(len(vs) // n, n)]
-            options = [o + b for o in options for b in local]
-    return options
+            forced.append(vs)
+            continue
+        chosen = regions.get(region, [[]])
+        local = [bind_shape(s, vs, model, labels)[0] for s in enumerate_all_portraits(len(vs) // n, n)]
+        regions[region] = [
+            o + b for o in chosen for b in local if not any(_blocks_cross(u, v) for u in o for v in b)
+        ]
+    return [forced + list(chain.from_iterable(pick)) for pick in product(*regions.values())]
 
 
 class _Memo(dict):
@@ -377,10 +385,11 @@ def enumerate_children(fdl: FDL, level: Optional[_Level] = None) -> list[FDL]:
     edge of t lie d pairwise disjoint edges, reused periodic blocks among
     them (axiom 5).  The new blocks are thus the child's deepest layer.
 
-    A placement is a product of region-local shapes (:func:`_placements`).
-    By the region lemma (module docstring), only free options of distinct
-    targets cross, through two new blocks in one region; choices grow over
-    free targets past these clashes.  Children come back sorted by key.
+    A placement is the forced blocks plus one non-crossing choice per
+    region (:func:`_placements`): by the region lemma (module docstring),
+    only new blocks of distinct targets' free groups in one region cross,
+    so the children are the product over regions.  Children come back
+    sorted by key.
     ``level`` is the tree's :class:`_Level` for this degree and modulus (a
     fresh one replaces any other); filled by value, it changes no result.
     """
@@ -392,34 +401,9 @@ def enumerate_children(fdl: FDL, level: Optional[_Level] = None) -> list[FDL]:
     events = list(chain.from_iterable(map(level.edges.__getitem__, model.classes)))
     events += [ev for c in fdl.deepest for ev in level.points[c] if ev[0] not in model.vertices]
     labels = _sweep(events=events)[1]
-    placed = [_placements(c, model, labels) for c in fdl.deepest]
-    if None in placed:
-        return []
-    # in every child, crossing nothing
-    forced = [level.blocks[vs] for opts in placed if len(opts) == 1 for vs in opts[0]]
-    free = [[[level.blocks[vs] for vs in o] for o in opts] for opts in placed if len(opts) > 1]
-    by_region: dict = {}  # region -> (free target, option, block)
-    for k, opts in enumerate(free):
-        for a, blocks in enumerate(opts):
-            for vs in blocks:
-                by_region.setdefault(labels[vs[0]], []).append((k, a, vs))
-    clashes: dict = {}  # (l, b) -> the (k, a) with k < l crossing it
-    for blocks in by_region.values():
-        for (k, a, va), (l, b, vb) in combinations(blocks, 2):
-            if k != l and _blocks_cross(va, vb):
-                clashes.setdefault((l, b), set()).add((k, a))
-    choices: list[tuple] = [()]  # option index per free target so far
-    for k, opts in enumerate(free):
-        choices = [
-            prior + (a,)
-            for prior in choices
-            for a in range(len(opts))
-            if all(prior[j] != c for j, c in clashes.get((k, a), ()))
-        ]
-
     children: dict[str, FDL] = {}
-    for choice in choices:
-        new = sorted(forced + [vs for k, a in enumerate(choice) for vs in free[k][a]])
+    for blocks in _placements(fdl.deepest, model, labels):
+        new = sorted(map(level.blocks.__getitem__, blocks))
         # the child's own model would scale these residues by d: same order and fractions
         residues = tuple(sorted(model.classes + new))
         key = "|".join([str(d), *map(level.texts.__getitem__, residues)])
@@ -478,12 +462,13 @@ def build_pullback_tree(root: FDL, depth: int) -> PullbackTree:
     if not report.valid or report.depth_n != root.depth_n:
         raise FdlError(f"tree root is no finite dynamical lamination at depth {root.depth_n}")
     tree = PullbackTree(root, [[root]])
-    for _ in range(depth):
+    d = root.degree
+    for k in range(depth):
         nxt: dict[str, FDL] = {}
-        tables = _Memo(lambda M: _Level(root.degree, M))  # one per node modulus
+        table = _Level(d, root.modulus * d**k)  # every level-k node's modulus
         for node in tree.levels[-1]:
             node_key = node.key()
-            for child in enumerate_children(node, tables[node.modulus]):
+            for child in enumerate_children(node, table):
                 key = child.key()
                 nxt[key] = child
                 tree.parent[key] = node_key

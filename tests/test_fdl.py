@@ -3,7 +3,7 @@ import sys
 from bisect import bisect
 from collections import Counter
 from fractions import Fraction as F
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import pytest
 
@@ -335,7 +335,8 @@ def _product_children(fdl, census):
     combination of one bound placement per deepest class, kept when one
     sweep over all its new edges finds no crossing.  On the way, each
     target's disk-wide placements check its region-local ``_placements``,
-    and ``census`` counts targets and free ones."""
+    and ``census`` counts targets and free ones, and the regions (and
+    nodes with one) where free groups of two or more targets meet."""
     d = fdl.degree
     model = _IntModel(d, fdl.modulus, fdl.residues)
     targets = _deepest(model, fdl.depth_n)
@@ -355,6 +356,12 @@ def _product_children(fdl, census):
     for blocks in by_region.values():
         for (i, fa, va), (j, fb, vb) in combinations(blocks, 2):
             assert not ((fa or fb) and i != j and _blocks_cross(va, vb)), (fdl.key(), va, vb)
+    free = Counter()  # region -> targets holding more than n points there
+    for t, pts in zip(targets, points):
+        free.update(r for r, k in Counter(labels[p] for p in pts if p in labels).items() if k > len(t))
+    shared = sum(k > 1 for k in free.values())
+    census["shared regions"] += shared
+    census["shared nodes"] += shared > 0
     keys = set()
     for combo in product(*options):
         new = [vs for blocks, _ in combo for vs in blocks]
@@ -367,9 +374,9 @@ def _product_children(fdl, census):
 def _check_placements(c, model, labels, bound, census):
     # the forced/free split gives exactly the disk-wide placements that bind,
     # so a target it finds forced (one option) is one where one of them binds
-    got = _placements(c, model, labels)
+    got = _placements((c,), model, labels)
     want = sorted(sorted(new) for new, _ in bound)
-    assert (got is None) == (not want) and sorted(map(sorted, got or [])) == want, c
+    assert sorted(map(sorted, got)) == want, c
     census["targets"] += 1
     census["free" if len(want) > 1 else "forced" if want else "none"] += 1
 
@@ -380,8 +387,8 @@ def basilica9_tree(basilica_root):
 
 
 def test_children_match_the_product_enumerator(basilica9_tree, rabbit_root, cubic_tree):
-    # the clash graph against every combination swept whole, one level
-    # below each tree's deepest nodes
+    # the per-region product against every combination swept whole, one
+    # level below each tree's deepest nodes
     expanded = 0
     censuses = []
     for tree in (basilica9_tree, build_pullback_tree(rabbit_root, 8), cubic_tree):
@@ -392,11 +399,13 @@ def test_children_match_the_product_enumerator(basilica9_tree, rabbit_root, cubi
             expanded += 1
         censuses.append(dict(census))
     assert expanded == 342 + 111 + 19
-    # targets (deepest classes of every node), those with more than one placement, none failing
+    # targets (deepest classes of every node), those with more than one
+    # placement, none failing; regions where free groups of several targets
+    # meet, so _placements grows shapes past crossings, and nodes with one
     assert censuses == [
-        {"targets": 57771, "free": 170, "forced": 57601},
-        {"targets": 9316, "free": 36, "forced": 9280},
-        {"targets": 586, "free": 26, "forced": 560},
+        {"targets": 57771, "free": 170, "forced": 57601, "shared regions": 46, "shared nodes": 46},
+        {"targets": 9316, "free": 36, "forced": 9280, "shared regions": 5, "shared nodes": 5},
+        {"targets": 586, "free": 26, "forced": 560, "shared regions": 8, "shared nodes": 7},
     ]
 
 
@@ -482,8 +491,9 @@ def test_region_lemma_on_fixture_nodes(basilica_tree, rabbit_tree, cubic_tree):
 
     So a group of n points lies wholly inside or outside (b, e): in one gap
     of every other target's group in R, crossing no block of any placement
-    of that target.  Forced blocks therefore never clash, and
-    ``enumerate_children`` leaves them out of its clash graph.  The lemma
+    of that target.  Forced blocks therefore cross nothing, and
+    ``_placements`` grows only free groups' shapes past each other, region
+    by region.  The lemma
     needs only axioms 2 and 3 and that nothing maps onto a target, so it
     also holds on a copy of each node with some deepest classes dropped.
     """
@@ -497,6 +507,46 @@ def test_region_lemma_on_fixture_nodes(basilica_tree, rabbit_tree, cubic_tree):
                 targets = [c for c in node.deepest if c not in lost]
                 _region_lemma_cases(tree.degree, node.modulus, residues, targets, cases)
     assert cases == {(1, False): 46185, (1, True): 46185, (2, False): 520, (2, True): 2320}
+
+
+def _disk_wide_placements(d, model, targets, labels):
+    # every combination of one disk-wide binding per target whose new edges
+    # cross nothing, as sorted block lists
+    options = []
+    for c in targets:
+        pts = _portrait_residues(tuple(d * x for x in c), model, None)
+        placed = (bind_shape(s, pts, model, labels) for s in enumerate_all_portraits(d, len(c)))
+        options.append([new for new, _ in filter(None, placed)])
+    return sorted(
+        sorted(new)
+        for new in (list(chain.from_iterable(combo)) for combo in product(*options))
+        if _sweep(e for vs in new for e in _hull_edges(vs))[0] is None
+    )
+
+
+def test_placements_match_the_disk_wide_product_on_thinned_nodes(basilica_tree, rabbit_tree, cubic_tree):
+    # on the region lemma test's nodes and thinned copies (same seed), where
+    # a region may hold a forced group beside a free group of another target
+    rng = random.Random(22)
+    census = Counter()
+    for tree in (basilica_tree, rabbit_tree, cubic_tree):
+        d = tree.degree
+        for node in tree.all_nodes():
+            dropped = {c for c in node.deepest if rng.random() < 0.5}
+            for lost in (set(), dropped)[: 1 + bool(dropped)]:
+                model = _IntModel(d, node.modulus, [c for c in node.residues if c not in lost])
+                targets = [c for c in node.deepest if c not in lost]
+                labels = model.labels(x + k * node.modulus for k in range(d) for c in targets for x in c)
+                got = sorted(map(sorted, _placements(targets, model, labels)))
+                assert got == _disk_wide_placements(d, model, targets, labels), (node.key(), lost)
+                census["thinned" if lost else "whole"] += 1
+                kinds = {}  # region -> its groups' kinds: False for n points, True for more
+                for c in targets:
+                    fiber = (x + k * node.modulus for k in range(d) for x in c)
+                    for r, k in Counter(labels[p] for p in fiber if p in labels).items():
+                        kinds.setdefault(r, set()).add(k > len(c))
+                census["forced beside free"] += sum(len(k) == 2 for k in kinds.values())
+    assert census == {"whole": 205, "thinned": 200, "forced beside free": 8}
 
 
 def _fields(node):
