@@ -7,9 +7,9 @@ and unclean points).  The complement of a class lamination decomposes into
 polygon gaps (the hulls themselves) and round gaps (components carrying
 circle arcs).  One bracket sweep over the sorted endpoints (``_sweep``)
 decides non-crossing (the class and chord-set checks sweep integer
-residues) and gives points their innermost enclosing edge, which names
-their region, for portrait placement, and groups the arcs between them
-into regions (``_regions``) for round gaps and critical-chord branches.
+residues) and groups tagged points by tag and innermost enclosing edge,
+which names their region: preimages by target for portrait placement, arcs
+by their start (``_regions``) for round gaps and critical-chord branches.
 ``_IntModel`` is the integer view of a set of classes that the gaps,
 portrait placement, validation and keys share.  It is built from vertex
 residue tuples mod a common modulus M: a tree node's, or a lamination's
@@ -115,10 +115,10 @@ class PolygonClass:
 
     def __post_init__(self):
         verts = tuple(sorted(mod1(v) for v in self.vertices))
-        if len(verts) < 2:
-            raise LaminationError(f"polygon class needs >= 2 vertices, got {verts}")
+        if len(verts) < 2:  # messages print the vertices as __str__ does
+            raise LaminationError(f"polygon class needs >= 2 vertices, got {self._from_sorted(verts)}")
         if any(a == b for a, b in zip(verts, verts[1:])):
-            raise LaminationError(f"duplicate vertices in {verts}")
+            raise LaminationError(f"duplicate vertices in {self._from_sorted(verts)}")
         object.__setattr__(self, "vertices", verts)
 
     @classmethod
@@ -148,16 +148,17 @@ class PolygonClass:
         return "{" + ",".join(str(v) for v in self.vertices) + "}"
 
 
-def _events(edges: Iterable[tuple], points: Iterable = ()) -> list[tuple]:
-    """The sweep events (see :func:`_sweep`) of ``(a, b)`` edges and of points."""
-    events = [ev for a, b in edges for ev in ((b, 0, -a, a, b), (a, 1, -b, a, b))]
-    return events + [(p, 2, 0, p, p) for p in points]
+def _events(edges: Iterable[tuple], points: Iterable = (), tag=None) -> list[tuple]:
+    """Sweep events of ``(a, b)`` edge tuples and of points tagged ``tag`` (see :func:`_sweep`)."""
+    events = [ev for e in edges for ev in ((e[1], 0, -e[0], e), (e[0], 1, -e[1], e))]
+    return events + [(p, 2, 0, tag) for p in points]
 
 
 def _sweep(edges: Iterable = (), points: Iterable = (), events: Optional[list] = None) -> tuple:
     """One bracket sweep: the first crossing pair among ``(a, b)`` edges
-    with ``a < b`` (or None), and the label of each point.  ``events``,
-    if given, replaces both by their prebuilt :func:`_events`.
+    with ``a < b`` (or None), and ``{(label, tag): points}``, each group in
+    increasing order, in order of first point.  ``points`` carry the tag
+    None; ``events``, if given, replaces both by prebuilt :func:`_events`.
 
     Any ordered coordinates work (angles or integer ranks).  At each
     coordinate, edges close innermost first, then open outermost first,
@@ -167,29 +168,26 @@ def _sweep(edges: Iterable = (), points: Iterable = (), events: Optional[list] =
     the pair ordered by first endpoint.  A point's label is its innermost
     enclosing edge (None outside every edge), shared by its whole region.
     """
-    stack: list[tuple] = []
-    labels: dict = {}
-    for x, kind, _, a, b in sorted(_events(edges, points) if events is None else events):
+    stack: list = [None]  # the label outside every edge
+    groups: dict = {}
+    for x, kind, _, e in sorted(_events(edges, points) if events is None else events):
         if kind == 1:
-            stack.append((a, b))
+            stack.append(e)
         elif kind:
-            labels[x] = stack[-1] if stack else None
-        elif stack[-1] != (a, b):
-            return ((a, b), stack[-1]), labels
+            groups.setdefault((stack[-1], e), []).append(x)
+        elif stack[-1] != e:
+            return (e, stack[-1]), groups
         else:
             stack.pop()
-    return None, labels
+    return None, groups
 
 
 def _regions(edges: Iterable[tuple], points: list) -> list[tuple[tuple, ...]]:
     """The arcs between consecutive sorted points, grouped by the label
     (see :func:`_sweep`) at their start, in order of first arc: the
     complementary regions of the edges that touch the circle."""
-    label = _sweep(edges, points)[1]
-    regions: dict = {}
-    for s, e in zip(points, points[1:] + points[:1]):
-        regions.setdefault(label[s], []).append((s, e))
-    return [tuple(r) for r in regions.values()]
+    end = dict(zip(points, points[1:] + points[:1]))
+    return [tuple(zip(g, map(end.__getitem__, g))) for g in _sweep(edges, points)[1].values()]
 
 
 def _residues(angles: Iterable[Angle], scale: int = 1) -> tuple[int, list[int]]:
@@ -219,15 +217,15 @@ class _IntModel:
     residues mod ``D = d * M``: sigma is multiplication by d mod D, every
     vertex preimage is itself a residue, and circular order is integer
     order.  ``classes`` holds the scaled tuples sorted (scaling keeps a
-    sorted order; ``scaled`` ones come so), ``known`` the same as a set and
-    ``edges`` their hull edges, both built on first use.
+    sorted order; ``scaled`` ones come so); ``vertices`` (all of theirs),
+    ``known`` (the same as a set) and ``edges`` are built on first use.
     """
 
     def __init__(self, d: int, M: int, classes: Iterable[tuple[int, ...]], scaled: bool = False):
         self.d, self.D = d, d * M
         self.classes = list(classes) if scaled else sorted(tuple(d * x for x in c) for c in classes)
-        self.vertices = set().union(*self.classes)
 
+    vertices = cached_property(lambda self: set().union(*self.classes))
     known = cached_property(lambda self: set(self.classes))
     edges = cached_property(lambda self: [e for c in self.classes for e in _hull_edges(c)])
 
@@ -244,10 +242,11 @@ class _IntModel:
         return f"{x // g}/{self.D // g}" if x else "0"
 
     def labels(self, points: Iterable[int]) -> dict[int, Optional[tuple[int, int]]]:
-        """Region label (see :func:`_sweep`) of each point that is no model
-        vertex: two such points share a complementary region exactly when
-        they share the label."""
-        return _sweep(self.edges, (p for p in points if p not in self.vertices))[1]
+        """Region label of each point that is no model vertex, read off the
+        :func:`_sweep` groups: two such points share a complementary region
+        exactly when they share the label."""
+        groups = _sweep(self.edges, (p for p in points if p not in self.vertices))[1]
+        return {p: label for (label, _), ps in groups.items() for p in ps}
 
     def angle(self, x: int) -> Angle:
         return Fraction(x, self.D)
@@ -578,13 +577,14 @@ def criticality_audit(lam: ClassLamination) -> CriticalityAudit:
         entries = [GapAudit(full, GAP_ROUND, DegreeStatus(DEGREE_KNOWN, d))]
     else:
         model = _IntModel(d, *lam._view[:2])
-        entries = []
+        entries, angle = [], {}  # vertex residue -> its angle, as the classes hold it
         for c, poly in zip(model.classes, lam._view[2]):
+            angle.update(zip(c, poly.vertices))
             cov = _covering(model.D, c, d)
             status = DegreeStatus(DEGREE_KNOWN if cov.has_degree else DEGREE_UNDEFINED, cov.degree)
             entries.append(GapAudit(poly, GAP_POLYGON, status))
-        for arcs in _regions(model.edges, sorted(model.vertices)):
-            gap = RoundGap(tuple((model.angle(s), model.angle(e)) for s, e in arcs))
+        for arcs in _regions(model.edges, sorted(angle)):
+            gap = RoundGap(tuple((angle[s], angle[e]) for s, e in arcs))
             entries.append(GapAudit(gap, GAP_ROUND, _gap_degree(model.D, arcs, d)))
 
     offenders = tuple(e for e in entries if e.status.kind != DEGREE_KNOWN)

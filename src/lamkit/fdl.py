@@ -308,36 +308,34 @@ def _blocks_cross(a: tuple, b: tuple) -> bool:
     return len({bisect(a, v) % len(a) for v in b}) > 1
 
 
-def _placements(targets, model: _IntModel, labels: dict) -> list[list]:
+def _placements(targets, model: _IntModel, groups: dict) -> list[list]:
     """Every placement (a list of new blocks) over the deepest classes
-    ``targets``, mod ``model.D // d``; ``[]`` when none binds.  The d*n
-    whole-disk preimages of each target, in circular order and labelled
-    0..n-1 repeating, group by target and region or owning class (reused
-    whole; at depth 0 only).  Groups do not interleave, so when each holds
-    k*n points (as the region lemma's pockets give a deepest class), only
-    whole groups lie between two points of one, and its labels step by +1:
-    n points are one block, crossing nothing (region lemma), and k*n points
-    take any ``count_all(k, n)`` local shape.  Each region grows its groups'
-    shapes one group at a time past crossing blocks; a placement is the
-    blocks of n points plus one choice per region."""
+    ``targets``, mod ``model.D // d``; ``[]`` when none binds.  ``groups`` are
+    the :func:`_sweep` groups, by region and target, of the targets' d*n
+    whole-disk preimages, labelled 0..n-1 repeating and tagged with their
+    target, bar model vertices (at depth 0 only): each class those touch must
+    lie over one target, whole, to be reused.  Groups do not interleave, so
+    when each holds k*n points (the region lemma's pockets), only whole groups
+    lie between two points of one, and its labels step by +1: n points are one
+    block, crossing nothing (region lemma), and k*n points take any
+    ``count_all(k, n)`` local shape.  A placement is the blocks of n points
+    plus one non-crossing choice of shapes per region."""
     d, M = model.d, model.D // model.d
-    groups: dict = {}  # (region label or owning class index, target) -> points
-    for t, c in enumerate(targets):
-        for p in [x + s for s in range(0, d * M, M) for x in c]:
-            key = labels[p] if p in labels else next(i for i, o in enumerate(model.classes) if p in o)
-            groups.setdefault((key, t), []).append(p)
+    if sum(map(len, groups.values())) < d * sum(map(len, targets)):
+        for c in targets:
+            pre = {x + s for s in range(0, d * M, M) for x in c}
+            if any(len(o) % len(c) or not pre.issuperset(o) for o in model.classes if pre.intersection(o)):
+                return []
     forced, regions = [], {}
-    for (region, t), vs in groups.items():
-        vs, n = tuple(vs), len(targets[t])
-        if len(vs) % n or vs[0] in model.vertices and vs not in model.known:
+    for (region, c), vs in groups.items():
+        n = len(c)
+        if len(vs) % n:
             return []
-        if vs[0] in model.vertices:
-            continue
         if len(vs) == n:
-            forced.append(vs)
+            forced.append(tuple(vs))
             continue
-        chosen = regions.get(region, [[]])
-        local = [bind_shape(s, vs, model, labels)[0] for s in enumerate_all_portraits(len(vs) // n, n)]
+        chosen, at = regions.get(region, [[]]), dict.fromkeys(vs, region)
+        local = [bind_shape(s, vs, model, at)[0] for s in enumerate_all_portraits(len(vs) // n, n)]
         regions[region] = [
             o + b for o in chosen for b in local if not any(_blocks_cross(u, v) for u in o for v in b)
         ]
@@ -356,14 +354,14 @@ class _Memo(dict):
 
 class _Level:
     """One tree level's shared work for degree ``d`` and node modulus ``M``, by
-    value: scaled classes (one copy each), the sweep events of their hull edges
-    and of each deepest class's preimages, key texts, and one copy of each block."""
+    value: scaled classes and new blocks (one copy each), key texts, and sweep
+    events of hull edges and of deepest classes' preimages, tagged by class."""
 
     def __init__(self, d: int, M: int):
         self.d, self.M = d, M
         self.scaled = _Memo(lambda c: tuple(d * x for x in c))
         self.edges = _Memo(lambda c: _events(_hull_edges(c)))
-        self.points = _Memo(lambda c: _events((), [x + s for s in range(0, d * M, M) for x in c]))
+        self.points = _Memo(lambda c: _events((), [x + s for s in range(0, d * M, M) for x in c], c))
         self.texts = _Memo(_IntModel(d, M, ()).text)
         self.blocks = _Memo(lambda vs: vs)
 
@@ -375,15 +373,17 @@ def enumerate_children(fdl: FDL, level: Optional[_Level] = None) -> list[FDL]:
     whole disk over its vertex preimages (reusing classes they reproduce);
     every mutually non-crossing choice of one placement per deepest class
     is a child, with no further check.
-    ``fdl`` must be valid: then no class lies over a deepest n-gon t but,
-    at depth 0, t's periodic preimage, so every placement keeps a new
-    block.  The d*n points over t are labelled 0..n-1 cyclically by their
-    images, and a portrait block steps its label by +1 at each vertex.  So
-    every new block maps onto t and every new edge onto a hull edge of t
-    (depth and axioms 2 and 3); one new block covers every edge of t
-    (axiom 4); and the placement partitions the whole fiber, so over each
-    edge of t lie d pairwise disjoint edges, reused periodic blocks among
-    them (axiom 5).  The new blocks are thus the child's deepest layer.
+    ``fdl`` must be valid: then a class with a vertex over a deepest n-gon t
+    maps onto t (axiom 3), so sits at depth n + 1 unless n = 0 and it is t's
+    periodic preimage: only at depth 0 may a preimage be a model vertex (so
+    none is filtered deeper), and every placement keeps a new block.  The
+    d*n points over t are labelled 0..n-1 cyclically by their images, and a
+    portrait block steps its label by +1 at each vertex.  So every new block
+    maps onto t and every new edge onto a hull edge of t (depth and axioms 2
+    and 3); one new block covers every edge of t (axiom 4); and the
+    placement partitions the whole fiber, so over each edge of t lie d
+    pairwise disjoint edges, reused periodic blocks among them (axiom 5).
+    The new blocks are thus the child's deepest layer.
 
     A placement is the forced blocks plus one non-crossing choice per
     region (:func:`_placements`): by the region lemma (module docstring),
@@ -399,10 +399,10 @@ def enumerate_children(fdl: FDL, level: Optional[_Level] = None) -> list[FDL]:
     level = level if level and (level.d, level.M) == (d, fdl.modulus) else _Level(d, fdl.modulus)
     model = _IntModel(d, fdl.modulus, map(level.scaled.__getitem__, fdl.residues), scaled=True)
     events = list(chain.from_iterable(map(level.edges.__getitem__, model.classes)))
-    events += [ev for c in fdl.deepest for ev in level.points[c] if ev[0] not in model.vertices]
-    labels = _sweep(events=events)[1]
+    points = chain.from_iterable(map(level.points.__getitem__, fdl.deepest))
+    events += points if fdl.depth_n else (ev for ev in points if ev[0] not in model.vertices)
     children: dict[str, FDL] = {}
-    for blocks in _placements(fdl.deepest, model, labels):
+    for blocks in _placements(fdl.deepest, model, _sweep(events=events)[1]):
         new = sorted(map(level.blocks.__getitem__, blocks))
         # the child's own model would scale these residues by d: same order and fractions
         residues = tuple(sorted(model.classes + new))

@@ -98,12 +98,12 @@ class CriticalChordSet:
         for c in self.chords:
             if not c.is_critical(d):
                 raise PullbackError(f"chord {c} is not critical in degree {d}")
-        # each cut point starts one arc of a branch: count the labels of the cut points
-        hit, label = _sweep(((c.a, c.b) for c in self.chords), self.cut_points())
+        # each cut point starts one arc of a branch: count the regions of the cut points
+        hit, groups = _sweep(((c.a, c.b) for c in self.chords), self.cut_points())
         if hit is not None:
             c1, c2 = Chord(*hit[0]), Chord(*hit[1])
             raise PullbackError(f"critical chords {c1} and {c2} cross")
-        if len(set(label.values())) < len(set(self.chords)) + 1:
+        if len(groups) < len(set(self.chords)) + 1:
             raise PullbackError("critical chords close a loop")
         for c, prev in zip(self.chords[1:], self.chords):
             if c == prev:

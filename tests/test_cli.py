@@ -335,3 +335,20 @@ def test_a_class_listed_twice_is_classified(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: classes[0] and classes[1] list the same class {1/3,2/3}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "classes, message",
+    [
+        ('[["1/3","1/3"]]', "classes[0]: duplicate vertices in {1/3,1/3}"),
+        ('[["1/7","2/7","4/7"],["2/3","4/3","1/3"]]', "classes[1]: duplicate vertices in {1/3,1/3,2/3}"),
+    ],
+    ids=["2-gon", "3-gon"],
+)
+def test_duplicate_vertices_print_as_fractions(tmp_path, capsys, classes, message):
+    p = tmp_path / "bad.json"
+    p.write_text(f'{{"degree": 2, "classes": {classes}}}')
+    assert main(["validate", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""

@@ -16,6 +16,7 @@ from lamkit.core import (
     _hull_edges,
     _class_residues,
     _IntModel,
+    _events,
     _sweep,
     criticality_audit,
 )
@@ -346,7 +347,7 @@ def _product_children(fdl, census):
     for t, pts in zip(targets, points):
         placed = (bind_shape(s, pts, model, labels) for s in enumerate_all_portraits(d, len(t)))
         options.append([p for p in placed if p is not None])
-        _check_placements(tuple(x // d for x in t), model, labels, options[-1], census)
+        _check_placements(tuple(x // d for x in t), model, options[-1], census)
     # the region lemma's consequence: a forced target's blocks cross no block
     # of another target's placements in their region
     by_region = {}
@@ -371,10 +372,20 @@ def _product_children(fdl, census):
     return sorted(keys)
 
 
-def _check_placements(c, model, labels, bound, census):
+def _groups(model, targets):
+    # the _sweep groups that _placements reads: each target's preimages that
+    # are no model vertex, tagged with the target, by region and target
+    d, M = model.d, model.D // model.d
+    events = _events(model.edges)
+    for c in targets:
+        events += _events((), [p for p in (x + k * M for k in range(d) for x in c) if p not in model.vertices], c)
+    return _sweep(events=events)[1]
+
+
+def _check_placements(c, model, bound, census):
     # the forced/free split gives exactly the disk-wide placements that bind,
     # so a target it finds forced (one option) is one where one of them binds
-    got = _placements((c,), model, labels)
+    got = _placements((c,), model, _groups(model, [c]))
     want = sorted(sorted(new) for new, _ in bound)
     assert sorted(map(sorted, got)) == want, c
     census["targets"] += 1
@@ -433,7 +444,7 @@ def test_placements_match_disk_wide_binding_on_random_targets(basilica_tree, rab
                     labels = model.labels(x + k * M for k in range(d) for x in c)
                     pts = _portrait_residues(tuple(d * x for x in c), model, None)
                     bound = (bind_shape(s, pts, model, labels) for s in enumerate_all_portraits(d, len(c)))
-                    _check_placements(c, model, labels, [b for b in bound if b is not None], census)
+                    _check_placements(c, model, [b for b in bound if b is not None], census)
     assert census == {"targets": 1845, "forced": 1162, "free": 19, "none": 664}
 
 
@@ -537,7 +548,7 @@ def test_placements_match_the_disk_wide_product_on_thinned_nodes(basilica_tree, 
                 model = _IntModel(d, node.modulus, [c for c in node.residues if c not in lost])
                 targets = [c for c in node.deepest if c not in lost]
                 labels = model.labels(x + k * node.modulus for k in range(d) for c in targets for x in c)
-                got = sorted(map(sorted, _placements(targets, model, labels)))
+                got = sorted(map(sorted, _placements(targets, model, _groups(model, targets))))
                 assert got == _disk_wide_placements(d, model, targets, labels), (node.key(), lost)
                 census["thinned" if lost else "whole"] += 1
                 kinds = {}  # region -> its groups' kinds: False for n points, True for more
@@ -573,6 +584,25 @@ def test_level_tables_match_fresh_enumeration(basilica9_tree, rabbit_root, cubic
             classes = [c for node in level for c in node.residues]
             assert len({id(c) for c in classes}) == len(set(classes))
     assert expanded == 171 + 56 + 19
+
+
+def test_deepest_preimages_are_no_vertices_below_depth_0(basilica9_tree, rabbit_root, cubic_root):
+    # enumerate_children skips the vertex filter at depth n > 0: a class
+    # holding a preimage of a deepest class t maps onto t, so it would sit at
+    # depth n + 1.  Census over every expanded node: (preimage points,
+    # vertices among them), all of those at depth 0
+    census = []
+    for tree in (basilica9_tree, build_pullback_tree(rabbit_root, 8), build_pullback_tree(cubic_root, 4)):
+        points = vertices = 0
+        for node in (n for level in tree.levels[:-1] for n in level):
+            d, M = node.degree, node.modulus
+            on = _IntModel(d, M, node.residues).vertices
+            hits = sum(x + k * M in on for c in node.deepest for k in range(d) for x in c)
+            assert node.depth_n == 0 or hits == 0, node.key()
+            points += d * sum(map(len, node.deepest))
+            vertices += hits
+        census.append((points, vertices))
+    assert census == [(58144, 2), (14160, 3), (5346, 6)]
 
 
 def test_a_level_table_serves_one_degree_and_modulus(basilica_tree, basilica_root, cubic_root, monkeypatch):
