@@ -21,12 +21,14 @@ periodic preimage; so does the whole arc).  So forced blocks cross nothing,
 and only free groups of distinct targets in one region can cross: the
 children are the product over regions of each region's non-crossing
 choices, and the parent being valid, each is a child, kept with its key as
-residue tuples.  Its new blocks are its own deepest layer,
-carried to the next level.  The pullback tree validates its root in full,
-then collects all its descendants level by level, on one table per level
-(``_Level``, keyed by value), deduped by canonical form.  In the basilica,
-rabbit and cubic trees each level-k node has vertex set sigma^-k(V_0) (level
-10 of the basilica: 4,780 classes in 347,932 slots); nothing rests on that.
+residue tuples.  Its new blocks are its own deepest layer, carried to the
+next level.  The pullback tree validates its root in full, then collects
+all its descendants level by level, on one table per level (``_Level``,
+keyed by value, lent the last one's key texts), merging none: placements
+give distinct children, and a child's one parent is its image.  In the
+basilica, rabbit and cubic trees each level-k node has vertex set
+sigma^-k(V_0) (level 10 of the basilica: 4,780 classes in 347,932 slots);
+nothing rests on that.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass, field
 from itertools import chain, product
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .circle import Angle
@@ -49,7 +52,7 @@ from .core import (
     _IntModel,
     _sweep,
 )
-from .portraits import bind_shape, enumerate_all_portraits
+from .portraits import enumerate_all_portraits
 
 
 class FdlError(ValueError):
@@ -296,12 +299,6 @@ class FDL:
     __repr__ = __str__
 
 
-def deepest_classes(fdl: FDL) -> list[PolygonClass]:
-    """Classes at depth ``fdl.depth_n``: the periodic ones when it is 0."""
-    deepest = set(fdl.deepest)  # sorted like fdl.residues, which the classes follow
-    return [p for r, p in zip(fdl.residues, fdl.lamination.sorted_classes()) if r in deepest]
-
-
 def _blocks_cross(a: tuple, b: tuple) -> bool:
     """Do disjoint sorted residue blocks cross?  Exactly when b's vertices
     fall in more than one arc of a (indices 0 and len(a) name one arc)."""
@@ -318,8 +315,9 @@ def _placements(targets, model: _IntModel, groups: dict) -> list[list]:
     when each holds k*n points (the region lemma's pockets), only whole groups
     lie between two points of one, and its labels step by +1: n points are one
     block, crossing nothing (region lemma), and k*n points take any
-    ``count_all(k, n)`` local shape.  A placement is the blocks of n points
-    plus one non-crossing choice of shapes per region."""
+    ``count_all(k, n)`` local shape, its blocks the points at their indices
+    (no model vertex, one region: none reused, none crossing a leaf).  A
+    placement is the n-point blocks and a non-crossing shape choice per region."""
     d, M = model.d, model.D // model.d
     if sum(map(len, groups.values())) < d * sum(map(len, targets)):
         for c in targets:
@@ -334,8 +332,8 @@ def _placements(targets, model: _IntModel, groups: dict) -> list[list]:
         if len(vs) == n:
             forced.append(tuple(vs))
             continue
-        chosen, at = regions.get(region, [[]]), dict.fromkeys(vs, region)
-        local = [bind_shape(s, vs, model, at)[0] for s in enumerate_all_portraits(len(vs) // n, n)]
+        chosen = regions.get(region, [[]])
+        local = [[tuple(vs[i] for i in b) for b in s.blocks] for s in enumerate_all_portraits(len(vs) // n, n)]
         regions[region] = [
             o + b for o in chosen for b in local if not any(_blocks_cross(u, v) for u in o for v in b)
         ]
@@ -354,16 +352,28 @@ class _Memo(dict):
 
 class _Level:
     """One tree level's shared work for degree ``d`` and node modulus ``M``, by
-    value: scaled classes and new blocks (one copy each), key texts, and sweep
-    events of hull edges and of deepest classes' preimages, tagged by class."""
+    value, one copy each: node classes scaled by d with their hull-edge sweep
+    events, deepest classes' preimage events tagged by class, new blocks, and
+    the key texts of the level below.  A scaled class keeps its text object
+    from ``prev``, the last table's texts (scaling residues and modulus by d
+    keeps every fraction), so only new blocks are formatted, vertex by vertex.
+    A table holds just that text dict, never a chain of tables to the root."""
 
-    def __init__(self, d: int, M: int):
+    def __init__(self, d: int, M: int, prev: Optional[dict] = None):
         self.d, self.M = d, M
-        self.scaled = _Memo(lambda c: tuple(d * x for x in c))
-        self.edges = _Memo(lambda c: _events(_hull_edges(c)))
-        self.points = _Memo(lambda c: _events((), [x + s for s in range(0, d * M, M) for x in c], c))
-        self.texts = _Memo(_IntModel(d, M, ()).text)
-        self.blocks = _Memo(lambda vs: vs)
+        prev = self.prev = prev or {}
+        vertex = _Memo(_IntModel(d, M, ())._fmt)
+        texts = self.texts = _Memo(lambda c: ",".join(map(vertex.__getitem__, c)))
+
+        def scale(c):
+            s = tuple(d * x for x in c)
+            if c in prev:
+                texts[s] = prev[c]
+            return s, _events(_hull_edges(s))
+
+        self.classes = _Memo(scale)
+        self.points = _Memo(lambda c: [(x + s, 2, 0, c) for s in range(0, d * M, M) for x in c])
+        self.blocks: dict = {}
 
 
 def enumerate_children(fdl: FDL, level: Optional[_Level] = None) -> list[FDL]:
@@ -388,8 +398,8 @@ def enumerate_children(fdl: FDL, level: Optional[_Level] = None) -> list[FDL]:
     A placement is the forced blocks plus one non-crossing choice per
     region (:func:`_placements`): by the region lemma (module docstring),
     only new blocks of distinct targets' free groups in one region cross,
-    so the children are the product over regions.  Children come back
-    sorted by key.
+    so the children are the product over regions, one per placement (they
+    differ in new blocks), sorted by key.
     ``level`` is the tree's :class:`_Level` for this degree and modulus (a
     fresh one replaces any other); filled by value, it changes no result.
     """
@@ -397,18 +407,20 @@ def enumerate_children(fdl: FDL, level: Optional[_Level] = None) -> list[FDL]:
     if not fdl.deepest:
         raise FdlError(f"no class sits at the depth parameter {fdl.depth_n}")
     level = level if level and (level.d, level.M) == (d, fdl.modulus) else _Level(d, fdl.modulus)
-    model = _IntModel(d, fdl.modulus, map(level.scaled.__getitem__, fdl.residues), scaled=True)
-    events = list(chain.from_iterable(map(level.edges.__getitem__, model.classes)))
+    scaled = list(map(level.classes.__getitem__, fdl.residues))
+    model = _IntModel(d, fdl.modulus, map(itemgetter(0), scaled), scaled=True)
+    events = list(chain.from_iterable(map(itemgetter(1), scaled)))
     points = chain.from_iterable(map(level.points.__getitem__, fdl.deepest))
     events += points if fdl.depth_n else (ev for ev in points if ev[0] not in model.vertices)
-    children: dict[str, FDL] = {}
+    head, text, kids = str(d), level.texts.__getitem__, []
     for blocks in _placements(fdl.deepest, model, _sweep(events=events)[1]):
-        new = sorted(map(level.blocks.__getitem__, blocks))
+        new = sorted(map(level.blocks.setdefault, blocks, blocks))
         # the child's own model would scale these residues by d: same order and fractions
         residues = tuple(sorted(model.classes + new))
-        key = "|".join([str(d), *map(level.texts.__getitem__, residues)])
-        children[key] = FDL._node(d, fdl.depth_n + 1, model.D, residues, tuple(new), key)
-    return [children[k] for k in sorted(children)]
+        key = "|".join([head, *map(text, residues)])
+        kids.append(FDL._node(d, fdl.depth_n + 1, model.D, residues, tuple(new), key))
+    kids.sort(key=FDL.key)
+    return kids
 
 
 # --- pullback tree ----------------------------------------------------------------
@@ -462,15 +474,14 @@ def build_pullback_tree(root: FDL, depth: int) -> PullbackTree:
     if not report.valid or report.depth_n != root.depth_n:
         raise FdlError(f"tree root is no finite dynamical lamination at depth {root.depth_n}")
     tree = PullbackTree(root, [[root]])
-    d = root.degree
+    d, table = root.degree, None
     for k in range(depth):
-        nxt: dict[str, FDL] = {}
-        table = _Level(d, root.modulus * d**k)  # every level-k node's modulus
+        # every level-k node's modulus; the last table lends its key texts
+        table = _Level(d, root.modulus * d**k, table and table.texts)
+        level = []
         for node in tree.levels[-1]:
-            node_key = node.key()
-            for child in enumerate_children(node, table):
-                key = child.key()
-                nxt[key] = child
-                tree.parent[key] = node_key
-        tree.levels.append([nxt[k] for k in sorted(nxt)])
+            kids = enumerate_children(node, table)
+            tree.parent.update(dict.fromkeys(map(FDL.key, kids), node.key()))
+            level += kids
+        tree.levels.append(sorted(level, key=FDL.key))
     return tree

@@ -25,7 +25,6 @@ from functools import lru_cache
 from math import comb
 from typing import Optional, Sequence
 
-from .circle import Angle, check_degree
 from .core import ClassLamination, PolygonClass, RoundGap, _class_residues, _IntModel
 
 
@@ -246,24 +245,13 @@ class Placement:
     reused: tuple[PolygonClass, ...]
 
 
-def portrait_points(target: PolygonClass, d: int, region: Optional[RoundGap] = None) -> list[Angle]:
-    """Preimages of the target's vertices available for a portrait.
-
-    For the whole disk these are all d preimages per vertex; inside a round
-    gap, the ones lying in its closed basis.  Points come back in circular
-    order starting at the smallest point whose image is the target's first
-    vertex, and their labels must repeat 0..n-1 cyclically.
-    """
-    check_degree(d)
-    model = _IntModel(d, *_class_residues([target]))
-    pts = _portrait_residues(model.classes[0], model, region)
-    return [model.angle(p) for p in pts]
-
-
 def _portrait_residues(
     target: tuple[int, ...], model: _IntModel, region: Optional[RoundGap]
 ) -> list[int]:
-    """:func:`portrait_points` on residues mod ``model.D``, ``target`` included."""
+    """Residues mod ``model.D`` of the preimages of ``target`` (scaled like
+    the model's classes) for a portrait: all d per vertex in the whole disk,
+    or those in the closed basis of ``region``, in circular order from the
+    smallest over the first vertex; their labels must repeat 0..n-1."""
     d, step = model.d, model.D // model.d
     pts = sorted(v // d + k * step for v in target for k in range(d))
     if region is not None:

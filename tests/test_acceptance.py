@@ -29,7 +29,6 @@ from lamkit.core import (
     chords_cross,
     criticality_audit,
 )
-from lamkit.fdl import deepest_classes
 from lamkit.io import oeis_compare, parse_bfile
 from lamkit.paramgraph import (
     closure_is_refinement,
@@ -56,6 +55,8 @@ from lamkit.pullback import (
     pullback_lamination,
     pullback_step,
 )
+
+from helpers import deepest_classes
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 

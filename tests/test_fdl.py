@@ -1,5 +1,8 @@
+import gc
+import hashlib
 import random
 import sys
+import weakref
 from bisect import bisect
 from collections import Counter
 from fractions import Fraction as F
@@ -30,7 +33,6 @@ from lamkit.fdl import (
     build_pullback_tree,
     canonical_form,
     classes_from_chords,
-    deepest_classes,
     enumerate_children,
     root_fdl,
     validate_fdl,
@@ -38,6 +40,8 @@ from lamkit.fdl import (
 from lamkit.io import dumps, load_lamination, save_lamination
 from lamkit.portraits import _portrait_residues, bind_shape, enumerate_all_portraits
 from lamkit.pullback import hyperbolic_approx
+
+from helpers import deepest_classes
 
 RABBIT = PolygonClass((F(1, 7), F(2, 7), F(4, 7)))
 SIBLING = PolygonClass((F(1, 14), F(9, 14), F(11, 14)))
@@ -343,11 +347,12 @@ def _product_children(fdl, census):
     targets = _deepest(model, fdl.depth_n)
     points = [_portrait_residues(t, model, None) for t in targets]
     labels = model.labels(p for pts in points for p in pts)
+    groups = _groups(model, [tuple(x // d for x in t) for t in targets])
     options = []
     for t, pts in zip(targets, points):
         placed = (bind_shape(s, pts, model, labels) for s in enumerate_all_portraits(d, len(t)))
         options.append([p for p in placed if p is not None])
-        _check_placements(tuple(x // d for x in t), model, options[-1], census)
+        _check_placements(tuple(x // d for x in t), model, options[-1], census, groups)
     # the region lemma's consequence: a forced target's blocks cross no block
     # of another target's placements in their region
     by_region = {}
@@ -382,10 +387,12 @@ def _groups(model, targets):
     return _sweep(events=events)[1]
 
 
-def _check_placements(c, model, bound, census):
+def _check_placements(c, model, bound, census, groups=None):
     # the forced/free split gives exactly the disk-wide placements that bind,
-    # so a target it finds forced (one option) is one where one of them binds
-    got = _placements((c,), model, _groups(model, [c]))
+    # so a target it finds forced (one option) is one where one of them binds;
+    # ``groups``, of a sweep over several targets, are read by c's tag
+    groups = _groups(model, [c]) if groups is None else {k: v for k, v in groups.items() if k[1] == c}
+    got = _placements((c,), model, groups)
     want = sorted(sorted(new) for new, _ in bound)
     assert sorted(map(sorted, got)) == want, c
     census["targets"] += 1
@@ -565,7 +572,7 @@ def _fields(node):
 
 
 def _tables_of(level):
-    return level.scaled, level.edges, level.points, level.texts, level.blocks
+    return level.classes, level.points, level.texts, level.blocks
 
 
 def test_level_tables_match_fresh_enumeration(basilica9_tree, rabbit_root, cubic_root):
@@ -584,6 +591,78 @@ def test_level_tables_match_fresh_enumeration(basilica9_tree, rabbit_root, cubic
             classes = [c for node in level for c in node.residues]
             assert len({id(c) for c in classes}) == len(set(classes))
     assert expanded == 171 + 56 + 19
+
+
+def test_placements_give_distinct_children(basilica9_tree, rabbit_root, cubic_root):
+    # why no dict merges children: on every expanded node each placement is
+    # its own child (two differ in their new blocks), and no key repeats
+    # within a level (a child's parent is its image, so two parents share no
+    # child).  Census per tree: (expanded nodes, placements)
+    census = []
+    for tree in (basilica9_tree, build_pullback_tree(rabbit_root, 8), build_pullback_tree(cubic_root, 4)):
+        for level in tree.levels:
+            assert len({node.key() for node in level}) == len(level)
+        kids = Counter(tree.parent.values())
+        expanded = [n for level in tree.levels[:-1] for n in level]
+        for node in expanded:
+            model = _IntModel(node.degree, node.modulus, node.residues)
+            placements = _placements(node.deepest, model, _groups(model, node.deepest))
+            assert len(placements) == kids[node.key()], node.key()
+        census.append((len(expanded), sum(kids.values())))
+    assert census == [(171, 341), (56, 110), (19, 187)]
+
+
+def _digest(tree):
+    # sha256 over the level counts and, level by level, each node's key,
+    # depth, modulus, residues, deepest layer and parent key
+    h = hashlib.sha256(repr(tree.level_counts()).encode())
+    for node in tree.all_nodes():
+        fields = (node.key(), node.depth_n, node.modulus, node.residues, node.deepest, tree.parent.get(node.key()))
+        h.update(repr(fields).encode())
+    return h.hexdigest()
+
+
+def test_fixture_trees_match_their_digests(basilica9_tree, rabbit_root, cubic_root):
+    # pinned from build_pullback_tree as it stood when it formatted every key
+    # text afresh and merged children in dicts by key
+    trees = (basilica9_tree, build_pullback_tree(rabbit_root, 8), build_pullback_tree(cubic_root, 4))
+    assert [_digest(tree) for tree in trees] == [
+        "0203ef408b3dc6b598e5f546d4ce036c9ba6b91af61e46cd3e0065a1d5d2abb6",
+        "9dcd8d0fa3705abfd156a12f3035b42965b6fa08cf87ef5f58f35d303a768c3e",
+        "e020d441f2e9083b50143cd45fa4f7b846473064fb7e0eca4ab72b6618f68baa",
+    ]
+
+
+def test_level_tables_carry_key_texts(basilica_root, rabbit_root, cubic_root, monkeypatch):
+    # each table takes the last one's texts and no table: when a table starts,
+    # every earlier one is gone.  A scaled class keeps the very text object
+    # of the level above, and every text is the one _IntModel.text formats.
+    # Census per tree: (texts in all its tables, texts carried)
+    tables, texts = [], []  # weak references to a tree's tables; their texts
+
+    def spy(node, level=None):
+        if not tables or tables[-1]() is not level:
+            gc.collect()
+            assert all(table() is None for table in tables)
+            assert level.prev is texts[-1] if texts else level.prev == {}
+            tables.append(weakref.ref(level))
+            texts.append(level.texts)
+        return enumerate_children(node, level)
+
+    monkeypatch.setattr(fdl_module, "enumerate_children", spy)
+    census = []
+    for root, depth in ((basilica_root, 9), (rabbit_root, 8), (cubic_root, 4)):
+        build_pullback_tree(root, depth)
+        d, carried = root.degree, 0
+        for k, (above, level) in enumerate(zip([{}] + texts, texts)):
+            fresh = _IntModel(d, root.modulus * d**k, ())
+            assert all(text == fresh.text(c) for c, text in level.items())
+            assert all(level[tuple(d * x for x in c)] is text for c, text in above.items())
+            carried += len(above)
+        census.append((sum(map(len, texts)), carried))
+        tables.clear()
+        texts.clear()
+    assert census == [(3770, 1635), (1180, 504), (320, 88)]
 
 
 def test_deepest_preimages_are_no_vertices_below_depth_0(basilica9_tree, rabbit_root, cubic_root):
@@ -657,31 +736,35 @@ def test_level_nodes_share_the_preimages_of_the_root_vertices(basilica_tree, rab
 
 
 @pytest.fixture()
-def shape_bindings(monkeypatch):
-    """Counts calls of ``portraits.bind_shape``, through every binding of it."""
+def shape_listings(monkeypatch):
+    """Counts calls of ``portraits.enumerate_all_portraits``, through every
+    binding of it, as (i, n, shapes listed)."""
     calls = []
 
-    def counted(shape, *args):
-        calls.append((shape.i, shape.n))
-        return bind_shape(shape, *args)
+    def counted(i, n):
+        shapes = enumerate_all_portraits(i, n)
+        calls.append((i, n, len(shapes)))
+        return shapes
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("lamkit") and getattr(module, "bind_shape", 0) is bind_shape:
-            monkeypatch.setattr(module, "bind_shape", counted)
+        if name.startswith("lamkit") and getattr(module, "enumerate_all_portraits", 0) is enumerate_all_portraits:
+            monkeypatch.setattr(module, "enumerate_all_portraits", counted)
     return calls
 
 
-def test_only_free_regions_bind_portraits(basilica9_tree, cubic_tree, shape_bindings):
+def test_only_free_regions_bind_portraits(basilica9_tree, cubic_tree, shape_listings):
     # each of the basilica tree's 170 free targets binds the 3 shapes of its
-    # one region holding 4 of its points, and a forced target binds none
+    # one region holding 4 of its points, 510 in all, and a forced target
+    # binds none
     for node in basilica9_tree.all_nodes():
         enumerate_children(node)
-    assert shape_bindings == [(2, 2)] * 510
-    # in degree 3 a free region holds 2 of the 3 preimages of each vertex
-    shape_bindings.clear()
+    assert shape_listings == [(2, 2, 3)] * 170
+    # in degree 3 a free region holds 2 of the 3 preimages of each vertex:
+    # 26 free targets bind 4 shapes each
+    shape_listings.clear()
     for node in cubic_tree.all_nodes():
         enumerate_children(node)
-    assert shape_bindings == [(2, 3)] * 104
+    assert shape_listings == [(2, 3, 4)] * 26
 
 
 def _arc_case(a, b):

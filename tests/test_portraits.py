@@ -11,7 +11,6 @@ from lamkit.core import (
     gap_decomposition,
     gap_degree,
 )
-from lamkit.fdl import deepest_classes
 from lamkit.portraits import (
     Placement,
     PortraitError,
@@ -22,11 +21,12 @@ from lamkit.portraits import (
     enumerate_injective_portraits,
     instantiate_portrait,
     internal_count,
-    portrait_points,
     portrait_to_tree,
     reduce_portrait,
     tree_to_portrait,
 )
+
+from helpers import deepest_classes, portrait_points
 
 RABBIT = PolygonClass((F(1, 7), F(2, 7), F(4, 7)))
 SIBLING = PolygonClass((F(1, 14), F(9, 14), F(11, 14)))
