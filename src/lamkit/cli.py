@@ -69,7 +69,7 @@ def _read(path: str) -> str:
 
 
 def _root(path: str) -> FDL:
-    return check_root(FDL.validate(load_lamination(_read(path))))
+    return check_root(FDL(load_lamination(_read(path))))
 
 
 def cmd_validate(args) -> int:
@@ -103,9 +103,7 @@ def cmd_portraits(args) -> int:
 
 
 def cmd_children(args) -> int:
-    lam = load_lamination(_read(args.file))
-    fdl = FDL.validate(lam)
-    children = enumerate_children(fdl)
+    children = enumerate_children(FDL(load_lamination(_read(args.file))))
     for child in children:
         print(json.dumps(save_lamination(child.lamination, level=child.depth_n)))
     print(f"children: {len(children)}", file=sys.stderr)

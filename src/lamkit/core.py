@@ -13,8 +13,9 @@ by their start (``_regions``) for round gaps and critical-chord branches.
 ``_IntModel`` is the integer view of a set of classes that the gaps,
 portrait placement, validation and keys share.  It is built from vertex
 residue tuples mod a common modulus M: a tree node's, or a lamination's
-residue view (``ClassLamination._view``), converted once.  Its class depths
-come from the tail walk ``circle._orbits``.  The criticality audit walks a
+residue view (``ClassLamination._view``), converted once and cached as
+``ClassLamination._model``.  Its class depths come from one tail walk
+``circle._orbits``, cached too.  The criticality audit walks a
 lamination's model once and gives every gap its degree there: a polygon
 from its vertex images (``_covering``), a round gap, one region of the hull
 edges, by one coverage sweep over the images of its basis endpoints
@@ -204,6 +205,22 @@ def _hull_edges(vs: tuple) -> list[tuple]:
     return list(zip(vs, vs[1:])) + [(vs[0], vs[-1])]
 
 
+def _components(pairs: Iterable[tuple]) -> dict:
+    """Union-find with path halving: every item of ``pairs``, in order of
+    first appearance, mapped to the root of its connected component."""
+    parent: dict = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return {x: find(x) for x in parent}
+
+
 def _class_residues(polys: Collection[PolygonClass]) -> tuple[int, list[tuple[int, ...]]]:
     """Vertex residues of each class, in order, mod ``M = lcm(denominators)``."""
     M = lcm(*(v.denominator for c in polys for v in c.vertices))
@@ -218,7 +235,8 @@ class _IntModel:
     vertex preimage is itself a residue, and circular order is integer
     order.  ``classes`` holds the scaled tuples sorted (scaling keeps a
     sorted order; ``scaled`` ones come so); ``vertices`` (all of theirs),
-    ``known`` (the same as a set) and ``edges`` are built on first use.
+    ``known`` (the same as a set), ``edges`` and ``depths`` are built on
+    first use.
     """
 
     def __init__(self, d: int, M: int, classes: Iterable[tuple[int, ...]], scaled: bool = False):
@@ -260,6 +278,7 @@ class _IntModel:
     def edge_str(self, e: tuple[int, int]) -> str:
         return f"({self.angle(e[0])},{self.angle(e[1])})"
 
+    @cached_property
     def depths(self) -> dict[tuple[int, ...], Optional[int]]:
         """Steps from each class along its image chain to a periodic class,
         or None when the chain leaves the lamination."""
@@ -305,6 +324,11 @@ class ClassLamination:
         M, res = _class_residues(self.classes)
         pairs = sorted(zip(res, self.classes))  # residues sort as the angles; classes differ
         return M, tuple(r for r, _ in pairs), tuple(c for _, c in pairs)
+
+    @cached_property
+    def _model(self) -> _IntModel:
+        """The one :class:`_IntModel` of the residue view."""
+        return _IntModel(self.degree, *self._view[:2])
 
     def check(self):
         # immutable, so one successful check is enough for a lifetime
@@ -559,8 +583,8 @@ class CriticalityAudit:
 def criticality_audit(lam: ClassLamination) -> CriticalityAudit:
     """Audit the excess-degree identity sum_i (d_i - 1) = d - 1 over all gaps.
 
-    The lamination's ``_IntModel`` is built once and every degree is decided
-    on its residues.  Polygon gaps, in vertex order, get their degree from
+    Every degree is decided on the residues of the lamination's cached
+    ``_IntModel``.  Polygon gaps, in vertex order, get their degree from
     :func:`_covering` (with the degenerate-image conventions).  Round gaps
     are the regions (:func:`_regions`) of the hull edges, with the vertices
     as points, and get their degree from :func:`_gap_degree`.  Every arc
@@ -576,7 +600,7 @@ def criticality_audit(lam: ClassLamination) -> CriticalityAudit:
         full = RoundGap(arcs=((Fraction(0), Fraction(0)),))
         entries = [GapAudit(full, GAP_ROUND, DegreeStatus(DEGREE_KNOWN, d))]
     else:
-        model = _IntModel(d, *lam._view[:2])
+        model = lam._model
         entries, angle = [], {}  # vertex residue -> its angle, as the classes hold it
         for c, poly in zip(model.classes, lam._view[2]):
             angle.update(zip(c, poly.vertices))

@@ -5,15 +5,18 @@ critical leaf, every leaf is a hull edge of its class, non-periodic leaves
 carry full disjoint sibling collections, periodic classes cover with
 positive orientation, and there is a single depth parameter n such that
 exactly the leaves within n-1 steps of the periodic part have preimages.
+So n belongs to the lamination: ``FDL(lamination)`` validates it and
+takes n from the report, on the lamination's one cached integer model
+(``core._IntModel``) and its depth walk.
 
 Children of such a lamination add one more layer of preimages: a sibling
 portrait, placed in the whole disk, over the preimages of each deepest
 class (already in circular order, lift by lift), on the parent's residue
-model (``core._IntModel``).  Each new block lies in one complementary
-region, so a placement is exactly a product of region-local shapes and
-reused classes: a target's group of n points in a region is a forced
-block, with no portrait, and a group of k*n points takes its
-``count_all(k, n)`` portraits.  Region lemma: between two points of one
+model.  Each new block lies in one complementary region, so a placement
+is exactly a product of region-local shapes and reused classes: a
+target's group of n points in a region is a forced block, with no
+portrait, and a group of k*n points takes its ``count_all(k, n)``
+portraits.  Region lemma: between two points of one
 target's group in a region, another target's group holds as many preimages
 of each vertex of its class (each closed pocket behind a leaf of the region
 does, by axioms 2 and 3, as nothing maps onto a deepest class but its
@@ -46,6 +49,7 @@ from .core import (
     ClassLamination,
     LaminationError,
     PolygonClass,
+    _components,
     _covering,
     _events,
     _hull_edges,
@@ -61,7 +65,7 @@ class FdlError(ValueError):
 
 def canonical_form(lam: ClassLamination) -> str:
     """Stable text key: degree, then classes sorted by first vertex."""
-    return _IntModel(lam.degree, *lam._view[:2]).key()
+    return lam._model.key()
 
 
 def classes_from_chords(degree: int, chords: Iterable[Chord]) -> list[PolygonClass]:
@@ -72,35 +76,17 @@ def classes_from_chords(degree: int, chords: Iterable[Chord]) -> list[PolygonCla
     (otherwise the hull-edge axiom fails).
     """
     chords = list(chords)
-    parent: dict[Angle, Angle] = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    root = _components((c.a, c.b) for c in chords)
+    groups: dict[Angle, list[Chord]] = {}
     for c in chords:
-        for p in (c.a, c.b):
-            parent.setdefault(p, p)
-        ra, rb = find(c.a), find(c.b)
-        if ra != rb:
-            parent[ra] = rb
-
-    groups: dict[Angle, set[Angle]] = {}
-    by_group: dict[Angle, list[Chord]] = {}
-    for c in chords:
-        root = find(c.a)
-        groups.setdefault(root, set()).update((c.a, c.b))
-        by_group.setdefault(root, []).append(c)
+        groups.setdefault(root[c.a], []).append(c)
 
     classes = []
-    for root, verts in groups.items():
+    for group in groups.values():
+        verts = {p for c in group for p in (c.a, c.b)}
         poly = PolygonClass(tuple(verts))
-        if set(poly.edges()) != set(by_group[root]):
-            raise FdlError(
-                f"chords at {sorted(verts)} are not the hull edges of their class"
-            )
+        if set(poly.edges()) != set(group):
+            raise FdlError(f"chords at {sorted(verts)} are not the hull edges of their class")
         classes.append(poly)
     return classes
 
@@ -141,7 +127,7 @@ def validate_fdl(lam: ClassLamination) -> FdlReport:
         axioms[0] = AxiomResult(False, (str(exc),))
         return FdlReport(False, axioms, None)
 
-    model = _IntModel(d, *lam._view[:2])
+    model = lam._model
 
     # 1: finitely many leaves, and at least one class
     axioms[1] = AxiomResult(bool(lam.classes), () if lam.classes else ("empty lamination",))
@@ -162,7 +148,7 @@ def validate_fdl(lam: ClassLamination) -> FdlReport:
     ]
     axioms[3] = AxiomResult(not bad3, tuple(bad3))
 
-    depth = model.depths()
+    depth = model.depths
     periodic = tuple(p for c, p in zip(model.classes, lam._view[2]) if depth[c] == 0)
 
     # 6: every leaf is a hull edge of its class (structural in this
@@ -245,20 +231,27 @@ def _has_disjoint_collection(leaf, same_image, d: int) -> bool:
 
 
 class FDL:
-    """A validated finite dynamical lamination with its depth parameter: its
-    classes once, as sorted vertex residue tuples mod ``modulus`` in key order,
-    and ``deepest``, those of its classes at depth ``depth_n``, sorted.
-    A tree node builds its ``lamination`` on first use.  Equal when key and depth are."""
+    """A finite dynamical lamination with its depth parameter: its classes
+    once, as sorted vertex residue tuples mod ``modulus`` in key order, and
+    ``deepest``, those of its classes at depth ``depth_n``, sorted.
+    ``FDL(lamination)`` validates the lamination (:func:`validate_fdl`),
+    raises :class:`FdlError` with the failed axioms' witnesses, and takes
+    ``depth_n`` from the report; tree nodes come from their parent
+    (:func:`enumerate_children`) and build their ``lamination`` on first
+    use.  Equal when key and depth are."""
 
     __slots__ = ("degree", "depth_n", "modulus", "residues", "deepest", "_key", "_lamination")
 
-    def __init__(self, lamination: ClassLamination, depth_n: int):
-        self.degree, self.depth_n, self._lamination = lamination.degree, depth_n, lamination
+    def __init__(self, lamination: ClassLamination):
+        report = validate_fdl(lamination)
+        if not report.valid:
+            raise FdlError(f"not a finite dynamical lamination: {report.failure_text()}")
+        self.degree, self.depth_n, self._lamination = lamination.degree, report.depth_n, lamination
         self.modulus, self.residues, _ = lamination._view
-        model = _IntModel(self.degree, self.modulus, self.residues)
+        model = lamination._model
         self._key = model.key()
-        depth = model.depths()  # model.classes are self.residues scaled by d, in the same order
-        self.deepest = tuple(c for c, s in zip(self.residues, model.classes) if depth[s] == depth_n)
+        depth = model.depths  # model.classes are self.residues scaled by d, in the same order
+        self.deepest = tuple(c for c, s in zip(self.residues, model.classes) if depth[s] == self.depth_n)
 
     @classmethod
     def _node(
@@ -269,13 +262,6 @@ class FDL:
         node.modulus, node.residues, node.deepest = modulus, residues, deepest
         node._lamination = None
         return node
-
-    @classmethod
-    def validate(cls, lam: ClassLamination) -> "FDL":
-        report = validate_fdl(lam)
-        if not report.valid:
-            raise FdlError(f"not a finite dynamical lamination: {report.failure_text()}")
-        return cls(lam, report.depth_n)
 
     @property
     def lamination(self) -> ClassLamination:
@@ -383,8 +369,9 @@ def enumerate_children(fdl: FDL, level: Optional[_Level] = None) -> list[FDL]:
     whole disk over its vertex preimages (reusing classes they reproduce);
     every mutually non-crossing choice of one placement per deepest class
     is a child, with no further check.
-    ``fdl`` must be valid: then a class with a vertex over a deepest n-gon t
-    maps onto t (axiom 3), so sits at depth n + 1 unless n = 0 and it is t's
+    ``fdl`` is valid (``FDL`` validates, and children are valid by this
+    construction): a class with a vertex over a deepest n-gon t maps onto
+    t (axiom 3), so sits at depth n + 1 unless n = 0 and it is t's
     periodic preimage: only at depth 0 may a preimage be a model vertex (so
     none is filtered deeper), and every placement keeps a new block.  The
     d*n points over t are labelled 0..n-1 cyclically by their images, and a
@@ -404,8 +391,6 @@ def enumerate_children(fdl: FDL, level: Optional[_Level] = None) -> list[FDL]:
     fresh one replaces any other); filled by value, it changes no result.
     """
     d = fdl.degree
-    if not fdl.deepest:
-        raise FdlError(f"no class sits at the depth parameter {fdl.depth_n}")
     level = level if level and (level.d, level.M) == (d, fdl.modulus) else _Level(d, fdl.modulus)
     scaled = list(map(level.classes.__getitem__, fdl.residues))
     model = _IntModel(d, fdl.modulus, map(itemgetter(0), scaled), scaled=True)
@@ -458,11 +443,7 @@ def check_root(node: FDL) -> FDL:
 
 def root_fdl(degree: int, periodic: Iterable[PolygonClass]) -> FDL:
     """Validate a self-image root lamination (depth parameter 0)."""
-    lam = ClassLamination.create(degree, set(periodic))
-    report = validate_fdl(lam)
-    if not report.valid:
-        raise FdlError(f"root rejected: {report.failure_text()}")
-    return check_root(FDL(lam, report.depth_n))
+    return check_root(FDL(ClassLamination.create(degree, set(periodic))))
 
 
 def build_pullback_tree(root: FDL, depth: int) -> PullbackTree:

@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import comb
 from typing import Optional, Sequence
 
-from .core import ClassLamination, PolygonClass, RoundGap, _class_residues, _IntModel
+from .core import ClassLamination, PolygonClass, RoundGap, _class_residues, _components, _IntModel
 
 
 class PortraitError(ValueError):
@@ -176,31 +176,17 @@ def reduce_portrait(shape: PortraitShape, drop_label: Optional[int] = None) -> P
         raise PortraitError(f"label {X} out of range")
     total = shape.i * n_plus
 
-    block_index = {}
-    for bi, b in enumerate(shape.blocks):
-        for p in b:
-            block_index[p] = bi
-
-    parent = list(range(len(shape.blocks)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    block_of = {p: bi for bi, b in enumerate(shape.blocks) for p in b}
+    pairs = []
     for bi, b in enumerate(shape.blocks):
         (x_pos,) = [p for p in b if p % n_plus == X]
-        succ = block_index[(x_pos + 1) % total]
-        ra, rb = find(bi), find(succ)
-        if ra != rb:
-            parent[ra] = rb
-
+        pairs.append((bi, block_of[(x_pos + 1) % total]))
+    root = _components(pairs)
     kept = [p for p in range(total) if p % n_plus != X]
     new_index = {p: k for k, p in enumerate(kept)}
     groups: dict[int, list[int]] = {}
     for bi, b in enumerate(shape.blocks):
-        groups.setdefault(find(bi), []).extend(p for p in b if p % n_plus != X)
+        groups.setdefault(root[bi], []).extend(p for p in b if p % n_plus != X)
     new_blocks = tuple(tuple(sorted(new_index[p] for p in g)) for g in groups.values())
     return PortraitShape(shape.i, n_plus - 1, new_blocks)
 

@@ -461,35 +461,26 @@ def hyperbolic_approx(start: FDL, depth: int) -> NestingReport:
     tracked = _critical_round_gaps(start.lamination)
     if not tracked:
         raise PullbackError("need at least one critical round gap")
+    degrees = [deg for deg, _ in tracked]  # a successor keeps its gap's degree
     steps = [NestingStep(start, [g for _, g in tracked])]
-
-    current = start
-    current_tracked = tracked
     for _ in range(depth):
-        best = None
-        for child in enumerate_children(current):
+        found = []
+        for child in enumerate_children(steps[-1].fdl):
             child_gaps = _critical_round_gaps(child.lamination)
-            successors = []
-            ok = True
-            for deg, gap in current_tracked:
-                nested = [
-                    (g.smallest_angle(), cdeg, g)
-                    for cdeg, g in child_gaps
-                    if cdeg == deg and _gap_inside(g, gap)
-                ]
-                if not nested:
-                    ok = False
-                    break
-                successors.append(min(nested))
-            if not ok:
-                continue
-            sort_key = (tuple(s[0] for s in successors), child.key())
-            if best is None or sort_key < best[0]:
-                best = (sort_key, child, [(s[1], s[2]) for s in successors])
-        if best is None:
+            successors = [
+                min(
+                    (g for cdeg, g in child_gaps if cdeg == deg and _gap_inside(g, gap)),
+                    key=RoundGap.smallest_angle,
+                    default=None,
+                )
+                for deg, gap in zip(degrees, steps[-1].tracked)
+            ]
+            if None not in successors:
+                found.append((child, successors))
+        if not found:
             raise PullbackError("no child preserves the nested critical gaps")
-        _, current, current_tracked = best
-        steps.append(NestingStep(current, [g for _, g in current_tracked]))
+        child, successors = min(found, key=lambda f: ([g.smallest_angle() for g in f[1]], f[0].key()))
+        steps.append(NestingStep(child, successors))
 
     strict = [
         any(g_next != g_prev for g_prev, g_next in zip(prev.tracked, nxt.tracked))

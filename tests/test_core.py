@@ -722,7 +722,7 @@ def test_depths_match_brute_force(basilica_tree, rabbit_tree, cubic_tree):
     values = set()
     for d, classes in lams:
         model = _IntModel(d, *_class_residues(classes))
-        depths = model.depths()
+        depths = model.depths
         assert depths == _brute_depths(model)
         values |= set(depths.values())
     assert None in values and max(v for v in values if v is not None) >= 8

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import re
 import sys
 import weakref
 from bisect import bisect
@@ -121,15 +122,9 @@ def test_root_rejects_non_self_image():
 def test_tree_root_is_validated_in_full():
     # children are valid by construction from a valid parent, so the root must be valid
     with pytest.raises(FdlError, match="tree root is no finite dynamical lamination at depth 1"):
-        build_pullback_tree(FDL(ClassLamination.create(2, [RABBIT]), 1), 1)
+        build_pullback_tree(FDL._node(2, 1, 7, ((1, 2, 4),), (), "2|1/7,2/7,4/7"), 1)
     with pytest.raises(FdlError, match="at depth 0"):
-        build_pullback_tree(FDL(ClassLamination.create(2, [PolygonClass((F(0), F(1, 2)))]), 0), 1)
-
-
-def test_children_need_a_class_at_the_depth_parameter():
-    # the rabbit alone is at depth 0, so at depth 1 it has no deepest class
-    with pytest.raises(FdlError, match="no class sits at the depth parameter 1"):
-        enumerate_children(FDL(ClassLamination.create(2, [RABBIT]), 1))
+        build_pullback_tree(FDL._node(2, 0, 2, ((0, 1),), ((0, 1),), "2|0,1/2"), 1)
 
 
 def test_rabbit_children_chain(rabbit_root):
@@ -224,7 +219,7 @@ def _oracle_children(fdl):
             continue
         rep = validate_fdl(cand)
         if rep.valid and rep.depth_n == fdl.depth_n + 1:
-            found.add(FDL(cand, rep.depth_n).key())
+            found.add(FDL(cand).key())
     return sorted(found)
 
 
@@ -297,7 +292,7 @@ def _reference_bind(shape, points, model):
 
 def _deepest(model, n):
     # the classes of an _IntModel at depth n, by the model's own depth walk
-    depth = model.depths()
+    depth = model.depths
     return [c for c in model.classes if depth[c] == n]
 
 
@@ -799,11 +794,30 @@ def test_nodes_carry_their_deepest_layer(basilica_tree, rabbit_tree, cubic_tree)
     for tree in (basilica_tree, rabbit_tree, cubic_tree):
         d = tree.degree
         for node in tree.all_nodes():
-            for fdl in (node, FDL.validate(node.lamination)):
+            for fdl in (node, FDL(node.lamination)):
                 model = _IntModel(d, fdl.modulus, fdl.residues)
                 scaled = [tuple(d * x for x in c) for c in fdl.deepest]
                 assert scaled == _deepest(model, node.depth_n), node.key()
-    assert FDL(ClassLamination.create(2, [RABBIT]), 1).deepest == ()
+
+
+def test_fdl_takes_its_depth_from_validation(rabbit_root, basilica_tree, cubic_tree):
+    # FDL(lam) derives the depth parameter, so a tree node's lamination
+    # gives back the node itself, and the same children
+    def state(f):
+        return f.key(), f.depth_n, f.modulus, f.residues, f.deepest
+
+    rabbit_tree = build_pullback_tree(rabbit_root, 6)
+    for tree, depth in ((basilica_tree, 6), (rabbit_tree, 6), (cubic_tree, 3)):
+        for node in (n for lv in tree.levels[: depth + 1] for n in lv):
+            fdl = FDL(node.lamination)
+            assert state(fdl) == state(node)
+            assert list(map(state, enumerate_children(fdl))) == list(map(state, enumerate_children(node)))
+    witnesses = (
+        "axiom 2: critical leaf (0,1/2); axiom 3: image of (0,1/2) is not a leaf; "
+        "axiom 4: class image chain leaves the lamination; axiom 5: not evaluated"
+    )
+    with pytest.raises(FdlError, match=f"^not a finite dynamical lamination: {re.escape(witnesses)}$"):
+        FDL(ClassLamination.create(2, [PolygonClass((F(0), F(1, 2)))]))
 
 
 def test_residue_keys_match_fraction_keys(basilica_tree, rabbit_tree, cubic_tree):
@@ -848,7 +862,7 @@ def test_tree_nodes_build_their_lamination_on_demand(basilica_tree, rabbit_tree,
         for node in tree.all_nodes():
             lam = node.lamination
             assert lam is node.lamination and lam.degree == node.degree
-            again = FDL.validate(lam)
+            again = FDL(lam)
             assert again == node and hash(again) == hash(node)
             degree, *parts = node.key().split("|")
             rebuilt = ClassLamination.create(
@@ -912,7 +926,7 @@ def test_trusted_laminations_match_checked_ones(basilica_tree, rabbit_tree, cubi
                 assert canonical_form(a) == canonical_form(b) == node.key()
                 assert validate_fdl(a) == validate_fdl(b)
                 assert criticality_audit(a) == criticality_audit(b)
-                fa, fb = FDL(a, n), FDL(b, n)
+                fa, fb = FDL(a), FDL(b)
                 assert (fa.modulus, fa.residues, fa.deepest, fa.key()) == (
                     fb.modulus, fb.residues, fb.deepest, fb.key()
                 )

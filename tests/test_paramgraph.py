@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from lamkit.core import GAP_POLYGON, ClassLamination, PolygonClass, criticality_audit
+from lamkit.core import GAP_POLYGON, PolygonClass, criticality_audit
 from lamkit.fdl import FDL
 from lamkit.paramgraph import (
     ParamGraphError,
@@ -33,7 +33,7 @@ def test_criticality_along_tree(rabbit_tree):
 def test_criticality_rejects_a_class_without_degree():
     # {0, 1/8, 3/8} maps onto itself under sigma_3 with reversed orientation
     tri = PolygonClass((F(0), F(1, 8), F(3, 8)))
-    node = FDL(ClassLamination.create(3, [tri]), 0)
+    node = FDL._node(3, 0, 8, ((0, 1, 3),), ((0, 1, 3),), "3|0,1/8,3/8")
     with pytest.raises(ParamGraphError, match=re.escape(f"class {tri} has no degree")):
         criticality(node)
 
