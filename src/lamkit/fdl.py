@@ -1,10 +1,11 @@
 """Finite dynamical laminations: axioms, children, and the pullback tree.
 
 A finite lamination qualifies when its leaves are forward closed with no
-critical leaf, every leaf is a hull edge of its class, non-periodic leaves
-carry full disjoint sibling collections, periodic classes cover with
-positive orientation, and there is a single depth parameter n such that
-exactly the leaves within n-1 steps of the periodic part have preimages.
+critical leaf, every leaf is a hull edge of its class, each non-periodic
+leaf has a full disjoint sibling collection (some d - 1 leaves of its image,
+disjoint from it, have 2(d - 1) distinct endpoints), periodic classes
+cover with positive orientation, and for one depth parameter n exactly
+the leaves within n-1 steps of the periodic part have preimages.
 So n belongs to the lamination: ``FDL(lamination)`` validates it and
 takes n from the report, on the lamination's one cached integer model
 (``core._IntModel``) and its depth walk.
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass, field
-from itertools import chain, product
+from itertools import chain, combinations, product
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
@@ -171,7 +172,9 @@ def validate_fdl(lam: ClassLamination) -> FdlReport:
 
     # axiom 3 passed, so every image is a leaf
     leaf_depth = {e: depth[edge_class[e]] for e in edges}
-    has_preimage = set(img_of.values())
+    by_image: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for e in edges:
+        by_image.setdefault(img_of[e], []).append(e)
     nonper_preimage = {img_of[e] for e in edges if leaf_depth[e] > 0}
 
     bad4 = []
@@ -179,7 +182,7 @@ def validate_fdl(lam: ClassLamination) -> FdlReport:
         k = leaf_depth[e]
         if k > 0:
             should = k <= n - 1
-            if (e in has_preimage) != should:
+            if (e in by_image) != should:
                 bad4.append(
                     f"leaf {model.edge_str(e)} at depth {k} "
                     f"{'lacks' if should else 'has'} a preimage (n={n})"
@@ -192,17 +195,11 @@ def validate_fdl(lam: ClassLamination) -> FdlReport:
     axioms[4] = AxiomResult(not bad4, tuple(bad4))
 
     # 5: full disjoint sibling collections for non-periodic leaves
-    by_image: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for e in edges:
-        by_image.setdefault(img_of[e], []).append(e)
-    bad5 = []
-    for e in edges:
-        if leaf_depth[e] == 0:
-            continue
-        if not _has_disjoint_collection(e, by_image[img_of[e]], d):
-            bad5.append(
-                f"leaf {model.edge_str(e)} has no {d} pairwise disjoint siblings"
-            )
+    bad5 = [
+        f"leaf {model.edge_str(e)} has no {d} pairwise disjoint siblings"
+        for e in edges
+        if leaf_depth[e] and not _has_disjoint_collection(e, by_image[img_of[e]], d)
+    ]
     axioms[5] = AxiomResult(not bad5, tuple(bad5))
 
     valid = all(r.passed for r in axioms.values())
@@ -210,21 +207,10 @@ def validate_fdl(lam: ClassLamination) -> FdlReport:
 
 
 def _has_disjoint_collection(leaf, same_image, d: int) -> bool:
-    """Can ``leaf`` extend to d pairwise endpoint-disjoint leaves of ``same_image``?"""
-    others = [s for s in same_image if set(s).isdisjoint(leaf)]
-    if len(others) < d - 1:
-        return False
-
-    def extend(chosen, pool):
-        if len(chosen) == d:
-            return True
-        for idx, c in enumerate(pool):
-            cs = set(c)
-            if all(cs.isdisjoint(x) for x in chosen) and extend(chosen + [c], pool[idx + 1 :]):
-                return True
-        return False
-
-    return extend([leaf], others)
+    """Is ``leaf`` one of d pairwise endpoint-disjoint leaves of ``same_image``:
+    do some d - 1 leaves disjoint from it have 2(d - 1) distinct endpoints?"""
+    others = [s for s in same_image if leaf[0] not in s and leaf[1] not in s]
+    return any(len(set(chain(*pick))) == 2 * (d - 1) for pick in combinations(others, d - 1))
 
 
 # --- the FDL wrapper and child enumeration ---------------------------------------

@@ -10,7 +10,8 @@ Shapes are counted in closed form by the Fuss-Catalan formula and
 enumerated through the counting theorem's bijections: the one-to-one
 shapes are the images of the full n-ary trees with i internal nodes, and
 all (i, n)-shapes are the images of the one-to-one (i, n+1)-shapes under
-label removal.  They are bound to concrete circle geometry by
+label removal.  Malformed shapes and trees raise :class:`PortraitError`.
+They are bound to concrete circle geometry by
 :func:`bind_shape`.  Placement runs on the integer residues of
 ``core._IntModel``: the preimages of a vertex residue are residues too,
 and a new block crosses no edge exactly when all its points carry one
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import comb
 from typing import Optional, Sequence
 
@@ -42,6 +44,8 @@ class PortraitShape:
 
     def __post_init__(self):
         blocks = tuple(sorted(tuple(sorted(b)) for b in self.blocks))
+        if sorted(chain(*blocks)) != list(range(self.i * self.n)):
+            raise PortraitError(f"blocks {blocks} do not partition range({self.i * self.n})")
         object.__setattr__(self, "blocks", blocks)
 
     @property
@@ -103,32 +107,24 @@ def portrait_to_tree(shape: PortraitShape):
     """Bijection onto full n-ary trees with i internal nodes.
 
     The block containing the first point of a region becomes an internal
-    node; its vertices split the region into n segments which yield the
-    children in counterclockwise order.
+    node; its vertices cut the region into the n slices after them, the
+    children in counterclockwise order.  A block that does not start its
+    region, or leaves it, crosses another.
     """
     if not shape.is_injective:
         raise PortraitError("tree bijection is defined for one-to-one portraits only")
-    n = shape.n
-    block_of = {}
-    for b in shape.blocks:
-        for p in b:
-            block_of[p] = b
+    block_of = {p: b for b in shape.blocks for p in b}
 
-    def build(region: tuple[int, ...]):
+    def build(region: range):
         if not region:
             return Leaf
         b = block_of[region[0]]
-        if b[0] != region[0]:
+        if b[0] != region[0] or b[-1] not in region:
             raise PortraitError("region does not start its own block; shape is not non-crossing")
-        segments = []
-        for k in range(n):
-            lo = b[k]
-            hi = b[k + 1] if k + 1 < n else None
-            seg = tuple(p for p in region if p > lo and (hi is None or p < hi) and p not in b)
-            segments.append(seg)
-        return tuple(build(seg) for seg in segments)
+        cuts = [p - region.start for p in b] + [len(region)]
+        return tuple(build(region[i + 1 : j]) for i, j in zip(cuts, cuts[1:]))
 
-    return build(tuple(range(shape.i * shape.n)))
+    return build(range(shape.i * shape.n))
 
 
 def tree_to_portrait(tree, n: int) -> PortraitShape:
@@ -142,16 +138,16 @@ def tree_to_portrait(tree, n: int) -> PortraitShape:
         # returns the next free position after laying out this subtree
         if tree is Leaf:
             return start
-        pos = start
-        verts = []
-        for k, child in enumerate(tree):
+        if len(tree) != n:
+            raise PortraitError(f"tree node has {len(tree)} subtrees, not n = {n}")
+        verts, pos = [], start
+        for child in tree:
             verts.append(pos)
             pos = build(child, pos + 1)
         blocks.append(tuple(verts))
         return pos
 
-    end = build(tree, 0)
-    assert end == i * n
+    build(tree, 0)
     return PortraitShape(i, n, tuple(blocks))
 
 
@@ -163,8 +159,9 @@ def reduce_portrait(shape: PortraitShape, drop_label: Optional[int] = None) -> P
 
     Blocks are grouped transitively by following the point right after each
     block's dropped-label vertex; each group merges, the dropped vertices
-    disappear, and the remaining points are reindexed.  This map is a
-    bijection from one-to-one (i, n+1)-portraits onto all (i, n)-portraits.
+    disappear, and a kept point p moves down past the dropped ones before it,
+    to p - p // (n+1) - (p % (n+1) > X).  This map is a bijection from
+    one-to-one (i, n+1)-portraits onto all (i, n)-portraits.
     """
     if not shape.is_injective:
         raise PortraitError("reduce_portrait needs a one-to-one portrait")
@@ -179,15 +176,16 @@ def reduce_portrait(shape: PortraitShape, drop_label: Optional[int] = None) -> P
     block_of = {p: bi for bi, b in enumerate(shape.blocks) for p in b}
     pairs = []
     for bi, b in enumerate(shape.blocks):
-        (x_pos,) = [p for p in b if p % n_plus == X]
-        pairs.append((bi, block_of[(x_pos + 1) % total]))
+        dropped = [p for p in b if p % n_plus == X]
+        if len(dropped) != 1:
+            raise PortraitError(f"block {b} holds {len(dropped)} points of label {X}, not one")
+        pairs.append((bi, block_of[(dropped[0] + 1) % total]))
     root = _components(pairs)
-    kept = [p for p in range(total) if p % n_plus != X]
-    new_index = {p: k for k, p in enumerate(kept)}
     groups: dict[int, list[int]] = {}
     for bi, b in enumerate(shape.blocks):
-        groups.setdefault(root[bi], []).extend(p for p in b if p % n_plus != X)
-    new_blocks = tuple(tuple(sorted(new_index[p] for p in g)) for g in groups.values())
+        moved = (p - p // n_plus - (p % n_plus > X) for p in b if p % n_plus != X)
+        groups.setdefault(root[bi], []).extend(moved)
+    new_blocks = tuple(map(tuple, groups.values()))
     return PortraitShape(shape.i, n_plus - 1, new_blocks)
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Optional
 
 from .circle import (
@@ -389,13 +389,12 @@ def properness_report(chord_set: ChordSet) -> PropernessReport:
 
     wedges = []
     for v, incident in sorted(at_point.items()):
-        if len(incident) < 2 or info[v].preperiod != 0:
+        if info[v].preperiod != 0:
             continue
-        for i, (e1, c1) in enumerate(incident):
-            for e2, c2 in incident[i + 1 :]:
-                i1 = image(*e1)
-                if i1 is not None and i1 == image(*e2):
-                    wedges.append((Fraction(v, L), c1, c2))
+        for (e1, c1), (e2, c2) in combinations(incident, 2):
+            i1 = image(*e1)
+            if i1 is not None and i1 == image(*e2):
+                wedges.append((Fraction(v, L), c1, c2))
 
     unclean = [(Fraction(v, L), len(cs)) for v, cs in sorted(at_point.items()) if len(cs) >= 3]
 
@@ -421,7 +420,6 @@ class NestingStep:
 @dataclass
 class NestingReport:
     steps: list[NestingStep]
-    nested: bool
     strict_shrinks: list[bool]
     arc_counts: list[list[int]]
 
@@ -454,7 +452,8 @@ def hyperbolic_approx(start: FDL, depth: int) -> NestingReport:
     has at least one critical round gap, repeatedly pick the child that
     keeps, inside every tracked gap, a critical round gap of equal degree;
     ties resolve to the gap whose basis holds the smallest angle, then to
-    the child with the smallest canonical key.
+    the child with the smallest canonical key.  A successor is chosen only
+    among gaps inside its tracked gap, so the steps nest by construction.
     """
     if depth < 0:
         raise PullbackError(f"nesting depth must be >= 0, got {depth}")
@@ -487,5 +486,4 @@ def hyperbolic_approx(start: FDL, depth: int) -> NestingReport:
         for prev, nxt in zip(steps, steps[1:])
     ]
     arc_counts = [[len(g.arcs) for g in s.tracked] for s in steps]
-    # nested: each successor was chosen only among gaps that pass _gap_inside
-    return NestingReport(steps, True, strict, arc_counts)
+    return NestingReport(steps, strict, arc_counts)

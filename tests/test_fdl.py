@@ -30,6 +30,7 @@ from lamkit.fdl import (
     FdlError,
     _Level,
     _blocks_cross,
+    _has_disjoint_collection,
     _placements,
     build_pullback_tree,
     canonical_form,
@@ -93,6 +94,79 @@ def test_validate_orientation_reversing_periodic():
     assert report.axioms[7].witnesses == (
         "periodic class {0,1/8,3/8} has boundary map not_covering",
     )
+
+
+def test_validate_reports_crossing_classes():
+    # axiom 0: the lamination check fails, and no axiom after it is evaluated
+    lam = ClassLamination(2, {PolygonClass((F(0), F(1, 2))), PolygonClass((F(1, 3), F(2, 3)))})
+    report = validate_fdl(lam)
+    assert not report.valid and report.depth_n is None
+    assert report.failure_text() == "axiom 0: classes {0,1/2} and {1/3,2/3} cross"
+
+
+def test_validate_names_periodic_leaves_without_a_nonperiodic_preimage():
+    # both new triangles lie over the second root triangle, so no non-periodic
+    # leaf maps onto the first one: axiom 4 fails alone, on its three leaves
+    root = [
+        PolygonClass((F(1, 26), F(3, 26), F(9, 26))),
+        PolygonClass((F(7, 13), F(8, 13), F(11, 13))),
+    ]
+    pair = [
+        PolygonClass((F(7, 39), F(8, 39), F(11, 39))),
+        PolygonClass((F(20, 39), F(34, 39), F(37, 39))),
+    ]
+    report = validate_fdl(ClassLamination.create(3, root + pair))
+    assert report.failures() == {4: report.axioms[4]} and report.depth_n == 1
+    assert report.axioms[4].witnesses == tuple(
+        f"periodic leaf ({e}) lacks a non-periodic preimage (n=1)"
+        for e in ("1/26,3/26", "3/26,9/26", "1/26,9/26")
+    )
+
+
+def _backtrack_disjoint_collection(leaf, same_image, d: int) -> bool:
+    """Reference for axiom 5 by backtracking: can ``leaf`` extend to d
+    pairwise endpoint-disjoint leaves of ``same_image``?"""
+    others = [s for s in same_image if set(s).isdisjoint(leaf)]
+    if len(others) < d - 1:
+        return False
+
+    def extend(chosen, pool):
+        if len(chosen) == d:
+            return True
+        for idx, c in enumerate(pool):
+            cs = set(c)
+            if all(cs.isdisjoint(x) for x in chosen) and extend(chosen + [c], pool[idx + 1 :]):
+                return True
+        return False
+
+    return extend([leaf], others)
+
+
+def _first_fit(leaf, same_image, d: int) -> bool:
+    # greedy: keep each leaf disjoint from those kept so far, in list order
+    chosen = [leaf]
+    for s in same_image:
+        if all(set(s).isdisjoint(c) for c in chosen):
+            chosen.append(s)
+    return len(chosen) >= d
+
+
+def test_disjoint_collections_match_the_backtracking_oracle():
+    # random same-image leaf sets on few endpoints, in shuffled order, so
+    # that the first disjoint leaf is often a wrong pick
+    rng = random.Random(2028)
+    outcomes = Counter()
+    for _ in range(50_000):
+        d = rng.randint(2, 4)
+        ends = range(2 * d + 2)
+        same_image = list({tuple(sorted(rng.sample(ends, 2))) for _ in range(rng.randint(d, 3 * d))})
+        rng.shuffle(same_image)
+        leaf = rng.choice(same_image)
+        want = _backtrack_disjoint_collection(leaf, same_image, d)
+        assert _has_disjoint_collection(leaf, same_image, d) == want, (leaf, same_image, d)
+        outcomes[want, _first_fit(leaf, same_image, d)] += 1
+    assert outcomes[True, True] and outcomes[False, False] and outcomes[True, False] > 1000
+    assert not outcomes[False, True]
 
 
 def test_canonical_form():

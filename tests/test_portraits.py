@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 
@@ -127,6 +129,70 @@ def test_tree_bijection_rejects_covering_blocks():
     hexagon = next(s for s in enumerate_all_portraits(2, 3) if not s.is_injective)
     with pytest.raises(PortraitError):
         portrait_to_tree(hexagon)
+
+
+def _filter_scan_tree(shape):
+    """Reference tree bijection: each block's n segments are filtered out of
+    its region point by point."""
+    if not shape.is_injective:
+        raise PortraitError("tree bijection is defined for one-to-one portraits only")
+    n = shape.n
+    block_of = {p: b for b in shape.blocks for p in b}
+
+    def build(region):
+        if not region:
+            return None
+        b = block_of[region[0]]
+        if b[0] != region[0]:
+            raise PortraitError("region does not start its own block; shape is not non-crossing")
+        segments = []
+        for k in range(n):
+            lo = b[k]
+            hi = b[k + 1] if k + 1 < n else None
+            segments.append(tuple(p for p in region if p > lo and (hi is None or p < hi) and p not in b))
+        return tuple(build(seg) for seg in segments)
+
+    return build(tuple(range(shape.i * shape.n)))
+
+
+def _tree_or_error(to_tree, shape):
+    try:
+        return to_tree(shape)
+    except PortraitError as exc:
+        return str(exc)
+
+
+def test_tree_bijection_matches_the_filter_scan_oracle():
+    # enumerated shapes, shapes with two points swapped between blocks, and
+    # random partitions into blocks of n points or of random sizes
+    rng = random.Random(2029)
+    outcomes = Counter()
+    for _ in range(20_000):
+        i, n = rng.randint(1, 4), rng.randint(2, 4)
+        blocks = [list(b) for b in rng.choice(enumerate_injective_portraits(i, n)).blocks]
+        kind = rng.randrange(4)
+        if kind == 1 and i > 1:
+            a, b = rng.sample(range(i), 2)
+            x, y = rng.randrange(n), rng.randrange(n)
+            blocks[a][x], blocks[b][y] = blocks[b][y], blocks[a][x]
+        elif kind >= 2:
+            points = rng.sample(range(i * n), i * n)
+            cuts = sorted(rng.sample(range(1, i * n), i - 1)) if kind == 3 else range(n, i * n, n)
+            blocks = [points[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, i * n])]
+        shape = PortraitShape(i, n, tuple(map(tuple, blocks)))
+        want = _tree_or_error(_filter_scan_tree, shape)
+        assert _tree_or_error(portrait_to_tree, shape) == want, shape
+        outcomes[want if isinstance(want, str) else "tree"] += 1
+    assert len(outcomes) == 3 and min(outcomes.values()) > 1000, outcomes
+
+
+def test_malformed_portraits_raise_portrait_errors():
+    with pytest.raises(PortraitError, match=r"^blocks \(\(0, 1, 2\),\) do not partition range\(6\)$"):
+        PortraitShape(2, 3, ((0, 1, 2),))
+    with pytest.raises(PortraitError, match=r"^block \(0, 1, 3\) holds 0 points of label 2, not one$"):
+        reduce_portrait(PortraitShape(2, 3, ((0, 1, 3), (2, 4, 5))))
+    with pytest.raises(PortraitError, match=r"^tree node has 2 subtrees, not n = 3$"):
+        tree_to_portrait((None, None), 3)
 
 
 def test_reduce_portrait_bijection():

@@ -722,7 +722,7 @@ def test_forced_leaf_construction_unclean():
 def test_hyperbolic_approx_depth0(rabbit_tree):
     lvl1 = rabbit_tree.levels[1][0]
     report = hyperbolic_approx(lvl1, 0)
-    assert report.nested and len(report.steps) == 1
+    assert len(report.steps) == 1
 
 
 def test_hyperbolic_approx_rejects_negative_depth(rabbit_tree):
@@ -733,7 +733,6 @@ def test_hyperbolic_approx_rejects_negative_depth(rabbit_tree):
 def test_hyperbolic_approx_rabbit(rabbit_tree):
     lvl1 = rabbit_tree.levels[1][0]
     report = hyperbolic_approx(lvl1, 3)
-    assert report.nested
     assert [s.fdl.depth_n for s in report.steps] == [1, 2, 3, 4]
     assert report.arc_counts == [[2], [2], [2], [4]]
     # the tracked gap stays degree 2 at every step
@@ -755,7 +754,6 @@ def test_hyperbolic_approx_degree3():
         if k.key() == "3|1/24,19/24|1/8,3/8|11/24,17/24"
     )
     report = hyperbolic_approx(start, 2)
-    assert report.nested
     for step in report.steps:
         (gap,) = step.tracked
         assert gap_degree(gap, 3).degree == 3
