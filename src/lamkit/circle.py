@@ -6,9 +6,9 @@ Angles are rational points of [0, 1), represented directly as
 digit strings whose repeating block is introduced by ``_``, so ``_001`` in
 base 2 is 1/7 and ``0010_001`` is 15/112.
 
-Circular order is handled by exact arc-membership predicates, never by
-floating point.  One tail walk (``_orbits``) gives the preperiods and
-periods of angles, of residues and of classes along their image chains.
+Arc membership is decided by the order of angles reduced into [0, 1),
+with no arithmetic and no floating point.  One tail walk (``_orbits``) gives
+the preperiods and periods of angles, residues and classes along image chains.
 """
 
 from __future__ import annotations
@@ -171,14 +171,23 @@ def arc_len(start: Angle, end: Angle) -> Fraction:
 
 
 def in_open_arc(x: Angle, start: Angle, end: Angle) -> bool:
-    """True iff x lies strictly inside the counterclockwise arc (start, end)."""
-    rel = (Fraction(x) - Fraction(start)) % 1
-    return 0 < rel < arc_len(start, end)
+    """True iff x lies strictly inside the counterclockwise arc (start, end).
+
+    By order of the angles reduced into [0, 1): start < x < end if start <
+    end, else x > start or x < end, which is x != start if start == end."""
+    x, start, end = mod1(x), mod1(start), mod1(end)
+    if start < end:
+        return start < x < end
+    return x > start or x < end
 
 
 def in_closed_arc(x: Angle, start: Angle, end: Angle) -> bool:
-    rel = (Fraction(x) - Fraction(start)) % 1
-    return rel == 0 or rel <= arc_len(start, end)
+    """The rules of :func:`in_open_arc` with ``<=``: start <= x <= end if
+    start < end, else x >= start or x <= end, always True if start == end."""
+    x, start, end = mod1(x), mod1(start), mod1(end)
+    if start < end:
+        return start <= x <= end
+    return x >= start or x <= end
 
 
 def circle_dist(a: Angle, b: Angle) -> Fraction:

@@ -86,7 +86,8 @@ class Chord:
         return circle_dist(self.a, self.b)
 
     def shares_endpoint(self, other: "Chord") -> bool:
-        return bool({self.a, self.b} & {other.a, other.b})
+        a, b = other.a, other.b
+        return self.a == a or self.a == b or self.b == a or self.b == b
 
     def __str__(self):
         return f"({self.a},{self.b})"

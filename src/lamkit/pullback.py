@@ -253,7 +253,7 @@ def pullback_step(chord_set: ChordSet, crit: CriticalChordSet) -> ChordSet:
     cuts = res[2 * len(fixed) :]
     branches = _regions(zip(cuts[::2], cuts[1::2]), sorted(set(cuts)))
     added = {_lift(x, y, b, M, d, obstacles) for x, y in inputs for b in branches}
-    new = [Chord(Fraction(u, M), Fraction(v, M)) for u, v in added.difference(inputs)]
+    new = [Chord._from_sorted(Fraction(u, M), Fraction(v, M)) for u, v in added.difference(inputs)]
     return ChordSet.create(d, chord_set.chords.union(new))
 
 

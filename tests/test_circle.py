@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -8,12 +10,14 @@ from lamkit.circle import (
     arc_len,
     circle_dist,
     format_itinerary,
+    in_closed_arc,
     in_open_arc,
     orbit_info,
     parse_angle,
     preimages,
     sigma,
 )
+from helpers import arith_in_closed_arc, arith_in_open_arc
 
 
 def test_parse_fraction_forms():
@@ -117,6 +121,37 @@ def test_circular_order_is_total():
                     continue
                 # exactly one of the two cyclic orientations holds
                 assert in_open_arc(b, a, c) != in_open_arc(b, c, a)
+
+
+def test_arc_predicates_match_the_arithmetic_oracle():
+    # p/q with q <= 8, so ties are common; one draw in eight is moved out
+    # of [0, 1) by -1 or +1, and one in eight is a bare int
+    fracs = sorted({F(p, q) for q in range(1, 9) for p in range(q)})
+    moved = [a + k for a in fracs for k in (-1, 1)]
+    ints = list(range(-2, 3))
+    reduced = {a: F(a) % 1 for a in fracs + moved + ints}
+    rng = random.Random(29)
+
+    def draw():
+        roll = rng.random()
+        return rng.choice(ints if roll < 0.125 else moved if roll < 0.25 else fracs)
+
+    branches = Counter()
+    for _ in range(100_000):
+        x, start = draw(), draw()
+        # one triple in six has start == end mod 1, often unnormalised
+        end = start + rng.randrange(-1, 2) if rng.random() < 1 / 6 else draw()
+        got = (in_open_arc(x, start, end), in_closed_arc(x, start, end))
+        assert got == (arith_in_open_arc(x, start, end), arith_in_closed_arc(x, start, end)), (x, start, end)
+        s, e, y = reduced[start], F(end) % 1, reduced[x]
+        order = "<" if s < e else ">" if s > e else "="
+        branches[order, got, y in (s, e)] += 1
+    # each order rule, inside (open and closed), at an end (closed only), outside
+    expected = {(o, (True, True), False) for o in "<>="}
+    expected |= {(o, (False, True), True) for o in "<>="}
+    expected |= {(o, (False, False), False) for o in "<>"}
+    assert set(branches) == expected
+    assert min(branches.values()) >= 1000, branches
 
 
 def test_arc_len_and_dist():

@@ -205,6 +205,26 @@ def test_proper_lists_period_mismatch_leaves(tmp_path, capsys):
     assert "period mismatch leaves: 1\n  (1/7,1/3)\n" in out
 
 
+def test_proper_lists_critical_leaves_wedges_and_unclean_points(tmp_path, capsys):
+    # 0 is fixed; (0,1/3) and (0,5/6) both map to (0,2/3)
+    p = tmp_path / "wedge.json"
+    p.write_text('{"degree": 2, "chords": [["0","1/2"],["0","1/3"],["0","5/6"]]}')
+    assert main(["proper", str(p)]) == 0
+    assert capsys.readouterr().out == (
+        "critical leaves with periodic endpoint: 1\n"
+        "  (0,1/2)\n"
+        "critical wedges with periodic vertex: 1\n"
+        "  vertex 0: (0,1/3) (0,5/6)\n"
+        "unclean points: 1\n"
+        "  0: 3 leaves\n"
+        "period mismatch leaves: 3\n"
+        "  (0,1/3)\n"
+        "  (0,1/2)\n"
+        "  (0,5/6)\n"
+        "proper so far: False\n"
+    )
+
+
 def test_children_of_invalid_lamination_is_classified(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text('{"degree":2,"classes":[["1/5","2/5"]]}')
@@ -233,6 +253,36 @@ def test_crossing_documents_are_classified(tmp_path, capsys, command, doc):
 def test_render_stdout(rabbit_file, capsys):
     assert main(["render", rabbit_file, "--geodesics", "arc"]) == 0
     assert capsys.readouterr().out.startswith("<svg")
+
+
+def test_render_svg_file(rabbit_file, tmp_path, capsys):
+    svg = tmp_path / "rabbit.svg"
+    assert main(["render", rabbit_file, "--svg", str(svg)]) == 0
+    assert capsys.readouterr().out == f"wrote {svg}\n"
+    assert svg.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("validate", '[["0", "1/2"]]', "document must be a JSON object"),
+        ("proper", '[["0", "1/2"]]', "document must be a JSON object"),
+        ("validate", '{"degree": "2", "classes": []}', "'degree' must be an integer, got '2'"),
+        ("proper", '{"degree": 2, "chords": [["0"]]}', "chords[0] must be a two-element list"),
+        (
+            "render",
+            '{"degree": 2, "chords": [["0", "bogus"]]}',
+            "chords[0]: cannot parse angle literal 'bogus' (expected p/q or digits_digits)",
+        ),
+    ],
+)
+def test_malformed_documents_are_classified(tmp_path, capsys, command, doc, message):
+    p = tmp_path / "doc.json"
+    p.write_text(doc)
+    assert main([command, str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def test_oeis_compare_cli(tmp_path, capsys):
@@ -265,6 +315,17 @@ def test_non_integer_counts_are_classified(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: counts file must hold")
 
 
+def test_bfile_lines_that_are_not_integers_are_classified(tmp_path, capsys):
+    counts = tmp_path / "counts.json"
+    counts.write_text("[1, 1]")
+    bfile = tmp_path / "b.txt"
+    bfile.write_text("0 1\n1 x\n")
+    assert main(["oeis-compare", "--counts", str(counts), "--bfile", str(bfile)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 2: invalid literal for int() with base 10: 'x'\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -291,6 +352,13 @@ def test_crossing_lifts_name_the_pullback_step(tmp_path, capsys):
         "error: pullback step 1: the lifts make crossing chords: "
         "chords (0,1/4) and (1/8,7/8) cross\n"
     )
+    assert captured.out == ""
+
+
+def test_chords_crossing_a_critical_chord_are_classified(rabbit_file, capsys):
+    assert main(["pullback", rabbit_file, "--chords", "1/5:7/10", "--depth", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: chord (1/7,4/7) crosses critical chord (1/5,7/10)\n"
     assert captured.out == ""
 
 

@@ -42,6 +42,7 @@ from lamkit.core import (
     gap_decomposition,
     gap_degree,
 )
+from helpers import arith_chords_cross, set_shares_endpoint
 
 RABBIT = PolygonClass((F(1, 7), F(2, 7), F(4, 7)))
 SIBLING = PolygonClass((F(1, 14), F(9, 14), F(11, 14)))
@@ -86,6 +87,29 @@ def test_chords_cross_symmetry():
             continue
         c1, c2 = Chord(a, b), Chord(c, d)
         assert chords_cross(c1, c2) == chords_cross(c2, c1)
+
+
+def test_chord_predicates_match_the_set_and_arithmetic_oracles():
+    # four points p0 < p1 < p2 < p3 of a small grid give one chord pair per
+    # kind; a shared endpoint is one of three chosen points
+    rng = random.Random(29)
+    for _ in range(4000):
+        q = rng.randrange(4, 13)
+        p = sorted(F(n, q) for n in rng.sample(range(q), 4))
+        i, j, k = sorted(rng.sample(p, 3))
+        pairs = {
+            "crossing": ((p[0], p[2]), (p[1], p[3])),
+            "nested": ((p[0], p[3]), (p[1], p[2])),
+            "disjoint": ((p[0], p[1]), (p[2], p[3])),
+            "shared": rng.choice((((i, j), (j, k)), ((i, j), (i, k)), ((i, k), (j, k)))),
+            "same": ((i, k), (k, i)),
+        }
+        for kind, (u, v) in pairs.items():
+            c1, c2 = Chord(*rng.sample(u, 2)), Chord(*rng.sample(v, 2))
+            for x, y in ((c1, c2), (c2, c1)):
+                assert chords_cross(x, y) == arith_chords_cross(x, y) == (kind == "crossing"), (kind, x, y)
+                shared = kind in ("shared", "same")
+                assert x.shares_endpoint(y) == set_shares_endpoint(x, y) == shared, (kind, x, y)
 
 
 def test_covering_degree_cases():
