@@ -70,8 +70,6 @@ def parse_angle(text: str, d: int) -> Angle:
     m = _ITINERARY_RE.match(text)
     if m:
         pre, per = m.group(1), m.group(2)
-        if not per:
-            raise AngleError(f"empty period in {text!r}")
         for digit in pre + per:
             if int(digit) >= d:
                 raise AngleError(f"digit {digit} out of range for base {d} in {text!r}")

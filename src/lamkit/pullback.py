@@ -1,7 +1,8 @@
 """Critical-chord placement, pullback approximations, metric, and scans.
 
 Placement chains k - 1 critical chords through every gap of degree k,
-reading the gaps and their degrees from the criticality audit.  A set of d-1
+reading the gaps and their degrees from the criticality audit; an
+anchor a's same-image points a + j/d are in chain order by j.  A set of d-1
 pairwise compatible critical chords (no closed loop) cuts the disk into d
 branches whose bases each map onto the circle: the regions of
 ``core._regions``, as for round gaps, which group the arcs between cut
@@ -22,7 +23,7 @@ leaves plus all degenerate leaves, by a pruned nearest-leaf scan on
 integer residues), properness and cleanliness scans (on residues, with
 orbit periods from the tail walk ``circle._orbits``), and the finite-depth
 nested-critical-gap construction, which tracks the audit's round gaps of
-degree >= 2.
+degree >= 2; each has at most one successor of its degree in a child.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ from .circle import (
     check_degree,
     circle_dist,
     in_open_arc,  # unused here; perfbench's tracer test asserts this binding
-    preimages,
-    sigma,
+    mod1,
 )
 from .core import (
     DEGREE_KNOWN,
@@ -170,17 +170,17 @@ def place_critical_chords(lam: ClassLamination, enumerate_all: bool = False) -> 
 
 
 def _chains(anchors, k: int, d: int, contains) -> list[list[Chord]]:
-    """One chain of k-1 critical chords per anchor point."""
+    """One chain of k-1 critical chords per anchor a, joining in turn the
+    gap's points among a's same-image points a + j/d, j = 0..d-1.  These lie
+    j/d counterclockwise from a, so listing them by j is the chain order."""
     chains = []
     for anchor in anchors:
-        value = sigma(anchor, d)
-        sibs = [p for p in preimages(value, d) if contains(p)]
+        sibs = [p for p in (mod1(anchor + Fraction(j, d)) for j in range(d)) if contains(p)]
         if anchor not in sibs or len(sibs) != k:
             raise PullbackError(
                 f"anchor {anchor} has {len(sibs)} same-image points in its gap, expected {k}"
             )
-        ordered = sorted(sibs, key=lambda p: (p - anchor) % 1)
-        chains.append([Chord(ordered[j], ordered[j + 1]) for j in range(k - 1)])
+        chains.append([Chord(p, q) for p, q in zip(sibs, sibs[1:])])
     return chains
 
 
@@ -193,13 +193,13 @@ def _lift(x: int, y: int, branch, M: int, d: int, obstacles) -> tuple[int, int]:
     Generically each endpoint has one preimage in the branch closure and
     the chord is forced.  When an endpoint equals a critical value, both
     of its preimages can lie on the branch boundary; then candidates
-    crossing the fixed inputs are discarded outright, candidates with a
-    connected arc-lift are preferred, and the shortest lift wins.  A
-    candidate has a connected arc-lift when d times one of its arcs is an
-    arc subtended by the chord.  Such an arc is shorter than 1/d, so it
-    stays inside the branch closure, whose complementary arcs hold whole
-    branch bases, and its ends lie over the chord's ends.  Ties go to the
-    smaller pair, which is ``Chord`` order.
+    crossing the fixed inputs are discarded and the shortest arc wins, ties
+    going to the smaller pair (``Chord`` order).  That prefers a connected
+    arc-lift, an arc that d maps onto an arc of the chord: with l the arc
+    from x to y in turns, a candidate's arcs are (l + m)/d and
+    (1 - l + d - 1 - m)/d for some m in 0..d-1; d times them is l or 1 - l
+    only when m = 0 or m = d - 1, whose lift l/d or (1 - l)/d is the
+    shorter arc, below 1/d, and for any other m both arcs exceed 1/d.
     """
 
     def fail(what):
@@ -217,16 +217,14 @@ def _lift(x: int, y: int, branch, M: int, d: int, obstacles) -> tuple[int, int]:
     if len(pairs) == 1:
         return pairs[0]
 
-    ranked = []
-    for u, v in pairs:
-        if any(c != u != e and c != v != e and (u < c < v) != (u < e < v) for c, e in obstacles):
-            continue
-        arcs = (v - u, M - v + u)
-        lift = next((b // d for b in (y - x, M - y + x) if b in (d * arcs[0], d * arcs[1])), None)
-        ranked.append((lift is None, lift if lift is not None else min(arcs), (u, v)))
+    ranked = [
+        (min(v - u, M - v + u), (u, v))
+        for u, v in pairs
+        if not any(c != u != e and c != v != e and (u < c < v) != (u < e < v) for c, e in obstacles)
+    ]
     if not ranked:
         fail("every lift of {0} in branch {1} crosses the inputs")
-    return min(ranked)[2]
+    return min(ranked)[1]
 
 
 def pullback_step(chord_set: ChordSet, crit: CriticalChordSet) -> ChordSet:
@@ -365,8 +363,8 @@ def properness_report(chord_set: ChordSet) -> PropernessReport:
 
     Reports critical leaves with a periodic endpoint, critical wedges
     (same-image leaf pairs at a shared vertex) with periodic vertex, points
-    where three or more leaves meet, and leaves whose two endpoints are not
-    periodic of one period when either endpoint is periodic.
+    where three or more leaves meet, and leaves with a periodic endpoint
+    whose endpoints differ in ``OrbitInfo``, i.e. are not periodic of one period.
     """
     d = chord_set.degree
     L, res = _residues(p for c in chord_set.chords for p in (c.a, c.b))
@@ -377,10 +375,13 @@ def properness_report(chord_set: ChordSet) -> PropernessReport:
     def image(x, y):  # None when the leaf is critical
         return None if d * x % L == d * y % L else sorted((d * x % L, d * y % L))
 
-    critical_leaves = []
+    critical_leaves, mismatched = [], []
     for (x, y), c in chords:
-        if image(x, y) is None and (info[x].preperiod == 0 or info[y].preperiod == 0):
-            critical_leaves.append(c)
+        if info[x].preperiod == 0 or info[y].preperiod == 0:
+            if image(x, y) is None:
+                critical_leaves.append(c)
+            if info[x] != info[y]:
+                mismatched.append(c)
 
     at_point: dict[int, list[tuple[tuple[int, int], Chord]]] = {}
     for pair in chords:
@@ -397,13 +398,6 @@ def properness_report(chord_set: ChordSet) -> PropernessReport:
                 wedges.append((Fraction(v, L), c1, c2))
 
     unclean = [(Fraction(v, L), len(cs)) for v, cs in sorted(at_point.items()) if len(cs) >= 3]
-
-    mismatched = []
-    for (x, y), c in chords:
-        ia, ib = info[x], info[y]
-        if ia.preperiod == 0 or ib.preperiod == 0:
-            if ia.preperiod != 0 or ib.preperiod != 0 or ia.period != ib.period:
-                mismatched.append(c)
 
     return PropernessReport(critical_leaves, wedges, unclean, mismatched)
 
@@ -451,9 +445,11 @@ def hyperbolic_approx(start: FDL, depth: int) -> NestingReport:
     Starting from a lamination whose round gaps all have degrees and which
     has at least one critical round gap, repeatedly pick the child that
     keeps, inside every tracked gap, a critical round gap of equal degree;
-    ties resolve to the gap whose basis holds the smallest angle, then to
-    the child with the smallest canonical key.  A successor is chosen only
-    among gaps inside its tracked gap, so the steps nest by construction.
+    ties resolve to the smallest angles of these successors, then to the
+    child with the smallest canonical key.  A successor is chosen only
+    among gaps inside its tracked gap, so the steps nest by construction,
+    and is unique: a degree-k gap carries criticality k - 1, shared by the
+    child's gaps and polygons inside it, so two degree-k gaps need 2(k - 1).
     """
     if depth < 0:
         raise PullbackError(f"nesting depth must be >= 0, got {depth}")
@@ -467,11 +463,7 @@ def hyperbolic_approx(start: FDL, depth: int) -> NestingReport:
         for child in enumerate_children(steps[-1].fdl):
             child_gaps = _critical_round_gaps(child.lamination)
             successors = [
-                min(
-                    (g for cdeg, g in child_gaps if cdeg == deg and _gap_inside(g, gap)),
-                    key=RoundGap.smallest_angle,
-                    default=None,
-                )
+                next((g for cdeg, g in child_gaps if cdeg == deg and _gap_inside(g, gap)), None)
                 for deg, gap in zip(degrees, steps[-1].tracked)
             ]
             if None not in successors:

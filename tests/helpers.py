@@ -1,11 +1,21 @@
-"""Fraction views of library data that only the tests use."""
+"""Fraction views of library data and reference rules that only the tests use."""
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
-from lamkit.circle import Angle, arc_len, check_degree
-from lamkit.core import Chord, PolygonClass, RoundGap, _class_residues, _IntModel
+from lamkit.circle import Angle, _orbits, arc_len, check_degree, preimages, sigma
+from lamkit.core import Chord, PolygonClass, RoundGap, _class_residues, _IntModel, _residues
+from lamkit.fdl import enumerate_children
 from lamkit.portraits import _portrait_residues
+from lamkit.pullback import (
+    NestingReport,
+    NestingStep,
+    PropernessReport,
+    PullbackError,
+    _critical_round_gaps,
+    _gap_inside,
+)
 
 
 def deepest_classes(fdl) -> list[PolygonClass]:
@@ -50,3 +60,137 @@ def arith_chords_cross(c1: Chord, c2: Chord) -> bool:
     if set_shares_endpoint(c1, c2):
         return False
     return arith_in_open_arc(c2.a, c1.a, c1.b) != arith_in_open_arc(c2.b, c1.a, c1.b)
+
+
+# --- the parent rules of lamkit.pullback, kept as oracles -----------------------
+
+
+def sorted_chains(anchors, k: int, d: int, contains) -> list[list[Chord]]:
+    """``pullback._chains`` by search: the preimages of each anchor's image
+    that ``contains`` accepts, sorted by their offset from the anchor."""
+    chains = []
+    for anchor in anchors:
+        value = sigma(anchor, d)
+        sibs = [p for p in preimages(value, d) if contains(p)]
+        if anchor not in sibs or len(sibs) != k:
+            raise PullbackError(
+                f"anchor {anchor} has {len(sibs)} same-image points in its gap, expected {k}"
+            )
+        ordered = sorted(sibs, key=lambda p: (p - anchor) % 1)
+        chains.append([Chord(ordered[j], ordered[j + 1]) for j in range(k - 1)])
+    return chains
+
+
+def connected_first_lift(x: int, y: int, branch, M: int, d: int, obstacles):
+    """``pullback._lift`` ranked connected arc-lifts first, then by lift or
+    shorter arc, then by pair.  Returns the chosen residue pair and the
+    ranked ``(not connected, length, pair)`` candidates, empty when the
+    pair is forced."""
+
+    def fail(what):
+        arcs = tuple((Fraction(s, M), Fraction(e, M)) for s, e in branch)
+        raise PullbackError(what.format(Chord(Fraction(x, M), Fraction(y, M)), arcs))
+
+    step = M // d
+    ends = [
+        [p for p in range(z // d, M, step) if any((p - s) % M <= (e - s) % M for s, e in branch)]
+        for z in (x, y)
+    ]
+    if not ends[0] or not ends[1]:
+        fail("branch {1} misses a preimage of {0}")
+    pairs = [(min(u, v), max(u, v)) for u in ends[0] for v in ends[1]]
+    if len(pairs) == 1:
+        return pairs[0], []
+
+    ranked = []
+    for u, v in pairs:
+        if any(c != u != e and c != v != e and (u < c < v) != (u < e < v) for c, e in obstacles):
+            continue
+        arcs = (v - u, M - v + u)
+        lift = next((b // d for b in (y - x, M - y + x) if b in (d * arcs[0], d * arcs[1])), None)
+        ranked.append((lift is None, lift if lift is not None else min(arcs), (u, v)))
+    if not ranked:
+        fail("every lift of {0} in branch {1} crosses the inputs")
+    return min(ranked)[2], ranked
+
+
+def smallest_angle_successor(child_gaps, deg: int, gap: RoundGap) -> Optional[RoundGap]:
+    """The successor pick of ``hyperbolic_approx`` as a minimum: the child
+    gap of degree ``deg`` inside ``gap`` with the smallest angle."""
+    return min(
+        (g for cdeg, g in child_gaps if cdeg == deg and _gap_inside(g, gap)),
+        key=RoundGap.smallest_angle,
+        default=None,
+    )
+
+
+def reference_hyperbolic_approx(start, depth: int) -> NestingReport:
+    """``pullback.hyperbolic_approx`` with ``smallest_angle_successor``."""
+    if depth < 0:
+        raise PullbackError(f"nesting depth must be >= 0, got {depth}")
+    tracked = _critical_round_gaps(start.lamination)
+    if not tracked:
+        raise PullbackError("need at least one critical round gap")
+    degrees = [deg for deg, _ in tracked]
+    steps = [NestingStep(start, [g for _, g in tracked])]
+    for _ in range(depth):
+        found = []
+        for child in enumerate_children(steps[-1].fdl):
+            child_gaps = _critical_round_gaps(child.lamination)
+            successors = [
+                smallest_angle_successor(child_gaps, deg, gap) for deg, gap in zip(degrees, steps[-1].tracked)
+            ]
+            if None not in successors:
+                found.append((child, successors))
+        if not found:
+            raise PullbackError("no child preserves the nested critical gaps")
+        child, successors = min(found, key=lambda f: ([g.smallest_angle() for g in f[1]], f[0].key()))
+        steps.append(NestingStep(child, successors))
+    strict = [
+        any(g_next != g_prev for g_prev, g_next in zip(prev.tracked, nxt.tracked))
+        for prev, nxt in zip(steps, steps[1:])
+    ]
+    arc_counts = [[len(g.arcs) for g in s.tracked] for s in steps]
+    return NestingReport(steps, strict, arc_counts)
+
+
+def three_loop_properness(chord_set) -> PropernessReport:
+    """``pullback.properness_report`` with one loop over the leaves per
+    list and the period mismatch decided field by field."""
+    d = chord_set.degree
+    L, res = _residues(p for c in chord_set.chords for p in (c.a, c.b))
+    chords = sorted(zip(zip(res[::2], res[1::2]), chord_set.chords))
+    info = _orbits(lambda x: d * x % L, res)
+
+    def image(x, y):
+        return None if d * x % L == d * y % L else sorted((d * x % L, d * y % L))
+
+    critical_leaves = []
+    for (x, y), c in chords:
+        if image(x, y) is None and (info[x].preperiod == 0 or info[y].preperiod == 0):
+            critical_leaves.append(c)
+
+    at_point = {}
+    for pair in chords:
+        at_point.setdefault(pair[0][0], []).append(pair)
+        at_point.setdefault(pair[0][1], []).append(pair)
+
+    wedges = []
+    for v, incident in sorted(at_point.items()):
+        if info[v].preperiod != 0:
+            continue
+        for (e1, c1), (e2, c2) in combinations(incident, 2):
+            i1 = image(*e1)
+            if i1 is not None and i1 == image(*e2):
+                wedges.append((Fraction(v, L), c1, c2))
+
+    unclean = [(Fraction(v, L), len(cs)) for v, cs in sorted(at_point.items()) if len(cs) >= 3]
+
+    mismatched = []
+    for (x, y), c in chords:
+        ia, ib = info[x], info[y]
+        if ia.preperiod == 0 or ib.preperiod == 0:
+            if ia.preperiod != 0 or ib.preperiod != 0 or ia.period != ib.period:
+                mismatched.append(c)
+
+    return PropernessReport(critical_leaves, wedges, unclean, mismatched)

@@ -43,6 +43,13 @@ def test_parse_rejects(text, d):
         parse_angle(text, d)
 
 
+@pytest.mark.parametrize("text", ["1_", "_", "0_", "1__1"])
+def test_itineraries_need_a_period_digit(text):
+    with pytest.raises(AngleError) as err:
+        parse_angle(text, 2)
+    assert str(err.value) == f"cannot parse angle literal {text!r} (expected p/q or digits_digits)"
+
+
 def test_parse_bare_integers():
     assert parse_angle("0", 2) == 0
     assert parse_angle("12", 3) == 0  # reduces mod 1

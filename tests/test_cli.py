@@ -98,6 +98,17 @@ def test_portraits_counts(capsys):
     assert "f(2,3) = 3" in out and "F(2,3) = 4" in out
 
 
+@pytest.mark.parametrize(
+    "i, n, message",
+    [("0", "3", "ambient degree i must be >= 1, got 0"), ("2", "1", "polygon size n must be >= 2, got 1")],
+)
+def test_portraits_out_of_range_are_classified(capsys, i, n, message):
+    assert main(["portraits", "--i", i, "--n", n]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_portraits_list(capsys):
     assert main(["portraits", "--i", "2", "--n", "2", "--all"]) == 0
     assert "total: 3" in capsys.readouterr().out
@@ -274,6 +285,7 @@ def test_render_svg_file(rabbit_file, tmp_path, capsys):
             '{"degree": 2, "chords": [["0", "bogus"]]}',
             "chords[0]: cannot parse angle literal 'bogus' (expected p/q or digits_digits)",
         ),
+        ("validate", '{"degree": 2, "classes": [[1, "1/2"]]}', "classes[0][0]: angle literal must be a string, got 1"),
     ],
 )
 def test_malformed_documents_are_classified(tmp_path, capsys, command, doc, message):
@@ -297,6 +309,21 @@ def test_oeis_compare_cli(tmp_path, capsys):
     assert main(["oeis-compare", "--counts", str(counts), "--bfile", str(bfile)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: counts file must hold") and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "bfile_text, counts_text, verdict",
+    [("# comments only\n", "[1, 1]", "empty b-file; nothing to compare"), ("0 1\n1 1\n", "[]", "no overlapping indices")],
+)
+def test_oeis_compare_without_overlap(tmp_path, capsys, bfile_text, counts_text, verdict):
+    counts = tmp_path / "counts.json"
+    counts.write_text(counts_text)
+    bfile = tmp_path / "b.txt"
+    bfile.write_text(bfile_text)
+    assert main(["oeis-compare", "--counts", str(counts), "--bfile", str(bfile)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"{verdict}\n"
+    assert captured.err == ""
 
 
 def test_chords_that_are_not_a_list_are_classified(tmp_path, capsys):
@@ -352,6 +379,13 @@ def test_crossing_lifts_name_the_pullback_step(tmp_path, capsys):
         "error: pullback step 1: the lifts make crossing chords: "
         "chords (0,1/4) and (1/8,7/8) cross\n"
     )
+    assert captured.out == ""
+
+
+def test_chords_without_a_colon_are_classified(rabbit_file, capsys):
+    assert main(["pullback", rabbit_file, "--chords", "1/5-7/10", "--depth", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: chord '1/5-7/10' must look like a:b\n"
     assert captured.out == ""
 
 

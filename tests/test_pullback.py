@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
 
+from lamkit import pullback
 from lamkit.circle import (
     OrbitInfo,
     _orbits,
@@ -17,6 +19,8 @@ from lamkit.circle import (
 )
 from lamkit.core import (
     DEGREE_KNOWN,
+    GAP_POLYGON,
+    GAP_ROUND,
     Chord,
     ChordSet,
     ClassLamination,
@@ -25,10 +29,12 @@ from lamkit.core import (
     _sweep,
     chords_cross,
     covering_degree,
+    criticality_audit,
     gap_decomposition,
     gap_degree,
 )
-from lamkit.fdl import enumerate_children
+from lamkit.fdl import build_pullback_tree, enumerate_children, root_fdl
+from lamkit.paramgraph import ParamGraphError, refines
 from lamkit.pullback import (
     CriticalChordSet,
     PropernessReport,
@@ -44,10 +50,23 @@ from lamkit.pullback import (
     pullback_lamination,
     pullback_step,
 )
+from helpers import (
+    connected_first_lift,
+    reference_hyperbolic_approx,
+    smallest_angle_successor,
+    sorted_chains,
+    three_loop_properness,
+)
 
 RABBIT = PolygonClass((F(1, 7), F(2, 7), F(4, 7)))
 SIBLING = PolygonClass((F(1, 14), F(9, 14), F(11, 14)))
 LEVEL1 = ClassLamination.create(2, [RABBIT, SIBLING])
+
+
+@pytest.fixture(scope="module")
+def eighths_tree():
+    # the tree below the cubic root {1/8, 3/8}
+    return build_pullback_tree(root_fdl(3, [PolygonClass((F(1, 8), F(3, 8)))]), 3)
 
 
 def _chords(pairs):
@@ -229,7 +248,7 @@ def _reference_place_critical_chords(lam, enumerate_all=False):
             continue
         anchors = [poly.vertices[0]] if not enumerate_all else list(poly.vertices)
         gap_anchor_options.append(
-            _chains(anchors, cov.degree, d, lambda p, poly=poly: p in set(poly.vertices))
+            sorted_chains(anchors, cov.degree, d, lambda p, poly=poly: p in set(poly.vertices))
         )
     for gap in decomp.round_gaps:
         status = gap_degree(gap, d)
@@ -243,7 +262,7 @@ def _reference_place_critical_chords(lam, enumerate_all=False):
             anchors = sorted({p for s, e in gap.arcs for p in (s, e)})
             if gap.is_full_circle:
                 anchors = [F(0)]
-        gap_anchor_options.append(_chains(anchors, status.degree, d, gap.contains_point))
+        gap_anchor_options.append(sorted_chains(anchors, status.degree, d, gap.contains_point))
 
     if not gap_anchor_options:
         raise PullbackError("no critical gaps; nothing to place")
@@ -285,6 +304,57 @@ def test_place_critical_chords_matches_two_loop_oracle(rabbit_tree, cubic_tree, 
             outcomes.add(min(len(got), 2) if isinstance(got, list) else got[1].split("(")[0])
     # one and several placements, and gaps without a degree of both kinds
     assert outcomes == {1, 2, "RoundGap", "polygon {0,1/8,3/8} has no degree; cannot place chords"}
+
+
+def _chains_or_error(chains, anchors, k, d, contains):
+    try:
+        return chains(anchors, k, d, contains)
+    except PullbackError as exc:
+        return str(exc)
+
+
+def test_chains_match_the_sorted_oracle(rabbit_tree, cubic_tree, basilica_tree):
+    # seeded anchors: a random part of the anchor's siblings, a random other
+    # point, and a chain length that is right, one short or one long
+    rng = random.Random(30)
+    outcomes, long_chains = Counter(), 0
+    for _ in range(3000):
+        d = rng.randint(2, 5)
+        q = rng.randint(1, 30)
+        anchor = F(rng.randrange(q), q)
+        sibs = [(anchor + F(j, d)) % 1 for j in range(d)]
+        inside = {p for p in sibs if rng.random() < 0.6} | {F(rng.randrange(2 * q), 2 * q)}
+        if rng.random() < 0.8:
+            inside.add(anchor)
+        k = len(inside.intersection(sibs)) + rng.choice([0, 0, 0, -1, 1])
+        anchors = [anchor] + rng.sample(sibs, rng.randint(0, 2))
+        got = _chains_or_error(_chains, anchors, k, d, inside.__contains__)
+        assert got == _chains_or_error(sorted_chains, anchors, k, d, inside.__contains__), (anchors, k, d, inside)
+        key = (d, "error" if isinstance(got, str) else "ok")
+        outcomes[key] += 1
+        long_chains += key[1] == "ok" and any(len(chain) > 1 for chain in got)
+    assert len(outcomes) == 8 and min(outcomes.values()) >= 100 and long_chains >= 300, outcomes
+    # the critical gaps of the fixture nodes, every basis end or vertex as anchor
+    lams = [n.lamination for t in (rabbit_tree, cubic_tree) for n in t.all_nodes()]
+    lams += [n.lamination for level in basilica_tree.levels[:7] for n in level]
+    chains = errors = 0
+    for lam in lams:
+        for entry in criticality_audit(lam).entries:
+            if entry.status.kind != DEGREE_KNOWN or entry.status.degree < 2:
+                continue
+            gap = entry.gap
+            if entry.kind == GAP_POLYGON:
+                anchors, contains = gap.vertices, gap.vertices.__contains__
+            else:
+                anchors, contains = sorted({p for arc in gap.arcs for p in arc}), gap.contains_point
+            for anchor in anchors:
+                for k in (entry.status.degree, entry.status.degree + 1):
+                    got = _chains_or_error(_chains, [anchor], k, lam.degree, contains)
+                    assert got == _chains_or_error(sorted_chains, [anchor], k, lam.degree, contains)
+                    chains += isinstance(got, list)
+                    errors += isinstance(got, str)
+    # each gap's chain, and a one-too-long chain that fails: 506 each when written
+    assert chains == errors >= 500
 
 
 def test_place_critical_chords_inside_critical_polygon():
@@ -464,6 +534,38 @@ def test_pullback_matches_fraction_oracle(rabbit_tree, cubic_tree):
     assert placements > 10
 
 
+def test_lift_matches_the_connected_first_oracle(monkeypatch, cubic_tree, eighths_tree):
+    # every lift that two pullback steps make through every placement of
+    # the cubic nodes and of the nodes below the cubic root {1/8, 3/8}
+    lift = pullback._lift
+    seen = {"ambiguous": 0, "non-connected": 0}
+
+    def checked(x, y, branch, M, d, obstacles):
+        try:
+            want, ranked = connected_first_lift(x, y, branch, M, d, obstacles)
+        except PullbackError as exc:
+            with pytest.raises(PullbackError) as err:
+                lift(x, y, branch, M, d, obstacles)
+            assert str(err.value) == str(exc)
+            raise
+        assert lift(x, y, branch, M, d, obstacles) == want, (x, y, branch, M, obstacles)
+        seen["ambiguous"] += bool(ranked)
+        seen["non-connected"] += any(not_connected for not_connected, _, _ in ranked)
+        return want
+
+    monkeypatch.setattr(pullback, "_lift", checked)
+    nodes = [*cubic_tree.all_nodes(), *(n for level in eighths_tree.levels[:3] for n in level)]
+    for node in nodes:
+        try:
+            placements = place_critical_chords(node.lamination, True)
+        except PullbackError:
+            continue  # a gap without a degree
+        for crit in placements:
+            pullback_lamination(node.lamination, crit, 2)
+    # 2,642 and 872 when this test was written
+    assert seen["ambiguous"] >= 1000 and seen["non-connected"] >= 500, seen
+
+
 def _fraction_step_error(start, crit):
     with pytest.raises((PullbackError, LaminationError)) as err:
         _fraction_pullback_step(start, crit)
@@ -487,6 +589,20 @@ def test_pullback_errors_match_fraction_oracle(chords, crit, message):
     with pytest.raises((PullbackError, LaminationError)) as err:
         pullback_step(start, crit)
     assert str(err.value) == _fraction_step_error(start, crit) == message
+
+
+def test_degree_mismatches_are_classified(rabbit_tree, cubic_tree):
+    cubic = cubic_tree.levels[1][0]
+    crit = place_critical_chords(cubic.lamination)[0]
+    with pytest.raises(PullbackError) as err:
+        pullback_step(LEVEL1.as_chordset(), crit)
+    assert str(err.value) == "degree mismatch between chord set and critical chords"
+    with pytest.raises(PullbackError) as err:
+        pullback_lamination(LEVEL1, crit, 1)
+    assert str(err.value) == "degree mismatch"
+    with pytest.raises(ParamGraphError) as err:
+        refines(rabbit_tree.levels[1][0], cubic)
+    assert str(err.value) == "refinement compares laminations of equal degree"
 
 
 def test_pullback_degree3(cubic_tree):
@@ -671,7 +787,7 @@ def test_properness_matches_orbit_info_oracle(rabbit_tree, cubic_tree, basilica_
     filled = set()
     for chord_set in sets:
         rep = properness_report(chord_set)
-        assert rep == _orbit_info_properness(chord_set)
+        assert rep == _orbit_info_properness(chord_set) == three_loop_properness(chord_set)
         filled |= {i for i, found in enumerate(vars(rep).values()) if found}
     assert len(forced.chords) == 768 and filled == {0, 1, 2, 3}
 
@@ -819,3 +935,72 @@ def test_critical_round_gaps_match_reference(rabbit_root, rabbit_tree, basilica_
         assert got == outcome(_reference_critical_round_gaps, lam), sorted(lam.classes)
         seen.add("error" if isinstance(got, str) else len(got))
     assert {"error", 0, 1} <= seen
+
+
+def _nesting_outcome(approx, start, depth):
+    try:
+        report = approx(start, depth)
+    except PullbackError as exc:
+        return str(exc)
+    steps = [(s.fdl.key(), s.tracked) for s in report.steps]
+    return steps, report.strict_shrinks, report.arc_counts
+
+
+def test_nesting_matches_the_smallest_angle_oracle(rabbit_tree, basilica_tree, eighths_tree):
+    cubic_start = next(k for k in eighths_tree.levels[1] if k.key() == "3|1/24,19/24|1/8,3/8|11/24,17/24")
+    runs = [(rabbit_tree.levels[1][0], k) for k in range(9)]
+    runs += [(cubic_start, k) for k in range(3)]
+    runs += [(node, 2) for level in basilica_tree.levels[:7] for node in level]
+    outcomes = set()
+    for start, depth in runs:
+        got = _nesting_outcome(hyperbolic_approx, start, depth)
+        assert got == _nesting_outcome(reference_hyperbolic_approx, start, depth), (start.key(), depth)
+        outcomes.add(got if isinstance(got, str) else "ok")
+    assert outcomes == {"ok", "RoundGap([2/3,1/3]) has no degree", "need at least one critical round gap"}
+
+
+def test_each_tracked_gap_has_at_most_one_successor(rabbit_root, basilica_tree, cubic_tree, eighths_tree):
+    # the census over every parent-child pair below the top level of each tree
+    trees = [(build_pullback_tree(rabbit_root, 7), 7), (basilica_tree, 7), (cubic_tree, 3), (eighths_tree, 3)]
+    census, nodes = Counter(), 0
+    for tree, top in trees:
+        children = {}
+        for parent, child in tree.edges():
+            children.setdefault(parent.key(), []).append(child)
+        for node in tree.all_nodes():
+            nodes += 1
+            # the audit lists its round gaps by their smallest angle
+            entries = criticality_audit(node.lamination).entries
+            angles = [e.gap.smallest_angle() for e in entries if e.kind == GAP_ROUND]
+            assert angles == sorted(angles), node.key()
+            if node.depth_n >= top:
+                continue
+            try:
+                tracked = _critical_round_gaps(node.lamination)
+            except PullbackError:
+                continue  # a round gap without a degree
+            for child in children.get(node.key(), []):
+                child_gaps = _critical_round_gaps(child.lamination)
+                for deg, gap in tracked:
+                    found = [g for cdeg, g in child_gaps if cdeg == deg and _gap_inside(g, gap)]
+                    assert next(iter(found), None) == smallest_angle_successor(child_gaps, deg, gap)
+                    census[len(found)] += 1
+    assert census == {1: 200, 0: 119} and nodes == 362
+
+
+def test_hyperbolic_approx_needs_a_critical_round_gap(rabbit_root, basilica_tree):
+    # nodes whose criticality sits in a polygon: no round gap to track
+    rabbit6 = build_pullback_tree(rabbit_root, 6)
+    starts = [n for t, top in ((rabbit6, 6), (basilica_tree, 6)) for lv in t.levels[: top + 1] for n in lv]
+    refused = 0
+    for start in starts:
+        try:
+            if _critical_round_gaps(start.lamination):
+                continue
+        except PullbackError:
+            continue  # a round gap without a degree
+        with pytest.raises(PullbackError) as err:
+            hyperbolic_approx(start, 1)
+        assert str(err.value) == "need at least one critical round gap"
+        refused += 1
+    assert refused == 25
