@@ -192,10 +192,10 @@ def _regions(edges: Iterable[tuple], points: list) -> list[tuple[tuple, ...]]:
     return [tuple(zip(g, map(end.__getitem__, g))) for g in _sweep(edges, points)[1].values()]
 
 
-def _residues(angles: Iterable[Angle], scale: int = 1) -> tuple[int, list[int]]:
-    """Angles as integers mod ``M = scale * lcm(denominators)``, in order."""
+def _residues(angles: Iterable[Angle], M: int = 1) -> tuple[int, list[int]]:
+    """Angles as integers mod the lcm of M and their denominators, in order."""
     angles = list(angles)
-    M = scale * lcm(*(a.denominator for a in angles))
+    M = lcm(M, *(a.denominator for a in angles))
     return M, [a.numerator * (M // a.denominator) for a in angles]
 
 
@@ -384,16 +384,31 @@ class ChordSet:
         cs.check()
         return cs
 
+    @classmethod
+    def _from_view(cls, degree: int, chords: frozenset[Chord], M: int, items: list) -> "ChordSet":
+        """A checked chord set whose :attr:`_view` comes from its ``(pair, chord)`` items sorted mod M."""
+        cs = cls(degree, chords)
+        cs.__dict__["_view"] = M, tuple(r for r, _ in items), tuple(c for _, c in items)
+        cs.check()
+        return cs
+
+    @cached_property
+    def _view(self) -> tuple:
+        """``(M, pairs, chords)``: sorted endpoint residue pairs mod M, a multiple of the lcm, chords alike."""
+        M, res = _residues(p for c in self.chords for p in (c.a, c.b))
+        pairs = sorted(zip(zip(res[::2], res[1::2]), self.chords))  # residue pairs sort like chords
+        return M, tuple(r for r, _ in pairs), tuple(c for _, c in pairs)
+
     def check(self):
         # residues keep the order of the angles, so the sweep names the same pair
-        M, res = _residues(p for c in self.chords for p in (c.a, c.b))
-        hit = _sweep(zip(res[::2], res[1::2]))[0]
+        M, pairs, _ = self._view
+        hit = _sweep(pairs)[0]
         if hit is not None:
             c1, c2 = (Chord(Fraction(u, M), Fraction(v, M)) for u, v in hit)
             raise LaminationError(f"chords {c1} and {c2} cross")
 
     def sorted_chords(self) -> list[Chord]:
-        return sorted(self.chords)
+        return list(self._view[2])
 
     def __len__(self):
         return len(self.chords)

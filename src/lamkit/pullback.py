@@ -14,9 +14,11 @@ preimage of its start point, and the lift whose arc fits inside the branch
 supplies that branch's preimage chord.  When a chord endpoint equals a
 critical value both of its lifts can fit; candidates that would cross the
 inputs are discarded and the shorter surviving lift wins, which reproduces
-the wedges that accumulate at forced endpoints.  A step runs on integer
-residues mod ``M = d * lcm(denominators)``, where the preimages of x
-are ``x // d + j * M / d`` and arc tests are integer comparisons.
+the wedges that accumulate at forced endpoints.  A step runs on its input's
+residue view (``ChordSet._view``) rescaled to M, a multiple of d times its
+modulus, so the preimages of x are ``x // d + j * M / d``; one bisect into
+the sorted cut points gives each its branch.  The result carries its view
+mod M, so the modulus grows by d per step and no residue is re-derived.
 
 This module also exposes the exact lamination metric (Hausdorff over
 leaves plus all degenerate leaves, by a pruned nearest-leaf scan on
@@ -28,7 +30,7 @@ degree >= 2; each has at most one successor of its degree in a child.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -187,30 +189,25 @@ def _chains(anchors, k: int, d: int, contains) -> list[list[Chord]]:
 # --- pullback steps ---------------------------------------------------------------
 
 
-def _lift(x: int, y: int, branch, M: int, d: int, obstacles) -> tuple[int, int]:
+def _lift(x: int, y: int, branch, M: int, d: int, obstacles, ends) -> tuple[int, int]:
     """The branch's preimage of the chord ``(x, y)``, all as residues mod M.
 
-    Generically each endpoint has one preimage in the branch closure and
-    the chord is forced.  When an endpoint equals a critical value, both
-    of its preimages can lie on the branch boundary; then candidates
-    crossing the fixed inputs are discarded and the shortest arc wins, ties
-    going to the smaller pair (``Chord`` order).  That prefers a connected
-    arc-lift, an arc that d maps onto an arc of the chord: with l the arc
-    from x to y in turns, a candidate's arcs are (l + m)/d and
-    (1 - l + d - 1 - m)/d for some m in 0..d-1; d times them is l or 1 - l
-    only when m = 0 or m = d - 1, whose lift l/d or (1 - l)/d is the
-    shorter arc, below 1/d, and for any other m both arcs exceed 1/d.
+    ``ends`` holds the preimages of x and of y in the branch closure;
+    generically one each, and the chord is forced.  When an endpoint equals
+    a critical value, both of its preimages can lie on the branch boundary;
+    then candidates crossing the fixed inputs are discarded and the shortest
+    arc wins, ties going to the smaller pair (``Chord`` order).  That
+    prefers a connected arc-lift, an arc that d maps onto an arc of the
+    chord: with l the arc from x to y in turns, a candidate's arcs are
+    (l + m)/d and (1 - l + d - 1 - m)/d for some m in 0..d-1; d times them
+    is l or 1 - l only when m = 0 or m = d - 1, whose lift l/d or (1 - l)/d
+    is the shorter arc, below 1/d, and for any other m both arcs exceed 1/d.
     """
 
     def fail(what):
         arcs = tuple((Fraction(s, M), Fraction(e, M)) for s, e in branch)
         raise PullbackError(what.format(Chord(Fraction(x, M), Fraction(y, M)), arcs))
 
-    step = M // d
-    ends = [
-        [p for p in range(z // d, M, step) if any((p - s) % M <= (e - s) % M for s, e in branch)]
-        for z in (x, y)
-    ]
     if not ends[0] or not ends[1]:
         fail("branch {1} misses a preimage of {0}")
     pairs = [(min(u, v), max(u, v)) for u in ends[0] for v in ends[1]]
@@ -230,29 +227,36 @@ def _lift(x: int, y: int, branch, M: int, d: int, obstacles) -> tuple[int, int]:
 def pullback_step(chord_set: ChordSet, crit: CriticalChordSet) -> ChordSet:
     """One level of preimages of every chord, through every branch.
 
-    Runs on residues mod ``M = d * lcm(denominators)`` of the chords and
-    the critical chords, so each point's preimages and the branches'
-    arcs are residues too; only the new chords become ``Chord`` objects.
-    The result contains its input and is verified non-crossing.
+    Runs on the input's residue view (``ChordSet._view``) rescaled to M,
+    the lcm of d times its modulus and the critical chords' denominators;
+    each preimage finds its branch by a bisect into the sorted cut points.
+    The result carries its view mod M, contains its input and is verified.
     """
     d = chord_set.degree
     if d != crit.degree:
         raise PullbackError("degree mismatch between chord set and critical chords")
-    fixed = list(chord_set.chords)
-    for s in fixed:
+    for s in chord_set.chords:
         for c in crit.chords:
             if chords_cross(s, c):
                 raise PullbackError(f"chord {s} crosses critical chord {c}")
 
-    chords = fixed + list(crit.chords)
-    M, res = _residues((p for c in chords for p in (c.a, c.b)), scale=d)
-    obstacles = list(zip(res[::2], res[1::2]))  # the inputs, then the critical chords
-    inputs = sorted(obstacles[: len(fixed)])  # residue pairs sort like chords
-    cuts = res[2 * len(fixed) :]
-    branches = _regions(zip(cuts[::2], cuts[1::2]), sorted(set(cuts)))
-    added = {_lift(x, y, b, M, d, obstacles) for x, y in inputs for b in branches}
-    new = [Chord._from_sorted(Fraction(u, M), Fraction(v, M)) for u, v in added.difference(inputs)]
-    return ChordSet.create(d, chord_set.chords.union(new))
+    M_in, inputs, chords = chord_set._view
+    M, cuts = _residues((p for c in crit.chords for p in (c.a, c.b)), d * M_in)
+    inputs = [(x * (M // M_in), y * (M // M_in)) for x, y in inputs]  # still sorted
+    obstacles = inputs + list(zip(cuts[::2], cuts[1::2]))  # the inputs, then the critical chords
+    points = sorted(set(cuts))
+    branches = _regions(obstacles[len(inputs) :], points)
+    owner = {s: b for b in branches for s, _ in b}  # the branch of the arc from each cut point
+    ends = {z: {b: [] for b in branches} for pair in inputs for z in pair}  # preimages per branch, in order
+    for z, per in ends.items():
+        for p in range(z // d, M, M // d):
+            k = bisect_right(points, p) - 1  # -1: the arc from the last cut point past 0
+            for b in {owner[points[k]], owner[points[k - 1] if points[k] == p else points[k]]}:
+                per[b].append(p)  # p joins the branch of its arc, and of the arc it ends
+    added = {_lift(x, y, b, M, d, obstacles, (ends[x][b], ends[y][b])) for x, y in inputs for b in branches}
+    made = {(u, v): Chord._from_sorted(Fraction(u, M), Fraction(v, M)) for u, v in added.difference(inputs)}
+    items = sorted([*zip(inputs, chords), *made.items()])  # residue pairs sort like chords
+    return ChordSet._from_view(d, chord_set.chords.union(made.values()), M, items)
 
 
 @dataclass
@@ -367,16 +371,14 @@ def properness_report(chord_set: ChordSet) -> PropernessReport:
     whose endpoints differ in ``OrbitInfo``, i.e. are not periodic of one period.
     """
     d = chord_set.degree
-    L, res = _residues(p for c in chord_set.chords for p in (c.a, c.b))
-    # residue pairs sort like chords; each keeps its Chord for the report
-    chords = sorted(zip(zip(res[::2], res[1::2]), chord_set.chords))
-    info = _orbits(lambda x: d * x % L, res)
+    L, pairs, chords = chord_set._view
+    info = _orbits(lambda x: d * x % L, (x for pair in pairs for x in pair))
 
     def image(x, y):  # None when the leaf is critical
         return None if d * x % L == d * y % L else sorted((d * x % L, d * y % L))
 
     critical_leaves, mismatched = [], []
-    for (x, y), c in chords:
+    for (x, y), c in zip(pairs, chords):  # each residue pair keeps its Chord for the report
         if info[x].preperiod == 0 or info[y].preperiod == 0:
             if image(x, y) is None:
                 critical_leaves.append(c)
@@ -384,7 +386,7 @@ def properness_report(chord_set: ChordSet) -> PropernessReport:
                 mismatched.append(c)
 
     at_point: dict[int, list[tuple[tuple[int, int], Chord]]] = {}
-    for pair in chords:
+    for pair in zip(pairs, chords):
         at_point.setdefault(pair[0][0], []).append(pair)
         at_point.setdefault(pair[0][1], []).append(pair)
 

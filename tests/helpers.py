@@ -81,9 +81,17 @@ def sorted_chains(anchors, k: int, d: int, contains) -> list[list[Chord]]:
     return chains
 
 
+def scan_branch_preimages(z: int, branch, M: int, d: int) -> list[int]:
+    """The preimages of z in the branch's closed arcs, all residues mod M,
+    in increasing order: each of the d preimages tested against every arc,
+    the lookup that ``pullback_step`` makes by a bisect into the cut points."""
+    return [p for p in range(z // d, M, M // d) if any((p - s) % M <= (e - s) % M for s, e in branch)]
+
+
 def connected_first_lift(x: int, y: int, branch, M: int, d: int, obstacles):
     """``pullback._lift`` ranked connected arc-lifts first, then by lift or
-    shorter arc, then by pair.  Returns the chosen residue pair and the
+    shorter arc, then by pair, with each endpoint's preimages found by
+    :func:`scan_branch_preimages`.  Returns the chosen residue pair and the
     ranked ``(not connected, length, pair)`` candidates, empty when the
     pair is forced."""
 
@@ -91,11 +99,7 @@ def connected_first_lift(x: int, y: int, branch, M: int, d: int, obstacles):
         arcs = tuple((Fraction(s, M), Fraction(e, M)) for s, e in branch)
         raise PullbackError(what.format(Chord(Fraction(x, M), Fraction(y, M)), arcs))
 
-    step = M // d
-    ends = [
-        [p for p in range(z // d, M, step) if any((p - s) % M <= (e - s) % M for s, e in branch)]
-        for z in (x, y)
-    ]
+    ends = [scan_branch_preimages(z, branch, M, d) for z in (x, y)]
     if not ends[0] or not ends[1]:
         fail("branch {1} misses a preimage of {0}")
     pairs = [(min(u, v), max(u, v)) for u in ends[0] for v in ends[1]]

@@ -1,7 +1,8 @@
 import random
 from collections import Counter
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
+from math import lcm
 
 import pytest
 
@@ -53,6 +54,7 @@ from lamkit.pullback import (
 from helpers import (
     connected_first_lift,
     reference_hyperbolic_approx,
+    scan_branch_preimages,
     smallest_angle_successor,
     sorted_chains,
     three_loop_properness,
@@ -499,12 +501,27 @@ def _fraction_pullback_step(chord_set, crit):
     return ChordSet.create(d, set(chord_set.chords) | set(added))
 
 
+def _assert_view_matches_chords(level):
+    # the residue view a level carries against its chords and a fresh view
+    M, pairs, chords = level._view
+    assert all(p < q for p, q in zip(pairs, pairs[1:])) and len(pairs) == len(chords)
+    assert [(F(x, M), F(y, M)) for x, y in pairs] == [(c.a, c.b) for c in chords]
+    assert set(chords) == level.chords
+    assert M % lcm(*(p.denominator for c in chords for p in (c.a, c.b))) == 0
+    assert properness_report(level) == properness_report(ChordSet(level.degree, level.chords))
+
+
 def _assert_pullback_matches_oracle(start, crit, depth):
     seq = pullback_lamination(start, crit, depth)
     level = start.as_chordset()
     for got in seq.levels[1:]:
         level = _fraction_pullback_step(level, crit)
         assert got.chords == level.chords, (start, crit.chords)
+    for got in seq.levels:
+        _assert_view_matches_chords(got)
+    # the modulus grows by d per step once the critical chords' lcm divides it
+    moduli = [got._view[0] for got in seq.levels[1:]]
+    assert all(m == crit.degree * prev for prev, m in zip(moduli, moduli[1:]))
 
 
 def test_pullback_matches_fraction_oracle(rabbit_tree, cubic_tree):
@@ -540,15 +557,15 @@ def test_lift_matches_the_connected_first_oracle(monkeypatch, cubic_tree, eighth
     lift = pullback._lift
     seen = {"ambiguous": 0, "non-connected": 0}
 
-    def checked(x, y, branch, M, d, obstacles):
+    def checked(x, y, branch, M, d, obstacles, *rest):
         try:
             want, ranked = connected_first_lift(x, y, branch, M, d, obstacles)
         except PullbackError as exc:
             with pytest.raises(PullbackError) as err:
-                lift(x, y, branch, M, d, obstacles)
+                lift(x, y, branch, M, d, obstacles, *rest)
             assert str(err.value) == str(exc)
             raise
-        assert lift(x, y, branch, M, d, obstacles) == want, (x, y, branch, M, obstacles)
+        assert lift(x, y, branch, M, d, obstacles, *rest) == want, (x, y, branch, M, obstacles)
         seen["ambiguous"] += bool(ranked)
         seen["non-connected"] += any(not_connected for not_connected, _, _ in ranked)
         return want
@@ -564,6 +581,53 @@ def test_lift_matches_the_connected_first_oracle(monkeypatch, cubic_tree, eighth
             pullback_lamination(node.lamination, crit, 2)
     # 2,642 and 872 when this test was written
     assert seen["ambiguous"] >= 1000 and seen["non-connected"] >= 500, seen
+
+
+def test_branch_preimages_match_the_arc_scan_oracle(monkeypatch):
+    # the bisect branch lookup of pullback_step against a scan of every
+    # branch arc, through 3,000 seeded critical-chord sets; the endpoints
+    # include critical values, whose preimages include cut points
+    lift = pullback._lift
+    seen = {"lifts": 0, "at a cut point": 0}
+
+    def checked(x, y, branch, M, d, obstacles, ends):
+        assert ends == tuple(scan_branch_preimages(z, branch, M, d) for z in (x, y)), (x, y, branch, M)
+        cuts = {p for arc in branch for p in arc}
+        seen["lifts"] += 1
+        seen["at a cut point"] += sum(p in cuts for e in ends for p in e)
+        return lift(x, y, branch, M, d, obstacles, ends)
+
+    monkeypatch.setattr(pullback, "_lift", checked)
+    diameter = CriticalChordSet.create(2, [Chord(F(0), F(1, 2))])
+    # 0 has the preimages 0 and 1/2, the cut points, which close arcs of both branches
+    pullback_step(ChordSet.create(2, [diameter.chords[0]]), diameter)
+    assert seen == {"lifts": 2, "at a cut point": 4}
+    rng = random.Random(31)
+    sets = 0
+    for d, chords in _random_chord_lists(31, 10000):
+        try:
+            crit = CriticalChordSet.create(d, chords)
+        except PullbackError:
+            continue
+        values = {sigma(c.a, d) for c in crit.chords}
+        pool = sorted(values | {F(rng.randrange(q), q) for q in rng.sample(range(1, 13), 2)})
+        candidates = [
+            Chord(a, b)
+            for a, b in combinations(pool, 2)
+            if not any(chords_cross(Chord(a, b), c) for c in crit.chords)
+        ]
+        if not candidates:
+            continue
+        try:
+            pullback_step(ChordSet.create(d, [rng.choice(candidates)]), crit)
+        except (PullbackError, LaminationError):
+            pass
+        sets += 1
+        if sets == 3000:
+            break
+    assert sets == 3000
+    # 7,317 and 10,830 when this test was written
+    assert seen["lifts"] >= 7000 and seen["at a cut point"] >= 10000, seen
 
 
 def _fraction_step_error(start, crit):
@@ -902,8 +966,9 @@ def test_gap_inside_matches_arc_containment(rabbit_tree, basilica_tree, cubic_tr
 
 
 def test_hyperbolic_approx_needs_critical_gap(rabbit_root):
-    with pytest.raises(PullbackError):
+    with pytest.raises(PullbackError) as err:
         hyperbolic_approx(rabbit_root, 1)  # partly critical gap at the root
+    assert str(err.value) == "RoundGap([4/7,1/7]) has no degree"
 
 
 def _reference_critical_round_gaps(lam):
