@@ -175,9 +175,7 @@ def export_dot_tree(tree: PullbackTree) -> str:
     for lv, nodes in enumerate(tree.levels):
         for f in nodes:
             lines.append(f"  {_dot_quote(f.key())} [label={_dot_quote(f'level {lv}')}];")
-    for parent, child in sorted(
-        ((p, c) for c, p in tree.parent.items()), key=lambda e: (e[0], e[1])
-    ):
+    for parent, child in sorted((p, c) for c, p in tree.parent.items()):
         lines.append(f"  {_dot_quote(parent)} -> {_dot_quote(child)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -258,7 +256,7 @@ def render_svg(levels, geodesics: str = "straight") -> str:
     drawn: set[Chord] = set()
     for li, level in enumerate(levels):
         color = _PALETTE[li % len(_PALETTE)]
-        for c in sorted(level.chords):
+        for c in level.sorted_chords():
             if c in drawn:
                 continue
             drawn.add(c)

@@ -6,7 +6,8 @@ once every gap has a degree.  One relation on a tree level holds the pairs
 (a, b) where b traps more than a and a's classes refine b's; the graph draws
 the pairs one unit apart and keeps the relation as ``GenGraph.related``;
 the transitive closure of the edges must give it back.  Both read the
-residues that tree nodes store, scaled to a common modulus.
+residues that tree nodes store: one tree level shares one modulus, and only
+:func:`refines`, which compares any two levels, scales nodes to an lcm.
 """
 
 from __future__ import annotations
@@ -58,12 +59,8 @@ def refines(a: FDL, b: FDL) -> bool:
     if a.degree != b.degree:
         raise ParamGraphError("refinement compares laminations of equal degree")
     M = lcm(a.modulus, b.modulus)
-    return _inside(_scaled(a, M), _class_index(_scaled(b, M)))
-
-
-def _scaled(fdl: FDL, M: int) -> list[list[int]]:
-    """The node's classes as vertex residues mod ``M``, a multiple of its modulus."""
-    return [[x * (M // fdl.modulus) for x in c] for c in fdl.residues]
+    ca, cb = ([[x * (M // f.modulus) for x in c] for c in f.residues] for f in (a, b))
+    return _inside(ca, _class_index(cb))
 
 
 def _class_index(classes: list[list[int]]) -> dict[int, int]:
@@ -77,12 +74,11 @@ def _inside(classes: list[list[int]], index: dict[int, int]) -> bool:
 
 
 def _refinement(nodes: dict, trapped: dict) -> set[tuple[str, str]]:
-    """Key pairs (a, b) where b traps more criticality than a and a refines b."""
-    M = lcm(*(f.modulus for f in nodes.values()))
-    classes = {k: _scaled(f, M) for k, f in nodes.items()}
-    index = {k: _class_index(c) for k, c in classes.items()}
-    pairs = ((ka, kb) for ka in nodes for kb in nodes if trapped[kb] > trapped[ka])
-    return {(ka, kb) for ka, kb in pairs if _inside(classes[ka], index[kb])}
+    """Key pairs (a, b) where b traps more criticality than a and a refines b.
+    ``nodes`` is one tree level, so they share one modulus (``d`` times their parents')."""
+    maps = ((kb, _class_index(b.residues)) for kb, b in nodes.items())  # built one at a time
+    pairs = ((ka, kb, index) for kb, index in maps for ka in nodes if trapped[ka] < trapped[kb])
+    return {(ka, kb) for ka, kb, index in pairs if _inside(nodes[ka].residues, index)}
 
 
 @dataclass

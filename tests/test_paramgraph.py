@@ -129,6 +129,8 @@ def test_graph_matches_set_refinement_and_audit_oracles(basilica_tree, rabbit_tr
     trapped_values, longer_steps = set(), 0
     for tree in (basilica_tree, rabbit_tree, cubic_tree):
         for lv in range(len(tree.levels)):
+            # the graph reads residues as they are: one level, one modulus
+            assert len({n.modulus for n in tree.levels[lv]}) == 1
             g = generational_graph(tree, lv)
             nodes, keys = g.nodes, g.vertices
             trapped = {k: _audit_trapped(nodes[k]) for k in keys}
@@ -139,6 +141,7 @@ def test_graph_matches_set_refinement_and_audit_oracles(basilica_tree, rabbit_tr
                 for b in keys
                 if trapped[b] > trapped[a] and _set_refines(nodes[a], nodes[b])
             }
+            assert g.related == relation
             edges = [(a, b) for a in keys for b in keys if trapped[b] == trapped[a] + 1]
             assert g.edges == [e for e in edges if e in relation]
             closed = transitive_closure(keys, g.edges) == relation

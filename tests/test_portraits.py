@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product
@@ -9,6 +10,7 @@ from lamkit.circle import preimages, sigma
 from lamkit.core import (
     ClassLamination,
     PolygonClass,
+    RoundGap,
     chords_cross,
     gap_decomposition,
     gap_degree,
@@ -193,6 +195,50 @@ def test_malformed_portraits_raise_portrait_errors():
         reduce_portrait(PortraitShape(2, 3, ((0, 1, 3), (2, 4, 5))))
     with pytest.raises(PortraitError, match=r"^tree node has 2 subtrees, not n = 3$"):
         tree_to_portrait((None, None), 3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: tree_to_portrait(None, 3), "tree must have at least one internal node"),
+        (
+            lambda: reduce_portrait(PortraitShape(2, 3, (tuple(range(6)),))),
+            "reduce_portrait needs a one-to-one portrait",
+        ),
+        (
+            lambda: reduce_portrait(enumerate_injective_portraits(2, 2)[0]),
+            "need at least 3 labels to reduce",
+        ),
+        (lambda: reduce_portrait(enumerate_injective_portraits(2, 3)[0], 5), "label 5 out of range"),
+        (
+            lambda: instantiate_portrait(
+                enumerate_injective_portraits(3, 2)[0], RABBIT, None, ClassLamination.create(2, [RABBIT])
+            ),
+            "shape is for 2-gons, target has 3 vertices",
+        ),
+        (
+            lambda: instantiate_portrait(
+                enumerate_injective_portraits(2, 3)[0],
+                RABBIT,
+                RoundGap(((F(1, 7), F(2, 7)),)),
+                ClassLamination.create(2, [RABBIT]),
+            ),
+            "region holds no preimage of the target's first vertex",
+        ),
+        (
+            lambda: instantiate_portrait(
+                enumerate_injective_portraits(2, 3)[0],
+                RABBIT,
+                RoundGap(((F(2, 7), F(4, 7)),)),
+                ClassLamination.create(2, [RABBIT]),
+            ),
+            "preimage points do not split evenly over the target's vertices",
+        ),
+    ],
+)
+def test_bad_portrait_inputs_raise_classified_errors(call, message):
+    with pytest.raises(PortraitError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_reduce_portrait_bijection():
