@@ -59,14 +59,14 @@ def parse_angle(text: str, d: int) -> Angle:
     if not isinstance(text, str):
         raise AngleError(f"angle literal must be a string, got {text!r}")
     text = text.strip()
-    if _INTEGER_RE.match(text):
-        return mod1(Fraction(int(text)))
     m = _FRACTION_RE.match(text)
     if m:
         num, den = int(m.group(1)), int(m.group(2))
         if den == 0:
             raise AngleError(f"zero denominator in {text!r}")
-        return mod1(Fraction(num, den))
+        return Fraction(num % den, den)
+    if _INTEGER_RE.match(text):
+        return mod1(Fraction(int(text)))
     m = _ITINERARY_RE.match(text)
     if m:
         pre, per = m.group(1), m.group(2)
@@ -156,7 +156,7 @@ def format_itinerary(a: Angle, d: int) -> str:
 
 def format_angle(a: Angle) -> str:
     """Reduced-fraction literal, e.g. ``1/7`` or ``0``."""
-    return str(Fraction(a))
+    return str(a if type(a) is Fraction else Fraction(a))
 
 
 def arc_len(start: Angle, end: Angle) -> Fraction:

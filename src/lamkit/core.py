@@ -14,14 +14,14 @@ by their start (``_regions``) for round gaps and critical-chord branches.
 portrait placement, validation and keys share.  It is built from vertex
 residue tuples mod a common modulus M: a tree node's, or a lamination's
 residue view (``ClassLamination._view``), converted once and cached as
-``ClassLamination._model``.  Its class depths come from one tail walk
-``circle._orbits``, cached too.  The criticality audit walks a
-lamination's model once and gives every gap its degree there: a polygon
-from its vertex images (``_covering``), a round gap, one region of the hull
-edges, by one coverage sweep over the images of its basis endpoints
-(``_gap_degree``).  Its entries serve the
-excess-degree identity ``sum_i (d_i - 1) = d - 1``, the gap decomposition
-and critical-chord placement.
+``ClassLamination._model``; ``as_chordset`` hands its chord set the hull
+edges of that view.  Class depths come from one tail walk ``circle._orbits``,
+cached too.  The criticality audit walks a lamination's model once and
+gives every gap its degree there: a polygon from its vertex images
+(``_covering``), a round gap, one region of the hull edges, by one coverage
+sweep over the images of its basis endpoints (``_gap_degree``).  Its entries
+serve the excess-degree identity ``sum_i (d_i - 1) = d - 1``, the gap
+decomposition and critical-chord placement.
 """
 
 from __future__ import annotations
@@ -222,10 +222,10 @@ def _components(pairs: Iterable[tuple]) -> dict:
     return {x: find(x) for x in parent}
 
 
-def _class_residues(polys: Collection[PolygonClass]) -> tuple[int, list[tuple[int, ...]]]:
-    """Vertex residues of each class, in order, mod ``M = lcm(denominators)``."""
-    M = lcm(*(v.denominator for c in polys for v in c.vertices))
-    return M, [tuple(v.numerator * (M // v.denominator) for v in c.vertices) for c in polys]
+def _class_residues(classes: Collection[Sequence[Angle]]) -> tuple[int, list[tuple[int, ...]]]:
+    """Residues of each vertex sequence, in order, mod ``M = lcm(denominators)``."""
+    M = lcm(*(v.denominator for c in classes for v in c))
+    return M, [tuple(v.numerator * (M // v.denominator) for v in c) for c in classes]
 
 
 class _IntModel:
@@ -322,7 +322,7 @@ class ClassLamination:
     @cached_property
     def _view(self) -> tuple:
         """``(M, residues, classes)``: sorted vertex residue tuples mod the lcm M, classes alike."""
-        M, res = _class_residues(self.classes)
+        M, res = _class_residues([c.vertices for c in self.classes])
         pairs = sorted(zip(res, self.classes))  # residues sort as the angles; classes differ
         return M, tuple(r for r, _ in pairs), tuple(c for _, c in pairs)
 
@@ -361,7 +361,15 @@ class ClassLamination:
         return out
 
     def as_chordset(self) -> "ChordSet":
-        return ChordSet(self.degree, frozenset(self.all_edges()))
+        """The hull edges as an unchecked chord set that carries their residue pairs from :attr:`_view`."""
+        M, res, polys = self._view
+        edges = {id(p): p.edges() for p in polys}  # each class's Chords, made once; polys are self.classes
+        # the set of all_edges(), filled in its order, which names pullback_step's first crossing chord
+        cs = ChordSet(self.degree, frozenset({e for c in self.classes for e in edges[id(c)]}))
+        items = sorted(zip([e for r in res for e in _hull_edges(r)], [e for es in edges.values() for e in es]))
+        if len(items) == len(cs.chords):  # else classes share an edge; ChordSet._view derives its own
+            cs.__dict__["_view"] = M, tuple(r for r, _ in items), tuple(c for _, c in items)
+        return cs
 
     def __str__(self):
         return f"ClassLamination(d={self.degree}, {len(self.classes)} classes)"

@@ -4,8 +4,10 @@ The interchange schema is a JSON object ``{"degree": d, "classes":
 [[angle literals]], ...}`` with optional ``name``/``level`` metadata;
 angle literals are ``p/q`` fractions or base-d itineraries (``_001``).
 Chord sets use ``"chords": [["a","b"], ...]`` instead of classes, and the
-lamination loader reassembles them into classes.  All emitters are
-byte-deterministic for identical inputs.
+lamination loader reassembles them into classes.  The loader parses the
+literals, converts the document to residues once and checks the sorted
+residue view that the lamination keeps; a save prints the classes' own
+reduced fractions.  All emitters are byte-deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .circle import Angle, AngleError, check_degree, format_angle, parse_angle
-from .core import Chord, ChordSet, ClassLamination, LaminationError, PolygonClass
+from .core import Chord, ChordSet, ClassLamination, LaminationError, PolygonClass, _class_residues
 from .fdl import FdlError, PullbackTree, classes_from_chords
 from .paramgraph import GenGraph
 
@@ -61,52 +63,62 @@ def _object_degree(doc) -> int:
 def load_lamination(doc) -> ClassLamination:
     """Parse a lamination document (dict or JSON text) into classes.
 
-    A chord document is reassembled into classes: chords are grouped by
-    shared endpoints and each group must be exactly the hull-edge set of
+    Literals, then one residue conversion, then the checked residue view.
+    A chord document is reassembled into classes first: chords are grouped
+    by shared endpoints and each group must be exactly the hull-edge set of
     its vertices, which is the import-time face of the hull-edge axiom.
     """
     doc = _parse(doc)
     d = _object_degree(doc)
     if "chords" in doc:
         try:
-            classes = classes_from_chords(d, load_chordset(doc).chords)
+            verts = [c.vertices for c in classes_from_chords(d, load_chordset(doc).chords)]
         except FdlError as exc:
             raise DocumentError(str(exc)) from exc
     elif not isinstance(doc.get("classes"), list):
         raise DocumentError("document lacks a 'classes' list")
     else:
-        classes = []
+        verts = []  # each class's vertices, in document order
         for ci, cls in enumerate(doc["classes"]):
             if not isinstance(cls, list) or len(cls) < 2:
+                _sorted_classes(verts)  # an earlier class's own error comes first
                 raise DocumentError(f"classes[{ci}] must list >= 2 angle literals")
-            verts = []
+            verts.append([])
             for vi, lit in enumerate(cls):
                 try:
-                    verts.append(parse_angle(lit, d))
+                    verts[-1].append(parse_angle(lit, d))
                 except AngleError as exc:
+                    _sorted_classes(verts[:-1])
                     raise DocumentError(f"classes[{ci}][{vi}]: {exc}") from exc
-            try:
-                classes.append(PolygonClass(tuple(verts)))
-            except LaminationError as exc:
-                raise DocumentError(f"classes[{ci}]: {exc}") from exc
+    M, items = _sorted_classes(verts)
+    view = sorted(dict(items).items())  # a class listed twice is one class
+    polys = tuple(PolygonClass._from_sorted(vs) for _, vs in view)
+    lam = ClassLamination(d, frozenset(polys))
+    lam.__dict__["_view"] = M, tuple(r for r, _ in view), polys
     try:
-        lam = ClassLamination.create(d, classes)
+        lam.check()
     except LaminationError as exc:
         raise DocumentError(str(exc)) from exc
-    if len(lam.classes) != len(classes):  # the class set merged a class listed twice
-        i, j = next((i, j) for j, c in enumerate(classes) for i in range(j) if classes[i] == c)
-        raise DocumentError(f"classes[{i}] and classes[{j}] list the same class {classes[i]}")
+    if len(view) < len(items):
+        i, j = next((i, j) for j, c in enumerate(items) for i in range(j) if items[i][0] == c[0])
+        raise DocumentError(f"classes[{i}] and classes[{j}] list the same class {PolygonClass(items[i][1])}")
     return lam
+
+
+def _sorted_classes(verts: list) -> tuple[int, list]:
+    """One residue conversion: M and each list's sorted ``(residues, vertices)``; a repeated vertex raises."""
+    M, res = _class_residues(verts)
+    items = [tuple(zip(*sorted(zip(r, vs)))) for r, vs in zip(res, verts)]
+    for ci, (r, vs) in enumerate(items):
+        if len(set(r)) < len(r):
+            raise DocumentError(f"classes[{ci}]: duplicate vertices in {PolygonClass._from_sorted(vs)}")
+    return M, items
 
 
 def save_lamination(lam: ClassLamination, level: Optional[int] = None) -> dict:
     """Canonical document: classes sorted by first vertex, reduced fractions."""
-    doc = {
-        "degree": lam.degree,
-        "classes": [
-            [format_angle(v) for v in cls.vertices] for cls in lam.sorted_classes()
-        ],
-    }
+    classes = [[format_angle(v) for v in c.vertices] for c in lam.sorted_classes()]
+    doc = {"degree": lam.degree, "classes": classes}
     if level is not None:
         doc["level"] = level
     return doc

@@ -293,7 +293,7 @@ def instantiate_portrait(
     class is reported as reused rather than new.
     """
     d = context.degree
-    M, res = _class_residues([*context.classes, target])
+    M, res = _class_residues([*(c.vertices for c in context.classes), target.vertices])
     model = _IntModel(d, M, res[:-1])
     points = _portrait_residues(tuple(d * x for x in res[-1]), model, region)
     if len(points) != shape.i * shape.n:

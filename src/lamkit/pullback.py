@@ -189,7 +189,7 @@ def _chains(anchors, k: int, d: int, contains) -> list[list[Chord]]:
 # --- pullback steps ---------------------------------------------------------------
 
 
-def _lift(x: int, y: int, branch, M: int, d: int, obstacles, ends) -> tuple[int, int]:
+def _lift(x: int, y: int, branch, M: int, obstacles, ends) -> tuple[int, int]:
     """The branch's preimage of the chord ``(x, y)``, all as residues mod M.
 
     ``ends`` holds the preimages of x and of y in the branch closure;
@@ -253,7 +253,7 @@ def pullback_step(chord_set: ChordSet, crit: CriticalChordSet) -> ChordSet:
             k = bisect_right(points, p) - 1  # -1: the arc from the last cut point past 0
             for b in {owner[points[k]], owner[points[k - 1] if points[k] == p else points[k]]}:
                 per[b].append(p)  # p joins the branch of its arc, and of the arc it ends
-    added = {_lift(x, y, b, M, d, obstacles, (ends[x][b], ends[y][b])) for x, y in inputs for b in branches}
+    added = {_lift(x, y, b, M, obstacles, (ends[x][b], ends[y][b])) for x, y in inputs for b in branches}
     made = {(u, v): Chord._from_sorted(Fraction(u, M), Fraction(v, M)) for u, v in added.difference(inputs)}
     items = sorted([*zip(inputs, chords), *made.items()])  # residue pairs sort like chords
     return ChordSet._from_view(d, chord_set.chords.union(made.values()), M, items)

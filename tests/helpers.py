@@ -4,9 +4,19 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from lamkit.circle import Angle, _orbits, arc_len, check_degree, preimages, sigma
-from lamkit.core import Chord, PolygonClass, RoundGap, _class_residues, _IntModel, _residues
-from lamkit.fdl import enumerate_children
+from lamkit.circle import Angle, AngleError, _orbits, arc_len, check_degree, parse_angle, preimages, sigma
+from lamkit.core import (
+    Chord,
+    ClassLamination,
+    LaminationError,
+    PolygonClass,
+    RoundGap,
+    _class_residues,
+    _IntModel,
+    _residues,
+)
+from lamkit.fdl import FdlError, classes_from_chords, enumerate_children
+from lamkit.io import DocumentError, _object_degree, _parse, load_chordset
 from lamkit.portraits import _portrait_residues
 from lamkit.pullback import (
     NestingReport,
@@ -24,6 +34,44 @@ def deepest_classes(fdl) -> list[PolygonClass]:
     return [p for r, p in zip(fdl.residues, fdl.lamination.sorted_classes()) if r in deepest]
 
 
+def fraction_load_lamination(doc) -> ClassLamination:
+    """``io.load_lamination`` on ``Fraction`` classes: each literal parsed,
+    each class built as a :class:`PolygonClass` in turn, then
+    ``ClassLamination.create`` and the check for a class listed twice."""
+    doc = _parse(doc)
+    d = _object_degree(doc)
+    if "chords" in doc:
+        try:
+            classes = classes_from_chords(d, load_chordset(doc).chords)
+        except FdlError as exc:
+            raise DocumentError(str(exc)) from exc
+    elif not isinstance(doc.get("classes"), list):
+        raise DocumentError("document lacks a 'classes' list")
+    else:
+        classes = []
+        for ci, cls in enumerate(doc["classes"]):
+            if not isinstance(cls, list) or len(cls) < 2:
+                raise DocumentError(f"classes[{ci}] must list >= 2 angle literals")
+            verts = []
+            for vi, lit in enumerate(cls):
+                try:
+                    verts.append(parse_angle(lit, d))
+                except AngleError as exc:
+                    raise DocumentError(f"classes[{ci}][{vi}]: {exc}") from exc
+            try:
+                classes.append(PolygonClass(tuple(verts)))
+            except LaminationError as exc:
+                raise DocumentError(f"classes[{ci}]: {exc}") from exc
+    try:
+        lam = ClassLamination.create(d, classes)
+    except LaminationError as exc:
+        raise DocumentError(str(exc)) from exc
+    if len(lam.classes) != len(classes):  # the class set merged a class listed twice
+        i, j = next((i, j) for j, c in enumerate(classes) for i in range(j) if classes[i] == c)
+        raise DocumentError(f"classes[{i}] and classes[{j}] list the same class {classes[i]}")
+    return lam
+
+
 def portrait_points(target: PolygonClass, d: int, region: Optional[RoundGap] = None) -> list[Angle]:
     """Preimages of the target's vertices available for a portrait.
 
@@ -33,7 +81,7 @@ def portrait_points(target: PolygonClass, d: int, region: Optional[RoundGap] = N
     vertex, and their labels must repeat 0..n-1 cyclically.
     """
     check_degree(d)
-    model = _IntModel(d, *_class_residues([target]))
+    model = _IntModel(d, *_class_residues([target.vertices]))
     pts = _portrait_residues(model.classes[0], model, region)
     return [model.angle(p) for p in pts]
 

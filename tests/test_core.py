@@ -42,6 +42,7 @@ from lamkit.core import (
     gap_decomposition,
     gap_degree,
 )
+from lamkit.io import load_lamination, save_lamination
 from helpers import arith_chords_cross, set_shares_endpoint
 
 RABBIT = PolygonClass((F(1, 7), F(2, 7), F(4, 7)))
@@ -586,6 +587,22 @@ def test_chordset_check_names_the_fraction_sweep_pair():
     assert named > 500
 
 
+def test_as_chordset_carries_the_lamination_view(basilica_tree, rabbit_tree, cubic_tree):
+    # tree nodes, the same classes through ClassLamination.create, their
+    # loaded documents, and unchecked classes that share an edge: the view is
+    # the one a fresh chord set derives, and the chords iterate as
+    # frozenset(all_edges()) does, the order in which pullback_step names a
+    # crossing input chord
+    nodes = [n.lamination for t in (basilica_tree, rabbit_tree, cubic_tree) for n in t.all_nodes()]
+    lams = nodes + [ClassLamination.create(lam.degree, lam.classes) for lam in nodes]
+    lams += [load_lamination(save_lamination(lam)) for lam in nodes]
+    lams.append(ClassLamination(2, [PolygonClass((F(0), F(1, 3), F(2, 3))), PolygonClass((F(1, 3), F(2, 3)))]))
+    for lam in lams:
+        cs = lam.as_chordset()
+        assert cs._view == ChordSet(lam.degree, frozenset(lam.all_edges()))._view
+        assert list(cs.chords) == list(frozenset(lam.all_edges()))
+
+
 def test_sweep_labels_match_brute_force():
     # seeded non-crossing integer families, repeats allowed; a point's label
     # is the innermost edge with a <= p < b: the largest a, then the smallest
@@ -745,7 +762,7 @@ def test_depths_match_brute_force(basilica_tree, rabbit_tree, cubic_tree):
     lams += [(2, ClassLamination.create(2, cs).classes) for cs in ([hexagon], [RABBIT, u], [RABBIT, u, w, v])]
     values = set()
     for d, classes in lams:
-        model = _IntModel(d, *_class_residues(classes))
+        model = _IntModel(d, *_class_residues([c.vertices for c in classes]))
         depths = model.depths
         assert depths == _brute_depths(model)
         values |= set(depths.values())

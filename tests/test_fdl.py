@@ -375,7 +375,7 @@ def _reference_children(fdl):
     validation and the Fraction key."""
     lam = fdl.lamination
     d = lam.degree
-    model = _IntModel(d, *_class_residues(lam.classes))
+    model = _IntModel(d, *_class_residues([c.vertices for c in lam.classes]))
     options = []
     for t in _deepest(model, fdl.depth_n):
         pts = _portrait_residues(t, model, None)

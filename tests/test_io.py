@@ -6,8 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from lamkit.circle import AngleError, format_itinerary, parse_angle
 from lamkit.core import Chord, ChordSet, ClassLamination, PolygonClass, chords_cross
-from lamkit.fdl import canonical_form
+from lamkit.fdl import build_pullback_tree, canonical_form
 from lamkit.io import (
     BFile,
     DocumentError,
@@ -23,6 +24,8 @@ from lamkit.io import (
     write_atomic,
 )
 from lamkit.paramgraph import generational_graph
+
+from helpers import fraction_load_lamination
 
 
 def test_load_rabbit_document():
@@ -55,6 +58,145 @@ def test_load_cubic_pair():
 def test_load_rejects(doc):
     with pytest.raises(DocumentError):
         load_lamination(doc)
+
+
+@pytest.mark.parametrize(
+    "classes, message",
+    [
+        ([["1/3", "1/3"], ["1/0", "1/2"]], "classes[0]: duplicate vertices in {1/3,1/3}"),
+        ([["1/3", "2/3"], ["1/0", "1/2"]], "classes[1][0]: zero denominator in '1/0'"),
+        (
+            [["1/7", "2/7", "4/7"], ["_012", "1/2"]],
+            "classes[1][0]: digit 2 out of range for base 2 in '_012'",
+        ),
+        ([["1/7", "2/7", "4/7"], ["1/3"]], "classes[1] must list >= 2 angle literals"),
+        ([["1/3", "2/3"], ["4/6", "1/6"]], "classes {1/6,2/3} and {1/3,2/3} share a vertex"),
+        # a crossing comes before a class listed twice
+        ([["0", "1/2"], ["1/4", "3/4"], ["1/2", "0"]], "classes {0,1/2} and {1/4,3/4} cross"),
+        (
+            [["1/3", "2/3"], ["2/3", "1/3"], ["1/6", "5/6"], ["1/6", "5/6"]],
+            "classes[0] and classes[1] list the same class {1/3,2/3}",
+        ),
+    ],
+)
+def test_load_error_texts_and_their_precedence(classes, message):
+    with pytest.raises(DocumentError) as exc:
+        load_lamination({"degree": 2, "classes": classes})
+    assert str(exc.value) == message
+
+
+def _literal(rng, v, d) -> str:
+    """A random literal of the angle v: reduced, unreduced and moved by whole
+    turns, spaced, an integer when v is 0, or a base-d itinerary."""
+    p, q, k = v.numerator, v.denominator, rng.randrange(1, 4)
+    form = rng.randrange(5 if p == 0 else 4)
+    if form == 3:
+        return format_itinerary(v, d)
+    if form == 4:
+        return str(rng.randrange(-3, 4))
+    return [str(v), f"{(p + rng.randrange(-2, 3) * q) * k}/{q * k}", f" {p} / {q} "][form]
+
+
+def _shuffled_document(rng, lam) -> dict:
+    """The lamination as a class document, or one in five times a chord
+    document, with its classes, chords and vertices in random order."""
+    d = lam.degree
+    if rng.randrange(5) == 0:
+        chords = [[_literal(rng, v, d) for v in rng.sample([c.a, c.b], 2)] for c in lam.all_edges()]
+        rng.shuffle(chords)
+        return {"degree": d, "chords": chords}
+    classes = [[_literal(rng, v, d) for v in rng.sample(c.vertices, len(c))] for c in lam.classes]
+    rng.shuffle(classes)
+    return {"degree": d, "classes": classes}
+
+
+def _malform(rng, doc):
+    """Apply one random fault to a class document: a repeated vertex, a bad
+    literal, a short class or no list, a class listed twice, a vertex taken
+    from another class, or a new leaf that may cross."""
+    d, classes = doc["degree"], doc["classes"]
+    whole = [i for i, c in enumerate(classes) if isinstance(c, list) and len(c) >= 2]
+    if not whole:
+        return
+    ci = rng.choice(whole)
+    fault = rng.randrange(6)
+    if fault == 0:
+        cls = classes[ci]
+        cls.insert(rng.randrange(len(cls) + 1), _literal(rng, parse_angle(rng.choice(cls), d), d))
+    elif fault == 1:
+        bad = rng.choice(["1/0", "abc", "1.5", "_", "_9", "9_1", "3_", None, 7])
+        classes[ci][rng.randrange(len(classes[ci]))] = bad
+    elif fault == 2:
+        classes[ci] = rng.choice([classes[ci][:1], [], "1/3"])
+    elif fault == 3:
+        twin = [_literal(rng, parse_angle(lit, d), d) for lit in rng.sample(classes[ci], len(classes[ci]))]
+        classes.insert(rng.randrange(len(classes) + 1), twin)
+    elif fault == 4:
+        classes[ci].append(rng.choice(classes[rng.choice(whole)]))
+    else:
+        q = rng.choice([4, 6, 8, 12, 14, 26])
+        a, b = rng.sample(range(q), 2)
+        classes.insert(rng.randrange(len(classes) + 1), [f"{a}/{q}", f"{b}/{q}"])
+
+
+_LOAD_ERRORS = (
+    "duplicate vertices",
+    "zero denominator",
+    "out of range",
+    "cannot parse",
+    "must be a string",
+    "must list",
+    "share a vertex",
+    "cross",
+    "list the same class",
+)
+
+
+def _assert_loads_like_the_oracle(doc):
+    text = json.dumps(doc)
+    try:
+        want = fraction_load_lamination(text)
+    except DocumentError as exc:
+        with pytest.raises(DocumentError) as err:
+            load_lamination(text)
+        assert str(err.value) == str(exc), text
+        return str(exc)
+    got = load_lamination(text)
+    assert got.classes == want.classes, text
+    assert got._view == want._view, text  # the oracle derives its view afresh
+    assert canonical_form(got) == canonical_form(want)
+    assert save_lamination(got) == save_lamination(want)
+    return None
+
+
+def test_load_matches_the_fraction_oracle(basilica_tree, rabbit_root, cubic_tree):
+    # basilica <= 8, rabbit <= 7 and cubic <= 3 (246 nodes), saved; then
+    # seeded documents with shuffled classes and vertices and mixed literals;
+    # then seeded faults, which must raise the oracle's text
+    rabbit_tree = build_pullback_tree(rabbit_root, 7)
+    lams = [n.lamination for t in (basilica_tree, rabbit_tree, cubic_tree) for n in t.all_nodes()]
+    assert len(lams) == 246
+    for lam in lams:
+        assert _assert_loads_like_the_oracle(save_lamination(lam)) is None
+    rng = random.Random(33)
+    small = [lam for lam in lams if len(lam.classes) <= 16]  # 21 laminations, to bound the time
+    for _ in range(2000):
+        assert _assert_loads_like_the_oracle(_shuffled_document(rng, rng.choice(small))) is None
+    errors = {}
+    for _ in range(1000):
+        doc = _shuffled_document(rng, rng.choice(small))
+        if "classes" not in doc:
+            continue
+        for _ in range(rng.randrange(1, 4)):
+            try:
+                _malform(rng, doc)
+            except AngleError:
+                pass  # the fault read a literal that an earlier fault broke
+        text = _assert_loads_like_the_oracle(doc)
+        kind = "valid" if text is None else next(k for k in _LOAD_ERRORS if k in text)
+        errors[kind] = errors.get(kind, 0) + 1
+    # 23 to 203 of each error when this test was written
+    assert all(errors.get(k, 0) >= 20 for k in _LOAD_ERRORS), errors
 
 
 def test_save_load_round_trip_randomized(rabbit_tree):

@@ -557,15 +557,16 @@ def test_lift_matches_the_connected_first_oracle(monkeypatch, cubic_tree, eighth
     lift = pullback._lift
     seen = {"ambiguous": 0, "non-connected": 0}
 
-    def checked(x, y, branch, M, d, obstacles, *rest):
+    def checked(x, y, branch, M, obstacles, *rest):
+        d = node.lamination.degree  # of the node the loop below pulls back
         try:
             want, ranked = connected_first_lift(x, y, branch, M, d, obstacles)
         except PullbackError as exc:
             with pytest.raises(PullbackError) as err:
-                lift(x, y, branch, M, d, obstacles, *rest)
+                lift(x, y, branch, M, obstacles, *rest)
             assert str(err.value) == str(exc)
             raise
-        assert lift(x, y, branch, M, d, obstacles, *rest) == want, (x, y, branch, M, obstacles)
+        assert lift(x, y, branch, M, obstacles, *rest) == want, (x, y, branch, M, obstacles)
         seen["ambiguous"] += bool(ranked)
         seen["non-connected"] += any(not_connected for not_connected, _, _ in ranked)
         return want
@@ -590,15 +591,17 @@ def test_branch_preimages_match_the_arc_scan_oracle(monkeypatch):
     lift = pullback._lift
     seen = {"lifts": 0, "at a cut point": 0}
 
-    def checked(x, y, branch, M, d, obstacles, ends):
+    def checked(x, y, branch, M, obstacles, ends):
+        # d: the degree of the step being run, bound below
         assert ends == tuple(scan_branch_preimages(z, branch, M, d) for z in (x, y)), (x, y, branch, M)
         cuts = {p for arc in branch for p in arc}
         seen["lifts"] += 1
         seen["at a cut point"] += sum(p in cuts for e in ends for p in e)
-        return lift(x, y, branch, M, d, obstacles, ends)
+        return lift(x, y, branch, M, obstacles, ends)
 
     monkeypatch.setattr(pullback, "_lift", checked)
-    diameter = CriticalChordSet.create(2, [Chord(F(0), F(1, 2))])
+    d = 2
+    diameter = CriticalChordSet.create(d, [Chord(F(0), F(1, 2))])
     # 0 has the preimages 0 and 1/2, the cut points, which close arcs of both branches
     pullback_step(ChordSet.create(2, [diameter.chords[0]]), diameter)
     assert seen == {"lifts": 2, "at a cut point": 4}
