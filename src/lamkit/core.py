@@ -119,7 +119,7 @@ class PolygonClass:
         verts = tuple(sorted(mod1(v) for v in self.vertices))
         if len(verts) < 2:  # messages print the vertices as __str__ does
             raise LaminationError(f"polygon class needs >= 2 vertices, got {self._from_sorted(verts)}")
-        if any(a == b for a, b in zip(verts, verts[1:])):
+        if any(a == b for a, b in zip(verts, verts[1:])):  # io._sorted_classes words it alike
             raise LaminationError(f"duplicate vertices in {self._from_sorted(verts)}")
         object.__setattr__(self, "vertices", verts)
 
@@ -291,6 +291,12 @@ class _IntModel:
         return {c: None if w is None else w.preperiod for c, w in walks.items()}
 
 
+def _with_view(obj, M: int, items: list):
+    """``obj``, an unchecked class lamination or chord set, with the view of its sorted items mod M."""
+    obj.__dict__["_view"] = M, tuple(r for r, _ in items), tuple(x for _, x in items)
+    return obj
+
+
 @dataclass(frozen=True)
 class ClassLamination:
     """A finite lamination presented as pairwise disjoint polygon classes."""
@@ -315,8 +321,8 @@ class ClassLamination:
         g = gcd(M, *(x for r in residues for x in r))  # the view is mod the lcm
         M, residues = M // g, tuple(tuple(x // g for x in r) for r in residues)
         polys = tuple(PolygonClass._from_sorted(tuple(Fraction(x, M) for x in r)) for r in residues)
-        lam = cls(degree, frozenset(polys))
-        lam.__dict__.update(_view=(M, residues, polys), _checked=True)
+        lam = _with_view(cls(degree, polys), M, list(zip(residues, polys)))
+        lam.__dict__["_checked"] = True
         return lam
 
     @cached_property
@@ -365,11 +371,9 @@ class ClassLamination:
         M, res, polys = self._view
         edges = {id(p): p.edges() for p in polys}  # each class's Chords, made once; polys are self.classes
         # the set of all_edges(), filled in its order, which names pullback_step's first crossing chord
-        cs = ChordSet(self.degree, frozenset({e for c in self.classes for e in edges[id(c)]}))
-        items = sorted(zip([e for r in res for e in _hull_edges(r)], [e for es in edges.values() for e in es]))
-        if len(items) == len(cs.chords):  # else classes share an edge; ChordSet._view derives its own
-            cs.__dict__["_view"] = M, tuple(r for r, _ in items), tuple(c for _, c in items)
-        return cs
+        chords = frozenset({e for c in self.classes for e in edges[id(c)]})
+        pairs = dict(zip([e for r in res for e in _hull_edges(r)], [e for p in polys for e in edges[id(p)]]))
+        return _with_view(ChordSet(self.degree, chords), M, sorted(pairs.items()))  # an edge classes share once
 
     def __str__(self):
         return f"ClassLamination(d={self.degree}, {len(self.classes)} classes)"
@@ -389,14 +393,6 @@ class ChordSet:
     @classmethod
     def create(cls, degree: int, chords: Iterable[Chord]) -> "ChordSet":
         cs = cls(degree, frozenset(chords))
-        cs.check()
-        return cs
-
-    @classmethod
-    def _from_view(cls, degree: int, chords: frozenset[Chord], M: int, items: list) -> "ChordSet":
-        """A checked chord set whose :attr:`_view` comes from its ``(pair, chord)`` items sorted mod M."""
-        cs = cls(degree, chords)
-        cs.__dict__["_view"] = M, tuple(r for r, _ in items), tuple(c for _, c in items)
         cs.check()
         return cs
 

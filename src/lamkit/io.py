@@ -5,9 +5,8 @@ The interchange schema is a JSON object ``{"degree": d, "classes":
 angle literals are ``p/q`` fractions or base-d itineraries (``_001``).
 Chord sets use ``"chords": [["a","b"], ...]`` instead of classes, and the
 lamination loader reassembles them into classes.  The loader parses the
-literals, converts the document to residues once and checks the sorted
-residue view that the lamination keeps; a save prints the classes' own
-reduced fractions.  All emitters are byte-deterministic for identical inputs.
+literals, converts them to residues once and checks the sorted residue view
+the lamination keeps.  All emitters are byte-deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .circle import Angle, AngleError, check_degree, format_angle, parse_angle
-from .core import Chord, ChordSet, ClassLamination, LaminationError, PolygonClass, _class_residues
+from .core import Chord, ChordSet, ClassLamination, LaminationError, PolygonClass, _class_residues, _with_view
 from .fdl import FdlError, PullbackTree, classes_from_chords
 from .paramgraph import GenGraph
 
@@ -91,17 +90,16 @@ def load_lamination(doc) -> ClassLamination:
                     _sorted_classes(verts[:-1])
                     raise DocumentError(f"classes[{ci}][{vi}]: {exc}") from exc
     M, items = _sorted_classes(verts)
-    view = sorted(dict(items).items())  # a class listed twice is one class
-    polys = tuple(PolygonClass._from_sorted(vs) for _, vs in view)
-    lam = ClassLamination(d, frozenset(polys))
-    lam.__dict__["_view"] = M, tuple(r for r, _ in view), polys
+    first = {}  # each class by its residues; a class listed twice is its first copy, as in a set
+    classes = [first.setdefault(r, PolygonClass._from_sorted(vs)) for r, vs in items]  # in document order
+    lam = _with_view(ClassLamination(d, classes), M, sorted(first.items()))
     try:
         lam.check()
     except LaminationError as exc:
         raise DocumentError(str(exc)) from exc
-    if len(view) < len(items):
+    if len(first) < len(items):
         i, j = next((i, j) for j, c in enumerate(items) for i in range(j) if items[i][0] == c[0])
-        raise DocumentError(f"classes[{i}] and classes[{j}] list the same class {PolygonClass(items[i][1])}")
+        raise DocumentError(f"classes[{i}] and classes[{j}] list the same class {first[items[i][0]]}")
     return lam
 
 
@@ -110,7 +108,7 @@ def _sorted_classes(verts: list) -> tuple[int, list]:
     M, res = _class_residues(verts)
     items = [tuple(zip(*sorted(zip(r, vs)))) for r, vs in zip(res, verts)]
     for ci, (r, vs) in enumerate(items):
-        if len(set(r)) < len(r):
+        if len(set(r)) < len(r):  # PolygonClass's text, which test_load_matches_the_fraction_oracle compares
             raise DocumentError(f"classes[{ci}]: duplicate vertices in {PolygonClass._from_sorted(vs)}")
     return M, items
 

@@ -56,6 +56,7 @@ from .core import (
     _regions,
     _residues,
     _sweep,
+    _with_view,
     chords_cross,
     criticality_audit,
 )
@@ -256,7 +257,9 @@ def pullback_step(chord_set: ChordSet, crit: CriticalChordSet) -> ChordSet:
     added = {_lift(x, y, b, M, obstacles, (ends[x][b], ends[y][b])) for x, y in inputs for b in branches}
     made = {(u, v): Chord._from_sorted(Fraction(u, M), Fraction(v, M)) for u, v in added.difference(inputs)}
     items = sorted([*zip(inputs, chords), *made.items()])  # residue pairs sort like chords
-    return ChordSet._from_view(d, chord_set.chords.union(made.values()), M, items)
+    out = _with_view(ChordSet(d, chord_set.chords.union(made.values())), M, items)
+    out.check()
+    return out
 
 
 @dataclass
