@@ -61,12 +61,12 @@ def parse_angle(text: str, d: int) -> Angle:
     text = text.strip()
     m = _FRACTION_RE.match(text)
     if m:
-        num, den = int(m.group(1)), int(m.group(2))
+        num, den = _int(m.group(1)), _int(m.group(2))
         if den == 0:
             raise AngleError(f"zero denominator in {text!r}")
         return Fraction(num % den, den)
     if _INTEGER_RE.match(text):
-        return mod1(Fraction(int(text)))
+        return mod1(Fraction(_int(text)))
     m = _ITINERARY_RE.match(text)
     if m:
         pre, per = m.group(1), m.group(2)
@@ -78,6 +78,13 @@ def parse_angle(text: str, d: int) -> Angle:
         value = Fraction(pre_val * (d ** t - 1) + per_val, d ** s * (d ** t - 1))
         return mod1(value)
     raise AngleError(f"cannot parse angle literal {text!r} (expected p/q or digits_digits)")
+
+
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # CPython's limit on decimal digits (see _digits_value)
+        raise AngleError(f"angle literal has a {len(digits.lstrip('+-'))}-digit integer, too long to convert") from None
 
 
 def _digits_value(digits: str, d: int) -> int:

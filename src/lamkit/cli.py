@@ -205,7 +205,7 @@ def cmd_oeis_compare(args) -> int:
     counts_text = _read(args.counts).strip()
     try:
         counts = json.loads(counts_text)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer past the interpreter's conversion limit
         try:
             counts = [int(x) for x in counts_text.split()]
         except ValueError:

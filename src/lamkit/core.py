@@ -10,18 +10,18 @@ decides non-crossing (the class and chord-set checks sweep integer
 residues) and groups tagged points by tag and innermost enclosing edge,
 which names their region: preimages by target for portrait placement, arcs
 by their start (``_regions``) for round gaps and critical-chord branches.
-``_IntModel`` is the integer view of a set of classes that the gaps,
-portrait placement, validation and keys share.  It is built from vertex
-residue tuples mod a common modulus M: a tree node's, or a lamination's
-residue view (``ClassLamination._view``), converted once and cached as
-``ClassLamination._model``; ``as_chordset`` hands its chord set the hull
-edges of that view.  Class depths come from one tail walk ``circle._orbits``,
-cached too.  The criticality audit walks a lamination's model once and
-gives every gap its degree there: a polygon from its vertex images
-(``_covering``), a round gap, one region of the hull edges, by one coverage
-sweep over the images of its basis endpoints (``_gap_degree``).  Its entries
-serve the excess-degree identity ``sum_i (d_i - 1) = d - 1``, the gap
-decomposition and critical-chord placement.
+A lamination or chord set is its sorted residue view, which one helper
+(``_set_view``) sets for every constructor; its public ``classes`` or
+``chords`` frozenset is built on first use.  ``_IntModel`` is the integer
+view of a set of classes that the gaps, portrait placement, validation and
+keys share, built from a tree node's or a lamination's residues and cached
+as ``ClassLamination._model``.  Class depths come from one tail walk
+``circle._orbits``, cached too.  The criticality audit walks a lamination's
+model once and gives every gap its degree there: a polygon from its vertex
+images (``_covering``), a round gap, one region of the hull edges, by one
+coverage sweep over the images of its basis endpoints (``_gap_degree``).
+Its entries serve the excess-degree identity ``sum_i (d_i - 1) = d - 1``,
+the gap decomposition and critical-chord placement.
 """
 
 from __future__ import annotations
@@ -192,13 +192,6 @@ def _regions(edges: Iterable[tuple], points: list) -> list[tuple[tuple, ...]]:
     return [tuple(zip(g, map(end.__getitem__, g))) for g in _sweep(edges, points)[1].values()]
 
 
-def _residues(angles: Iterable[Angle], M: int = 1) -> tuple[int, list[int]]:
-    """Angles as integers mod the lcm of M and their denominators, in order."""
-    angles = list(angles)
-    M = lcm(M, *(a.denominator for a in angles))
-    return M, [a.numerator * (M // a.denominator) for a in angles]
-
-
 def _hull_edges(vs: tuple) -> list[tuple]:
     """Hull edges of a sorted vertex tuple: consecutive pairs, then (first, last)."""
     if len(vs) == 2:
@@ -222,10 +215,10 @@ def _components(pairs: Iterable[tuple]) -> dict:
     return {x: find(x) for x in parent}
 
 
-def _class_residues(classes: Collection[Sequence[Angle]]) -> tuple[int, list[tuple[int, ...]]]:
-    """Residues of each vertex sequence, in order, mod ``M = lcm(denominators)``."""
-    M = lcm(*(v.denominator for c in classes for v in c))
-    return M, [tuple(v.numerator * (M // v.denominator) for v in c) for c in classes]
+def _class_residues(seqs: Collection[Sequence[Angle]], M: int = 1) -> tuple[int, list[tuple[int, ...]]]:
+    """Residues of each angle sequence, in order, mod the lcm of M and their denominators."""
+    M = lcm(M, *(v.denominator for c in seqs for v in c))
+    return M, [tuple(v.numerator * (M // v.denominator) for v in c) for c in seqs]
 
 
 class _IntModel:
@@ -291,27 +284,32 @@ class _IntModel:
         return {c: None if w is None else w.preperiod for c, w in walks.items()}
 
 
-def _with_view(obj, M: int, items: list):
-    """``obj``, an unchecked class lamination or chord set, with the view of its sorted items mod M."""
-    obj.__dict__["_view"] = M, tuple(r for r, _ in items), tuple(x for _, x in items)
+def _set_view(obj, degree: int, M: int, items: list):
+    """``obj``, unchecked, with ``degree`` and ``_view = (M, keys, members)`` from items sorted by key."""
+    object.__setattr__(obj, "degree", degree)
+    object.__setattr__(obj, "_view", (M, tuple(k for k, _ in items), tuple(x for _, x in items)))
     return obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ClassLamination:
-    """A finite lamination presented as pairwise disjoint polygon classes."""
+    """A finite lamination presented as pairwise disjoint polygon classes,
+    held as its view mod the lcm of its denominators (see :func:`_set_view`)."""
 
     degree: int
-    classes: frozenset[PolygonClass]
+    _view: tuple
 
-    def __post_init__(self):
-        check_degree(self.degree)
-        object.__setattr__(self, "classes", frozenset(self.classes))
+    def __init__(self, degree: int, classes: Iterable[PolygonClass]):
+        classes = list(classes)
+        M, res = _class_residues([c.vertices for c in classes])
+        _set_view(self, check_degree(degree), M, sorted(dict(zip(res, classes)).items()))  # a class given twice once
+
+    classes = cached_property(lambda self: frozenset(self._view[2]))
 
     @classmethod
     def create(cls, degree: int, classes: Iterable[PolygonClass]) -> "ClassLamination":
         """Build and validate the disjointness / non-crossing invariants."""
-        lam = cls(degree, frozenset(classes))
+        lam = cls(degree, classes)
         lam.check()
         return lam
 
@@ -319,18 +317,11 @@ class ClassLamination:
     def _from_residues(cls, degree: int, M: int, residues: Sequence[tuple]) -> "ClassLamination":
         """A checked lamination from its valid, sorted vertex residue tuples mod ``M``."""
         g = gcd(M, *(x for r in residues for x in r))  # the view is mod the lcm
-        M, residues = M // g, tuple(tuple(x // g for x in r) for r in residues)
-        polys = tuple(PolygonClass._from_sorted(tuple(Fraction(x, M) for x in r)) for r in residues)
-        lam = _with_view(cls(degree, polys), M, list(zip(residues, polys)))
-        lam.__dict__["_checked"] = True
+        M, residues = M // g, [tuple(x // g for x in r) for r in residues]
+        items = [(r, PolygonClass._from_sorted(tuple(Fraction(x, M) for x in r))) for r in residues]
+        lam = _set_view(object.__new__(cls), degree, M, items)
+        object.__setattr__(lam, "_checked", True)
         return lam
-
-    @cached_property
-    def _view(self) -> tuple:
-        """``(M, residues, classes)``: sorted vertex residue tuples mod the lcm M, classes alike."""
-        M, res = _class_residues([c.vertices for c in self.classes])
-        pairs = sorted(zip(res, self.classes))  # residues sort as the angles; classes differ
-        return M, tuple(r for r, _ in pairs), tuple(c for _, c in pairs)
 
     @cached_property
     def _model(self) -> _IntModel:
@@ -358,50 +349,41 @@ class ClassLamination:
         return list(self._view[2])
 
     def all_edges(self) -> set[Chord]:
-        return {e for c in self.classes for e in c.edges()}
+        return {e for c in self._view[2] for e in c.edges()}
 
     def all_vertices(self) -> set[Angle]:
-        out: set[Angle] = set()
-        for c in self.classes:
-            out.update(c.vertices)
-        return out
+        return {v for c in self._view[2] for v in c.vertices}
 
     def as_chordset(self) -> "ChordSet":
-        """The hull edges as an unchecked chord set that carries their residue pairs from :attr:`_view`."""
+        """The hull edges as an unchecked chord set on the residues of :attr:`_view`."""
         M, res, polys = self._view
-        edges = {id(p): p.edges() for p in polys}  # each class's Chords, made once; polys are self.classes
-        # the set of all_edges(), filled in its order, which names pullback_step's first crossing chord
-        chords = frozenset({e for c in self.classes for e in edges[id(c)]})
-        pairs = dict(zip([e for r in res for e in _hull_edges(r)], [e for p in polys for e in edges[id(p)]]))
-        return _with_view(ChordSet(self.degree, chords), M, sorted(pairs.items()))  # an edge classes share once
+        edges = dict(zip([e for r in res for e in _hull_edges(r)], [e for p in polys for e in p.edges()]))
+        return _set_view(object.__new__(ChordSet), self.degree, M, sorted(edges.items()))  # a shared edge once
 
     def __str__(self):
-        return f"ClassLamination(d={self.degree}, {len(self.classes)} classes)"
+        return f"ClassLamination(d={self.degree}, {len(self._view[1])} classes)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ChordSet:
-    """A finite non-crossing chord collection; shared endpoints allowed."""
+    """A finite non-crossing chord collection; shared endpoints allowed.  A pullback
+    level's view is mod a multiple of the lcm, so equality compares sorted chords."""
 
     degree: int
-    chords: frozenset[Chord]
+    _view: tuple
 
-    def __post_init__(self):
-        check_degree(self.degree)
-        object.__setattr__(self, "chords", frozenset(self.chords))
+    def __init__(self, degree: int, chords: Iterable[Chord]):
+        chords = list(chords)
+        M, res = _class_residues([(c.a, c.b) for c in chords])
+        _set_view(self, check_degree(degree), M, sorted(dict(zip(res, chords)).items()))
+
+    chords = cached_property(lambda self: frozenset(self._view[2]))
 
     @classmethod
     def create(cls, degree: int, chords: Iterable[Chord]) -> "ChordSet":
-        cs = cls(degree, frozenset(chords))
+        cs = cls(degree, chords)
         cs.check()
         return cs
-
-    @cached_property
-    def _view(self) -> tuple:
-        """``(M, pairs, chords)``: sorted endpoint residue pairs mod M, a multiple of the lcm, chords alike."""
-        M, res = _residues(p for c in self.chords for p in (c.a, c.b))
-        pairs = sorted(zip(zip(res[::2], res[1::2]), self.chords))  # residue pairs sort like chords
-        return M, tuple(r for r, _ in pairs), tuple(c for _, c in pairs)
 
     def check(self):
         # residues keep the order of the angles, so the sweep names the same pair
@@ -415,7 +397,13 @@ class ChordSet:
         return list(self._view[2])
 
     def __len__(self):
-        return len(self.chords)
+        return len(self._view[1])
+
+    def __eq__(self, other):
+        return isinstance(other, ChordSet) and (self.degree, self._view[2]) == (other.degree, other._view[2])
+
+    def __hash__(self):
+        return hash((self.degree, self._view[2]))
 
 
 # --- covering structure of a polygon -----------------------------------------
@@ -449,7 +437,8 @@ def covering_degree(poly: PolygonClass, d: int) -> CoveringResult:
     """Classify the boundary map of a polygon under sigma, on the vertex
     residues mod the lcm of their denominators."""
     check_degree(d)
-    return _covering(*_residues(poly.vertices), d)
+    M, (res,) = _class_residues([poly.vertices])
+    return _covering(M, res, d)
 
 
 def _covering(q: int, res: Sequence[int], d: int) -> CoveringResult:
@@ -551,8 +540,7 @@ def gap_degree(gap: RoundGap, d: int) -> DegreeStatus:
     check_degree(d)
     if gap.is_full_circle:
         return DegreeStatus(DEGREE_KNOWN, d)
-    L, ends = _residues([p for arc in gap.arcs for p in arc])
-    return _gap_degree(L, list(zip(ends[::2], ends[1::2])), d)
+    return _gap_degree(*_class_residues(gap.arcs), d)
 
 
 def _gap_degree(L: int, arcs: Sequence[tuple[int, int]], d: int) -> DegreeStatus:
@@ -616,7 +604,7 @@ def criticality_audit(lam: ClassLamination) -> CriticalityAudit:
     """
     lam.check()
     d = lam.degree
-    if not lam.classes:
+    if not lam._view[1]:
         full = RoundGap(arcs=((Fraction(0), Fraction(0)),))
         entries = [GapAudit(full, GAP_ROUND, DegreeStatus(DEGREE_KNOWN, d))]
     else:

@@ -87,7 +87,7 @@ def classes_from_chords(degree: int, chords: Iterable[Chord]) -> list[PolygonCla
         verts = {p for c in group for p in (c.a, c.b)}
         poly = PolygonClass(tuple(verts))
         if set(poly.edges()) != set(group):
-            raise FdlError(f"chords at {sorted(verts)} are not the hull edges of their class")
+            raise FdlError(f"chords at {poly} are not the hull edges of their class")
         classes.append(poly)
     return classes
 
@@ -131,7 +131,7 @@ def validate_fdl(lam: ClassLamination) -> FdlReport:
     model = lam._model
 
     # 1: finitely many leaves, and at least one class
-    axioms[1] = AxiomResult(bool(lam.classes), () if lam.classes else ("empty lamination",))
+    axioms[1] = AxiomResult(bool(model.classes), () if model.classes else ("empty lamination",))
 
     edges = model.edges
     edge_class = {e: cls for cls in model.classes for e in _hull_edges(cls)}

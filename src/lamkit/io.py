@@ -6,7 +6,7 @@ angle literals are ``p/q`` fractions or base-d itineraries (``_001``).
 Chord sets use ``"chords": [["a","b"], ...]`` instead of classes, and the
 lamination loader reassembles them into classes.  The loader parses the
 literals, converts them to residues once and checks the sorted residue view
-the lamination keeps.  All emitters are byte-deterministic for identical inputs.
+that is the lamination.  All emitters are byte-deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .circle import Angle, AngleError, check_degree, format_angle, parse_angle
-from .core import Chord, ChordSet, ClassLamination, LaminationError, PolygonClass, _class_residues, _with_view
+from .core import Chord, ChordSet, ClassLamination, LaminationError, PolygonClass, _class_residues, _set_view
 from .fdl import FdlError, PullbackTree, classes_from_chords
 from .paramgraph import GenGraph
 
@@ -39,6 +39,8 @@ def _parse(doc):
             return json.loads(doc)
         except json.JSONDecodeError as exc:
             raise DocumentError(f"invalid JSON: {exc}") from exc
+        except ValueError as exc:  # an integer past the interpreter's conversion limit
+            raise DocumentError("invalid JSON: an integer has too many digits") from exc
     return doc
 
 
@@ -65,13 +67,14 @@ def load_lamination(doc) -> ClassLamination:
     Literals, then one residue conversion, then the checked residue view.
     A chord document is reassembled into classes first: chords are grouped
     by shared endpoints and each group must be exactly the hull-edge set of
-    its vertices, which is the import-time face of the hull-edge axiom.
+    its vertices, which is the import-time face of the hull-edge axiom; the
+    group of the least failing chord, in ``Chord`` order, is named.
     """
     doc = _parse(doc)
     d = _object_degree(doc)
     if "chords" in doc:
         try:
-            verts = [c.vertices for c in classes_from_chords(d, load_chordset(doc).chords)]
+            verts = [c.vertices for c in classes_from_chords(d, load_chordset(doc).sorted_chords())]
         except FdlError as exc:
             raise DocumentError(str(exc)) from exc
     elif not isinstance(doc.get("classes"), list):
@@ -90,9 +93,8 @@ def load_lamination(doc) -> ClassLamination:
                     _sorted_classes(verts[:-1])
                     raise DocumentError(f"classes[{ci}][{vi}]: {exc}") from exc
     M, items = _sorted_classes(verts)
-    first = {}  # each class by its residues; a class listed twice is its first copy, as in a set
-    classes = [first.setdefault(r, PolygonClass._from_sorted(vs)) for r, vs in items]  # in document order
-    lam = _with_view(ClassLamination(d, classes), M, sorted(first.items()))
+    first = {r: PolygonClass._from_sorted(vs) for r, vs in items}  # a class listed twice once, as in a set
+    lam = _set_view(object.__new__(ClassLamination), d, M, sorted(first.items()))
     try:
         lam.check()
     except LaminationError as exc:

@@ -293,9 +293,10 @@ def instantiate_portrait(
     class is reported as reused rather than new.
     """
     d = context.degree
-    M, res = _class_residues([*(c.vertices for c in context.classes), target.vertices])
-    model = _IntModel(d, M, res[:-1])
-    points = _portrait_residues(tuple(d * x for x in res[-1]), model, region)
+    M0, res, _ = context._view
+    M, (vertices,) = _class_residues([target.vertices], M0)
+    model = _IntModel(d, M, (tuple(x * (M // M0) for x in r) for r in res))
+    points = _portrait_residues(tuple(d * x for x in vertices), model, region)
     if len(points) != shape.i * shape.n:
         raise PortraitError(
             f"region supplies {len(points) // len(target)} preimages per vertex, "

@@ -17,8 +17,9 @@ inputs are discarded and the shorter surviving lift wins, which reproduces
 the wedges that accumulate at forced endpoints.  A step runs on its input's
 residue view (``ChordSet._view``) rescaled to M, a multiple of d times its
 modulus, so the preimages of x are ``x // d + j * M / d``; one bisect into
-the sorted cut points gives each its branch.  The result carries its view
-mod M, so the modulus grows by d per step and no residue is re-derived.
+the sorted cut points gives each its branch.  The result is its view mod
+M, so the modulus grows by d per step and no residue is re-derived.  Of the
+input chords that cross a critical chord, an error names the least.
 
 This module also exposes the exact lamination metric (Hausdorff over
 leaves plus all degenerate leaves, by a pruned nearest-leaf scan on
@@ -34,6 +35,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 from typing import Iterable, Optional
 
 from .circle import (
@@ -53,10 +55,10 @@ from .core import (
     ClassLamination,
     LaminationError,
     RoundGap,
+    _class_residues,
     _regions,
-    _residues,
+    _set_view,
     _sweep,
-    _with_view,
     chords_cross,
     criticality_audit,
 )
@@ -231,22 +233,22 @@ def pullback_step(chord_set: ChordSet, crit: CriticalChordSet) -> ChordSet:
     Runs on the input's residue view (``ChordSet._view``) rescaled to M,
     the lcm of d times its modulus and the critical chords' denominators;
     each preimage finds its branch by a bisect into the sorted cut points.
-    The result carries its view mod M, contains its input and is verified.
+    The result is its view mod M, contains its input and is verified.
     """
     d = chord_set.degree
     if d != crit.degree:
         raise PullbackError("degree mismatch between chord set and critical chords")
-    for s in chord_set.chords:
+    M_in, inputs, chords = chord_set._view
+    for s in chords:  # in Chord order, so the first crossing input chord is named
         for c in crit.chords:
             if chords_cross(s, c):
                 raise PullbackError(f"chord {s} crosses critical chord {c}")
 
-    M_in, inputs, chords = chord_set._view
-    M, cuts = _residues((p for c in crit.chords for p in (c.a, c.b)), d * M_in)
+    M, cuts = _class_residues([(c.a, c.b) for c in crit.chords], d * M_in)
     inputs = [(x * (M // M_in), y * (M // M_in)) for x, y in inputs]  # still sorted
-    obstacles = inputs + list(zip(cuts[::2], cuts[1::2]))  # the inputs, then the critical chords
-    points = sorted(set(cuts))
-    branches = _regions(obstacles[len(inputs) :], points)
+    obstacles = inputs + cuts  # the inputs, then the critical chords
+    points = sorted({p for c in cuts for p in c})
+    branches = _regions(cuts, points)
     owner = {s: b for b in branches for s, _ in b}  # the branch of the arc from each cut point
     ends = {z: {b: [] for b in branches} for pair in inputs for z in pair}  # preimages per branch, in order
     for z, per in ends.items():
@@ -257,7 +259,7 @@ def pullback_step(chord_set: ChordSet, crit: CriticalChordSet) -> ChordSet:
     added = {_lift(x, y, b, M, obstacles, (ends[x][b], ends[y][b])) for x, y in inputs for b in branches}
     made = {(u, v): Chord._from_sorted(Fraction(u, M), Fraction(v, M)) for u, v in added.difference(inputs)}
     items = sorted([*zip(inputs, chords), *made.items()])  # residue pairs sort like chords
-    out = _with_view(ChordSet(d, chord_set.chords.union(made.values())), M, items)
+    out = _set_view(object.__new__(ChordSet), d, M, items)
     out.check()
     return out
 
@@ -332,18 +334,16 @@ def _nearest_leaf_max(src: list[tuple[int, int]], dst: list[tuple[int, int]], D:
 def lamination_distance(a: ChordSet, b: ChordSet) -> Fraction:
     """Hausdorff distance between leaf sets extended by all degenerate leaves.
 
-    Runs on residues mod the lcm of the endpoint denominators.  For each
-    leaf (u, v), the other set's leaves are scanned by their first end x
-    outward from u, nearer side first, so the distance from u to x only
-    grows; the scan stops once that distance alone is no better than the
-    best leaf found.
+    Runs on the two residue views rescaled to the lcm D of their moduli.
+    For each leaf (u, v), the other set's leaves are scanned by their first
+    end x outward from u, nearer side first, so the distance from u to x
+    only grows; the scan stops once that distance alone is no better than
+    the best leaf found.
     """
     if a.degree != b.degree:
         raise PullbackError("degree mismatch")
-    chords = list(a.chords) + list(b.chords)
-    D, ends = _residues(p for c in chords for p in (c.a, c.b))
-    leaves = list(zip(ends[::2], ends[1::2]))
-    la, lb = leaves[: len(a.chords)], leaves[len(a.chords) :]
+    D = lcm(a._view[0], b._view[0])
+    la, lb = ([(x * (D // M), y * (D // M)) for x, y in pairs] for M, pairs, _ in (a._view, b._view))
     return Fraction(max(_nearest_leaf_max(la, lb, D), _nearest_leaf_max(lb, la, D)), D)
 
 

@@ -13,7 +13,6 @@ from lamkit.core import (
     RoundGap,
     _class_residues,
     _IntModel,
-    _residues,
 )
 from lamkit.fdl import FdlError, classes_from_chords, enumerate_children
 from lamkit.io import DocumentError, _object_degree, _parse, load_chordset
@@ -210,9 +209,9 @@ def three_loop_properness(chord_set) -> PropernessReport:
     """``pullback.properness_report`` with one loop over the leaves per
     list and the period mismatch decided field by field."""
     d = chord_set.degree
-    L, res = _residues(p for c in chord_set.chords for p in (c.a, c.b))
-    chords = sorted(zip(zip(res[::2], res[1::2]), chord_set.chords))
-    info = _orbits(lambda x: d * x % L, res)
+    L, res = _class_residues([(c.a, c.b) for c in chord_set.chords])
+    chords = sorted(zip(res, chord_set.chords))
+    info = _orbits(lambda x: d * x % L, (x for pair in res for x in pair))
 
     def image(x, y):
         return None if d * x % L == d * y % L else sorted((d * x % L, d * y % L))

@@ -297,6 +297,45 @@ def test_malformed_documents_are_classified(tmp_path, capsys, command, doc, mess
     assert captured.out == ""
 
 
+def test_chord_document_errors_print_the_class(tmp_path, capsys):
+    p = tmp_path / "path.json"
+    p.write_text('{"degree": 2, "chords": [["1/7","2/7"],["2/7","4/7"]]}')
+    assert main(["validate", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: chords at {1/7,2/7,4/7} are not the hull edges of their class\n"
+    assert captured.out == ""
+
+
+_BIG = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (
+            "validate",
+            '{"degree": 2, "classes": [["%s/3", "2/3"]]}' % _BIG,
+            "classes[0][0]: angle literal has a 5000-digit integer, too long to convert",
+        ),
+        ("validate", '{"degree": %s, "classes": []}' % _BIG, "invalid JSON: an integer has too many digits"),
+        ("oeis-compare", "[1, %s]" % _BIG, "counts file must hold a JSON list or whitespace-separated integers"),
+    ],
+)
+def test_oversized_integers_are_classified(tmp_path, capsys, command, text, message):
+    # integers past CPython's limit on decimal digits, in a class literal, a
+    # JSON document and a counts file; the error does not echo the literal
+    p, bfile = tmp_path / "big", tmp_path / "b.txt"
+    p.write_text(text)
+    bfile.write_text("0 1\n")
+    args = [command, str(p)]
+    if command == "oeis-compare":
+        args = [command, "--counts", str(p), "--bfile", str(bfile)]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_oeis_compare_cli(tmp_path, capsys):
     counts = tmp_path / "counts.json"
     counts.write_text("[1, 1, 1, 3]")
@@ -392,7 +431,7 @@ def test_chords_without_a_colon_are_classified(rabbit_file, capsys):
 def test_chords_crossing_a_critical_chord_are_classified(rabbit_file, capsys):
     assert main(["pullback", rabbit_file, "--chords", "1/5:7/10", "--depth", "2"]) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: chord (1/7,4/7) crosses critical chord (1/5,7/10)\n"
+    assert captured.err == "error: chord (1/7,2/7) crosses critical chord (1/5,7/10)\n"
     assert captured.out == ""
 
 

@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from itertools import combinations
 from math import lcm
@@ -34,7 +35,6 @@ from lamkit.core import (
     _gap_degree,
     _hull_edges,
     _IntModel,
-    _residues,
     _sweep,
     chords_cross,
     covering_degree,
@@ -388,8 +388,7 @@ def test_audit_round_gaps_match_preimage_scan(basilica_tree, rabbit_tree, cubic_
         for entry in criticality_audit(lam).entries:
             if entry.kind != GAP_ROUND:
                 continue
-            L, ends = _residues([p for arc in entry.gap.arcs for p in arc])
-            arcs = list(zip(ends[::2], ends[1::2]))
+            L, arcs = _class_residues(entry.gap.arcs)
             want = _preimage_scan_gap_degree(L, arcs, lam.degree)
             assert _gap_degree(L, arcs, lam.degree) == entry.status == want, (lam.classes, str(entry.gap))
             kinds.add(want.kind)
@@ -590,9 +589,8 @@ def test_chordset_check_names_the_fraction_sweep_pair():
 def test_as_chordset_carries_the_lamination_view(basilica_tree, rabbit_tree, cubic_tree):
     # tree nodes, the same classes through ClassLamination.create, their
     # loaded documents, and unchecked classes that share an edge: the view is
-    # the one a fresh chord set derives, and the chords iterate as
-    # frozenset(all_edges()) does, the order in which pullback_step names a
-    # crossing input chord
+    # the one a fresh chord set derives, and it holds the chords in Chord
+    # order, the order in which pullback_step names a crossing input chord
     nodes = [n.lamination for t in (basilica_tree, rabbit_tree, cubic_tree) for n in t.all_nodes()]
     lams = nodes + [ClassLamination.create(lam.degree, lam.classes) for lam in nodes]
     lams += [load_lamination(save_lamination(lam)) for lam in nodes]
@@ -600,7 +598,34 @@ def test_as_chordset_carries_the_lamination_view(basilica_tree, rabbit_tree, cub
     for lam in lams:
         cs = lam.as_chordset()
         assert cs._view == ChordSet(lam.degree, frozenset(lam.all_edges()))._view
-        assert list(cs.chords) == list(frozenset(lam.all_edges()))
+        assert cs.sorted_chords() == sorted(lam.all_edges())
+
+
+def test_laminations_are_equal_exactly_when_their_classes_are(basilica_tree, rabbit_tree, cubic_tree):
+    # tree nodes, their ClassLamination.create twins and their loaded
+    # documents are equal and hash alike; distinct nodes, another degree
+    # and the chord set of the same edges are not equal
+    nodes = [n.lamination for t in (basilica_tree, rabbit_tree, cubic_tree) for n in t.all_nodes()]
+    for lam in nodes:
+        twin = ClassLamination.create(lam.degree, lam.classes)
+        loaded = load_lamination(save_lamination(lam))
+        assert lam == twin == loaded and hash(lam) == hash(twin) == hash(loaded)
+        assert lam.classes == twin.classes == loaded.classes
+        assert lam != ClassLamination(lam.degree + 1, lam.classes) and lam != lam.as_chordset()
+    for a, b in combinations(nodes[:80], 2):
+        assert (a == b) == ((a.degree, a.classes) == (b.degree, b.classes)) == (a is b)
+    assert ClassLamination(2, [RABBIT, SIBLING, RABBIT]) == ClassLamination(2, [SIBLING, RABBIT])
+
+
+def test_laminations_and_chord_sets_are_immutable():
+    lam = ClassLamination.create(2, [RABBIT, SIBLING])
+    for obj, names in ((lam, ("degree", "classes", "_view")), (lam.as_chordset(), ("degree", "chords", "_view"))):
+        for name in names:
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(obj, name)
+    assert lam.degree == 2 and lam.sorted_classes() == [SIBLING, RABBIT]
 
 
 def test_sweep_labels_match_brute_force():

@@ -162,7 +162,7 @@ def _assert_loads_like_the_oracle(doc):
         assert str(err.value) == str(exc), text
         return str(exc)
     got = load_lamination(text)
-    assert list(got.classes) == list(want.classes), text  # the order all_edges() fills in
+    assert list(got.classes) == list(want.classes), text  # both built from the sorted view
     assert list(got.as_chordset().chords) == list(want.as_chordset().chords), text
     assert got._view == want._view, text  # the oracle derives its view afresh
     assert canonical_form(got) == canonical_form(want)

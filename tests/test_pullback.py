@@ -34,7 +34,8 @@ from lamkit.core import (
     gap_decomposition,
     gap_degree,
 )
-from lamkit.fdl import build_pullback_tree, enumerate_children, root_fdl
+from lamkit.fdl import build_pullback_tree, enumerate_children, root_fdl, validate_fdl
+from lamkit.io import load_lamination, save_lamination
 from lamkit.paramgraph import ParamGraphError, refines
 from lamkit.pullback import (
     CriticalChordSet,
@@ -413,6 +414,70 @@ def test_pullback_step_rejects_crossing():
     with pytest.raises(PullbackError) as err:
         pullback_step(bad, crit)
     assert str(err.value) == _fraction_step_error(bad, crit)
+
+
+def test_crossing_precheck_names_the_first_sorted_chord():
+    # seeded non-crossing chord sets against a critical chord set of degree
+    # 2 or 3; the error names the least input chord, in Chord order, that
+    # crosses a critical chord, and the least critical chord it crosses,
+    # both found by a scan of every pair
+    rng = random.Random(34)
+    several = 0
+    for _ in range(2000):
+        d, den = rng.choice((2, 3)), rng.choice((10, 12, 18, 24, 30))
+        chords = []
+        for _ in range(rng.randrange(1, 9)):
+            c = Chord(*(F(x, den) for x in rng.sample(range(den), 2)))
+            if not any(chords_cross(c, o) for o in chords):
+                chords.append(c)
+        x = F(rng.randrange(4 * den), 4 * den)
+        crit = CriticalChordSet.create(d, [Chord(x + F(j, d), x + F(j + 1, d)) for j in range(d - 1)])
+        crossing = [s for s in chords if any(chords_cross(s, c) for c in crit.chords)]
+        if not crossing:
+            continue
+        several += len(crossing) > 1
+        first = min(crossing)
+        named = min(c for c in crit.chords if chords_cross(first, c))
+        rng.shuffle(chords)
+        with pytest.raises(PullbackError) as err:
+            pullback_step(ChordSet.create(d, chords), crit)
+        assert str(err.value) == f"chord {first} crosses critical chord {named}"
+    assert several > 500
+
+
+def test_chord_sets_are_equal_exactly_when_their_chords_are():
+    # pullback levels carry a modulus that need not be the lcm of their
+    # denominators; they equal, and hash like, fresh chord sets of their chords
+    p = F(15, 112)
+    forced = CriticalChordSet.create(2, [Chord(p, p + F(1, 2))])
+    seq = pullback_lamination(ClassLamination.create(2, [RABBIT]), forced, 5)
+    moduli = 0
+    for level in seq.levels:
+        fresh = ChordSet(2, level.chords)
+        assert level == fresh and hash(level) == hash(fresh)
+        moduli += level._view[0] != fresh._view[0]
+    assert moduli == 5
+    assert all(a != b for a, b in combinations(seq.levels, 2))
+    assert seq.levels[0] != ChordSet(3, seq.levels[0].chords)
+
+
+def test_library_paths_build_no_frozensets(basilica_tree):
+    # the public classes and chords frozensets are built on first use only
+    docs = [save_lamination(n.lamination) for n in basilica_tree.levels[5]]
+    made = []
+    for doc in docs:
+        lam = load_lamination(doc)
+        assert validate_fdl(lam).valid and criticality_audit(lam).passed
+        cs = lam.as_chordset()
+        properness_report(cs)
+        assert save_lamination(lam) == doc
+        made += [lam, cs]
+    lamination_distance(made[1], made[3])
+    p = F(15, 112)
+    forced = CriticalChordSet.create(2, [Chord(p, p + F(1, 2))])
+    seq = pullback_lamination(load_lamination({"degree": 2, "classes": [["1/7", "2/7", "4/7"]]}), forced, 3)
+    made += [seq.start, *seq.levels]
+    assert not [x for x in made if "classes" in vars(x) or "chords" in vars(x)]
 
 
 def test_pullback_empty_start():
