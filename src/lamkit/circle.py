@@ -14,6 +14,8 @@ the preperiods and periods of angles, residues and classes along image chains.
 from __future__ import annotations
 
 import re
+import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -75,8 +77,11 @@ def parse_angle(text: str, d: int) -> Angle:
                 raise AngleError(f"digit {digit} out of range for base {d} in {text!r}")
         s, t = len(pre), len(per)
         pre_val, per_val = _digits_value(pre, d), _digits_value(per, d)
-        value = Fraction(pre_val * (d ** t - 1) + per_val, d ** s * (d ** t - 1))
-        return mod1(value)
+        value = mod1(Fraction(pre_val * (d ** t - 1) + per_val, d ** s * (d ** t - 1)))
+        digits = Decimal(value.denominator).adjusted() + 1  # Decimal converts past CPython's limit on str(int)
+        if 0 < getattr(sys, "get_int_max_str_digits", int)() < digits:  # a limit of 0 is none
+            raise AngleError(f"angle literal's denominator has {digits} digits, too long to convert")
+        return value
     raise AngleError(f"cannot parse angle literal {text!r} (expected p/q or digits_digits)")
 
 

@@ -12,15 +12,15 @@ which names their region: preimages by target for portrait placement, arcs
 by their start (``_regions``) for round gaps and critical-chord branches.
 A lamination or chord set is its sorted residue view, which one helper
 (``_set_view``) sets for every constructor; its public ``classes`` or
-``chords`` frozenset is built on first use.  ``_IntModel`` is the integer
-view of a set of classes that the gaps, portrait placement, validation and
-keys share, built from a tree node's or a lamination's residues and cached
-as ``ClassLamination._model``.  Class depths come from one tail walk
-``circle._orbits``, cached too.  The criticality audit walks a lamination's
-model once and gives every gap its degree there: a polygon from its vertex
-images (``_covering``), a round gap, one region of the hull edges, by one
-coverage sweep over the images of its basis endpoints (``_gap_degree``).
-Its entries serve the excess-degree identity ``sum_i (d_i - 1) = d - 1``,
+``chords`` frozenset is built on first use.  ``_IntModel`` holds classes
+as residues mod D.  The gaps, validation and keys read a lamination's own
+view mod M (``ClassLamination._model``); only placement scales classes by
+d, mod d * M, where vertex preimages are residues too.  Class depths come
+from one tail walk ``circle._orbits``, cached too.  The criticality audit
+walks a lamination's model once and gives every gap its degree there: a
+polygon from its vertex images (``_covering``), a round gap, one region of
+the hull edges, by one coverage sweep over the images of its basis
+endpoints (``_gap_degree``).  Its entries serve the excess-degree identity ``sum_i (d_i - 1) = d - 1``,
 the gap decomposition and critical-chord placement.
 """
 
@@ -221,21 +221,23 @@ def _class_residues(seqs: Collection[Sequence[Angle]], M: int = 1) -> tuple[int,
     return M, [tuple(v.numerator * (M // v.denominator) for v in c) for c in seqs]
 
 
+def _fmt(x: int, D: int) -> str:
+    """Residue ``x`` mod ``D`` as a reduced fraction."""
+    g = gcd(x, D)
+    return f"{x // g}/{D // g}" if x else "0"
+
+
 class _IntModel:
-    """Integer residues for polygon classes under sigma_d.
+    """Sorted vertex residue tuples mod ``D``, as given, under sigma_d: sigma
+    is multiplication by d mod D, and circular order is integer order.  A
+    lamination's model is its view mod M, as coverings, gap degrees, depths,
+    witnesses and key texts are unchanged by scaling; placement alone, where
+    vertex preimages must be residues, scales classes by d, mod ``d * M``.
+    ``vertices`` (all of theirs), ``known`` (the same as a set), ``edges``
+    and ``depths`` are built on first use."""
 
-    Built from sorted vertex residue tuples mod ``M``, scaled by d into
-    residues mod ``D = d * M``: sigma is multiplication by d mod D, every
-    vertex preimage is itself a residue, and circular order is integer
-    order.  ``classes`` holds the scaled tuples sorted (scaling keeps a
-    sorted order; ``scaled`` ones come so); ``vertices`` (all of theirs),
-    ``known`` (the same as a set), ``edges`` and ``depths`` are built on
-    first use.
-    """
-
-    def __init__(self, d: int, M: int, classes: Iterable[tuple[int, ...]], scaled: bool = False):
-        self.d, self.D = d, d * M
-        self.classes = list(classes) if scaled else sorted(tuple(d * x for x in c) for c in classes)
+    def __init__(self, d: int, D: int, classes: Iterable[tuple[int, ...]]):
+        self.d, self.D, self.classes = d, D, list(classes)
 
     vertices = cached_property(lambda self: set().union(*self.classes))
     known = cached_property(lambda self: set(self.classes))
@@ -247,11 +249,7 @@ class _IntModel:
 
     def text(self, c: tuple[int, ...]) -> str:
         """A residue tuple as comma-separated reduced fractions."""
-        return ",".join(map(self._fmt, c))
-
-    def _fmt(self, x: int) -> str:
-        g = gcd(x, self.D)
-        return f"{x // g}/{self.D // g}" if x else "0"
+        return ",".join([_fmt(x, self.D) for x in c])
 
     def labels(self, points: Iterable[int]) -> dict[int, Optional[tuple[int, int]]]:
         """Region label of each point that is no model vertex, read off the
@@ -262,9 +260,6 @@ class _IntModel:
 
     def angle(self, x: int) -> Angle:
         return Fraction(x, self.D)
-
-    def polygon(self, c: tuple[int, ...]) -> PolygonClass:
-        return PolygonClass(tuple(map(self.angle, c)))
 
     def sigma(self, x: int) -> int:
         return (x * self.d) % self.D
@@ -323,10 +318,7 @@ class ClassLamination:
         object.__setattr__(lam, "_checked", True)
         return lam
 
-    @cached_property
-    def _model(self) -> _IntModel:
-        """The one :class:`_IntModel` of the residue view."""
-        return _IntModel(self.degree, *self._view[:2])
+    _model = cached_property(lambda self: _IntModel(self.degree, *self._view[:2]))  # the view's own frame
 
     def check(self):
         # immutable, so one successful check is enough for a lifetime
@@ -591,8 +583,8 @@ class CriticalityAudit:
 def criticality_audit(lam: ClassLamination) -> CriticalityAudit:
     """Audit the excess-degree identity sum_i (d_i - 1) = d - 1 over all gaps.
 
-    Every degree is decided on the residues of the lamination's cached
-    ``_IntModel``.  Polygon gaps, in vertex order, get their degree from
+    Every degree is decided on the lamination's cached ``_IntModel``, its
+    view mod its own M.  Polygon gaps, in vertex order, get their degree from
     :func:`_covering` (with the degenerate-image conventions).  Round gaps
     are the regions (:func:`_regions`) of the hull edges, with the vertices
     as points, and get their degree from :func:`_gap_degree`.  Every arc

@@ -7,17 +7,18 @@ disjoint from it, have 2(d - 1) distinct endpoints), periodic classes
 cover with positive orientation, and for one depth parameter n exactly
 the leaves within n-1 steps of the periodic part have preimages.
 So n belongs to the lamination: ``FDL(lamination)`` validates it and
-takes n from the report, on the lamination's one cached integer model
-(``core._IntModel``) and its depth walk.
+takes n from the report, on the lamination's cached integer model
+(``core._IntModel``, its own view mod M) and its depth walk.
 
 Children of such a lamination add one more layer of preimages: a sibling
 portrait, placed in the whole disk, over the preimages of each deepest
-class (already in circular order, lift by lift), on the parent's residue
-model.  Each new block lies in one complementary region, so a placement
-is exactly a product of region-local shapes and reused classes: a
-target's group of n points in a region is a forced block, with no
-portrait, and a group of k*n points takes its ``count_all(k, n)``
-portraits.  Region lemma: between two points of one
+class (already in circular order, lift by lift), on the parent's classes
+scaled by d into residues mod d * M, the child's modulus, where those
+preimages are residues too.  Each new block lies in one complementary
+region, so a placement is exactly a product of region-local shapes and
+reused classes: a target's group of n points in a region is a forced
+block, with no portrait, and a group of k*n points takes its
+``count_all(k, n)`` portraits.  Region lemma: between two points of one
 target's group in a region, another target's group holds as many preimages
 of each vertex of its class (each closed pocket behind a leaf of the region
 does, by axioms 2 and 3, as nothing maps onto a deepest class but its
@@ -53,6 +54,7 @@ from .core import (
     _components,
     _covering,
     _events,
+    _fmt,
     _hull_edges,
     _IntModel,
     _sweep,
@@ -234,10 +236,8 @@ class FDL:
             raise FdlError(f"not a finite dynamical lamination: {report.failure_text()}")
         self.degree, self.depth_n, self._lamination = lamination.degree, report.depth_n, lamination
         self.modulus, self.residues, _ = lamination._view
-        model = lamination._model
-        self._key = model.key()
-        depth = model.depths  # model.classes are self.residues scaled by d, in the same order
-        self.deepest = tuple(c for c, s in zip(self.residues, model.classes) if depth[s] == self.depth_n)
+        self._key, depth = lamination._model.key(), lamination._model.depths
+        self.deepest = tuple(c for c in self.residues if depth[c] == self.depth_n)
 
     @classmethod
     def _node(
@@ -252,8 +252,7 @@ class FDL:
     @property
     def lamination(self) -> ClassLamination:
         if self._lamination is None:
-            lam = ClassLamination._from_residues(self.degree, self.modulus, self.residues)
-            self._lamination = lam
+            self._lamination = ClassLamination._from_residues(self.degree, self.modulus, self.residues)
         return self._lamination
 
     def key(self) -> str:
@@ -334,7 +333,7 @@ class _Level:
     def __init__(self, d: int, M: int, prev: Optional[dict] = None):
         self.d, self.M = d, M
         prev = self.prev = prev or {}
-        vertex = _Memo(_IntModel(d, M, ())._fmt)
+        vertex = _Memo(lambda x: _fmt(x, d * M))
         texts = self.texts = _Memo(lambda c: ",".join(map(vertex.__getitem__, c)))
 
         def scale(c):
@@ -379,14 +378,13 @@ def enumerate_children(fdl: FDL, level: Optional[_Level] = None) -> list[FDL]:
     d = fdl.degree
     level = level if level and (level.d, level.M) == (d, fdl.modulus) else _Level(d, fdl.modulus)
     scaled = list(map(level.classes.__getitem__, fdl.residues))
-    model = _IntModel(d, fdl.modulus, map(itemgetter(0), scaled), scaled=True)
+    model = _IntModel(d, d * fdl.modulus, map(itemgetter(0), scaled))
     events = list(chain.from_iterable(map(itemgetter(1), scaled)))
     points = chain.from_iterable(map(level.points.__getitem__, fdl.deepest))
     events += points if fdl.depth_n else (ev for ev in points if ev[0] not in model.vertices)
     head, text, kids = str(d), level.texts.__getitem__, []
     for blocks in _placements(fdl.deepest, model, _sweep(events=events)[1]):
         new = sorted(map(level.blocks.setdefault, blocks, blocks))
-        # the child's own model would scale these residues by d: same order and fractions
         residues = tuple(sorted(model.classes + new))
         key = "|".join([head, *map(text, residues)])
         kids.append(FDL._node(d, fdl.depth_n + 1, model.D, residues, tuple(new), key))
@@ -411,8 +409,7 @@ class PullbackTree:
         return [len(lv) for lv in self.levels]
 
     def all_nodes(self) -> Iterator[FDL]:
-        for lv in self.levels:
-            yield from lv
+        return chain.from_iterable(self.levels)
 
     def edges(self) -> Iterator[tuple[FDL, FDL]]:
         by_key = {f.key(): f for f in self.all_nodes()}

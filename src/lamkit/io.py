@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .circle import Angle, AngleError, check_degree, format_angle, parse_angle
+from .circle import _INTEGER_RE, Angle, AngleError, check_degree, format_angle, parse_angle
 from .core import Chord, ChordSet, ClassLamination, LaminationError, PolygonClass, _class_residues, _set_view
 from .fdl import FdlError, PullbackTree, classes_from_chords
 from .paramgraph import GenGraph
@@ -303,10 +303,14 @@ def parse_bfile(text: str) -> BFile:
         parts = body.split()
         if len(parts) != 2:
             raise DocumentError(f"line {ln}: expected 'index value', got {line!r}")
-        try:
-            entries.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise DocumentError(f"line {ln}: {exc}") from exc
+        entry = []
+        for name, part in zip(("index", "value"), parts):
+            try:
+                entry.append(int(part))
+            except ValueError as exc:  # an integer literal fails only past CPython's limit on digits
+                big = f"{name} has {len(part.lstrip('+-'))} digits, too long to convert"
+                raise DocumentError(f"line {ln}: {big if _INTEGER_RE.match(part) else exc}") from exc
+        entries.append(tuple(entry))
     return BFile(tuple(entries))
 
 

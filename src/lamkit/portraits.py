@@ -11,10 +11,10 @@ enumerated through the counting theorem's bijections: the one-to-one
 shapes are the images of the full n-ary trees with i internal nodes, and
 all (i, n)-shapes are the images of the one-to-one (i, n+1)-shapes under
 label removal.  Malformed shapes and trees raise :class:`PortraitError`.
-They are bound to concrete circle geometry by
-:func:`bind_shape`.  Placement runs on the integer residues of
-``core._IntModel``: the preimages of a vertex residue are residues too,
-and a new block crosses no edge exactly when all its points carry one
+They are bound to concrete circle geometry by :func:`bind_shape`.
+Placement runs on a ``core._IntModel`` whose classes are scaled by d into
+residues mod d * M: there the preimages of a vertex residue are residues
+too, and a new block crosses no edge exactly when all its points carry one
 region label.  :func:`instantiate_portrait` binds whole shapes with it,
 child enumeration region-local ones where a region holds k*n > n points.
 """
@@ -295,7 +295,8 @@ def instantiate_portrait(
     d = context.degree
     M0, res, _ = context._view
     M, (vertices,) = _class_residues([target.vertices], M0)
-    model = _IntModel(d, M, (tuple(x * (M // M0) for x in r) for r in res))
+    s = d * (M // M0)  # the d-fold frame, where every vertex preimage is a residue
+    model = _IntModel(d, d * M, (tuple(s * x for x in r) for r in res))
     points = _portrait_residues(tuple(d * x for x in vertices), model, region)
     if len(points) != shape.i * shape.n:
         raise PortraitError(
@@ -307,5 +308,5 @@ def instantiate_portrait(
     placed = bind_shape(shape, points, model, model.labels(points))
     if placed is None:
         return None
-    new, reused = placed
-    return Placement(tuple(map(model.polygon, new)), tuple(map(model.polygon, reused)))
+    new, reused = (tuple(PolygonClass(tuple(map(model.angle, c))) for c in cs) for cs in placed)
+    return Placement(new, reused)

@@ -71,6 +71,12 @@ def fraction_load_lamination(doc) -> ClassLamination:
     return lam
 
 
+def placement_model(d: int, M: int, classes) -> _IntModel:
+    """The d-fold frame of sorted residue tuples mod ``M``, where placement
+    runs: each class scaled by d, sorted, mod ``d * M``."""
+    return _IntModel(d, d * M, sorted(tuple(d * x for x in c) for c in classes))
+
+
 def portrait_points(target: PolygonClass, d: int, region: Optional[RoundGap] = None) -> list[Angle]:
     """Preimages of the target's vertices available for a portrait.
 
@@ -80,7 +86,7 @@ def portrait_points(target: PolygonClass, d: int, region: Optional[RoundGap] = N
     vertex, and their labels must repeat 0..n-1 cyclically.
     """
     check_degree(d)
-    model = _IntModel(d, *_class_residues([target.vertices]))
+    model = placement_model(d, *_class_residues([target.vertices]))
     pts = _portrait_residues(model.classes[0], model, region)
     return [model.angle(p) for p in pts]
 

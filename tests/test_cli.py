@@ -336,6 +336,25 @@ def test_oversized_integers_are_classified(tmp_path, capsys, command, text, mess
     assert captured.out == ""
 
 
+def test_oversized_denominators_and_bfile_values_are_classified(tmp_path, capsys):
+    # an itinerary whose denominator 2**15001 - 1 has 4,516 decimal digits,
+    # and a 5,000-digit b-file value: both past CPython's limit on decimal
+    # digits, named without echoing the literal or the interpreter's advice
+    doc, counts, bfile = tmp_path / "doc.json", tmp_path / "counts.json", tmp_path / "b.txt"
+    doc.write_text('{"degree": 2, "classes": [["_%s1", "1/2"]]}' % ("0" * 15000))
+    counts.write_text("[1, 1]")
+    bfile.write_text("0 1\n1 %s\n" % _BIG)
+    compare = ["oeis-compare", "--counts", str(counts), "--bfile", str(bfile)]
+    for args, message in (
+        (["validate", str(doc)], "classes[0][0]: angle literal's denominator has 4516 digits, too long to convert"),
+        (compare, "line 2: value has 5000 digits, too long to convert"),
+    ):
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+
 def test_oeis_compare_cli(tmp_path, capsys):
     counts = tmp_path / "counts.json"
     counts.write_text("[1, 1, 1, 3]")

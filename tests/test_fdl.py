@@ -19,7 +19,6 @@ from lamkit.core import (
     PolygonClass,
     _hull_edges,
     _class_residues,
-    _IntModel,
     _events,
     _sweep,
     criticality_audit,
@@ -43,7 +42,7 @@ from lamkit.io import dumps, load_lamination, save_lamination
 from lamkit.portraits import _portrait_residues, bind_shape, enumerate_all_portraits
 from lamkit.pullback import hyperbolic_approx
 
-from helpers import deepest_classes
+from helpers import deepest_classes, placement_model
 
 RABBIT = PolygonClass((F(1, 7), F(2, 7), F(4, 7)))
 SIBLING = PolygonClass((F(1, 14), F(9, 14), F(11, 14)))
@@ -375,7 +374,7 @@ def _reference_children(fdl):
     validation and the Fraction key."""
     lam = fdl.lamination
     d = lam.degree
-    model = _IntModel(d, *_class_residues([c.vertices for c in lam.classes]))
+    model = placement_model(d, *_class_residues([c.vertices for c in lam.classes]))
     options = []
     for t in _deepest(model, fdl.depth_n):
         pts = _portrait_residues(t, model, None)
@@ -412,7 +411,7 @@ def _product_children(fdl, census):
     and ``census`` counts targets and free ones, and the regions (and
     nodes with one) where free groups of two or more targets meet."""
     d = fdl.degree
-    model = _IntModel(d, fdl.modulus, fdl.residues)
+    model = placement_model(d, fdl.modulus, fdl.residues)
     targets = _deepest(model, fdl.depth_n)
     points = [_portrait_residues(t, model, None) for t in targets]
     labels = model.labels(p for pts in points for p in pts)
@@ -508,9 +507,9 @@ def test_placements_match_disk_wide_binding_on_random_targets(basilica_tree, rab
         d = tree.degree
         for node in tree.all_nodes():
             M = node.modulus
-            whole = _IntModel(d, M, node.residues)
+            whole = placement_model(d, M, node.residues)
             for _ in range(3):
-                kept = _IntModel(d, M, [r for r in node.residues if rng.random() < 0.7])
+                kept = placement_model(d, M, [r for r in node.residues if rng.random() < 0.7])
                 targets = [
                     tuple(sorted(rng.sample(range(M), rng.choice((2, 3))))),
                     tuple(sorted(rng.sample(rng.choice(node.residues), 2))),
@@ -529,7 +528,7 @@ def _region_lemma_cases(d, M, residues, targets, cases):
     # the index of the vertex of its class they map to; then for each ordered
     # pair of groups of distinct targets and each b != e of the first, the
     # second group's points in the open arc (b, e), counted per index
-    model = _IntModel(d, M, residues)
+    model = placement_model(d, M, residues)
     fibers = [[(x + k * M, j) for k in range(d) for j, x in enumerate(c)] for c in targets]
     labels = model.labels(p for fiber in fibers for p, _ in fiber)
     regions = {}
@@ -621,7 +620,7 @@ def test_placements_match_the_disk_wide_product_on_thinned_nodes(basilica_tree, 
         for node in tree.all_nodes():
             dropped = {c for c in node.deepest if rng.random() < 0.5}
             for lost in (set(), dropped)[: 1 + bool(dropped)]:
-                model = _IntModel(d, node.modulus, [c for c in node.residues if c not in lost])
+                model = placement_model(d, node.modulus, [c for c in node.residues if c not in lost])
                 targets = [c for c in node.deepest if c not in lost]
                 labels = model.labels(x + k * node.modulus for k in range(d) for c in targets for x in c)
                 got = sorted(map(sorted, _placements(targets, model, _groups(model, targets))))
@@ -674,7 +673,7 @@ def test_placements_give_distinct_children(basilica9_tree, rabbit_root, cubic_ro
         kids = Counter(tree.parent.values())
         expanded = [n for level in tree.levels[:-1] for n in level]
         for node in expanded:
-            model = _IntModel(node.degree, node.modulus, node.residues)
+            model = placement_model(node.degree, node.modulus, node.residues)
             placements = _placements(node.deepest, model, _groups(model, node.deepest))
             assert len(placements) == kids[node.key()], node.key()
         census.append((len(expanded), sum(kids.values())))
@@ -724,7 +723,7 @@ def test_level_tables_carry_key_texts(basilica_root, rabbit_root, cubic_root, mo
         build_pullback_tree(root, depth)
         d, carried = root.degree, 0
         for k, (above, level) in enumerate(zip([{}] + texts, texts)):
-            fresh = _IntModel(d, root.modulus * d**k, ())
+            fresh = placement_model(d, root.modulus * d**k, ())
             assert all(text == fresh.text(c) for c, text in level.items())
             assert all(level[tuple(d * x for x in c)] is text for c, text in above.items())
             carried += len(above)
@@ -744,7 +743,7 @@ def test_deepest_preimages_are_no_vertices_below_depth_0(basilica9_tree, rabbit_
         points = vertices = 0
         for node in (n for level in tree.levels[:-1] for n in level):
             d, M = node.degree, node.modulus
-            on = _IntModel(d, M, node.residues).vertices
+            on = placement_model(d, M, node.residues).vertices
             hits = sum(x + k * M in on for c in node.deepest for k in range(d) for x in c)
             assert node.depth_n == 0 or hits == 0, node.key()
             points += d * sum(map(len, node.deepest))
@@ -869,7 +868,7 @@ def test_nodes_carry_their_deepest_layer(basilica_tree, rabbit_tree, cubic_tree)
         d = tree.degree
         for node in tree.all_nodes():
             for fdl in (node, FDL(node.lamination)):
-                model = _IntModel(d, fdl.modulus, fdl.residues)
+                model = placement_model(d, fdl.modulus, fdl.residues)
                 scaled = [tuple(d * x for x in c) for c in fdl.deepest]
                 assert scaled == _deepest(model, node.depth_n), node.key()
 
@@ -925,7 +924,7 @@ def test_tree_nodes_build_their_lamination_on_demand(basilica_tree, rabbit_tree,
             for node in nodes:
                 assert node.modulus == root.modulus * d**level
                 assert list(node.residues) == sorted(node.residues)
-                model = _IntModel(d, node.modulus, node.residues)
+                model = placement_model(d, node.modulus, node.residues)
                 assert [model.text(c) for c in model.classes] == node.key().split("|")[1:]
                 M = node.modulus
                 classes = {PolygonClass(tuple(F(x, M) for x in c)) for c in node.residues}
@@ -1004,3 +1003,37 @@ def test_trusted_laminations_match_checked_ones(basilica_tree, rabbit_tree, cubi
                 assert (fa.modulus, fa.residues, fa.deepest, fa.key()) == (
                     fb.modulus, fb.residues, fb.deepest, fb.key()
                 )
+
+
+def _failing_axiom_laminations():
+    # the laminations of the failing-axiom tests above, whose check passes
+    u = PolygonClass((F(9, 28), F(11, 28), F(15, 28)))
+    hexagon = PolygonClass((F(1, 14), F(1, 7), F(2, 7), F(4, 7), F(9, 14), F(11, 14)))
+    cubic_root = [PolygonClass((F(1, 26), F(3, 26), F(9, 26))), PolygonClass((F(7, 13), F(8, 13), F(11, 13)))]
+    cubic_pair = [PolygonClass((F(7, 39), F(8, 39), F(11, 39))), PolygonClass((F(20, 39), F(34, 39), F(37, 39)))]
+    return [
+        ClassLamination.create(2, [hexagon]),
+        ClassLamination.create(2, [PolygonClass((F(0), F(1, 2)))]),
+        ClassLamination.create(2, [RABBIT, SIBLING, u]),
+        ClassLamination.create(2, [PolygonClass((F(1, 7), F(2, 7), F(4, 7), F(9, 14)))]),
+        ClassLamination.create(3, [PolygonClass((F(0), F(1, 8), F(3, 8)))]),
+        ClassLamination.create(3, cubic_root + cubic_pair),
+    ]
+
+
+def test_a_lamination_model_is_its_own_view(basilica_tree, rabbit_root, cubic_tree):
+    # a lamination's cached model holds its view mod its own M, unscaled;
+    # swapped for the d-fold placement frame of the same view, it gives the
+    # same key, validation report and audit: scaling changes none of them
+    rabbit_tree = build_pullback_tree(rabbit_root, 7)
+    nodes = [n.lamination for t in (basilica_tree, rabbit_tree, cubic_tree) for n in t.all_nodes()]
+    lams = nodes + [load_lamination(save_lamination(lam)) for lam in nodes] + _failing_axiom_laminations()
+    invalid = 0
+    for lam in lams:
+        M, keys, _ = lam._view
+        assert lam._model.D == M and lam._model.classes == list(keys)
+        own = canonical_form(lam), validate_fdl(lam), criticality_audit(lam)
+        vars(lam)["_model"] = placement_model(lam.degree, M, keys)
+        assert (canonical_form(lam), validate_fdl(lam), criticality_audit(lam)) == own
+        invalid += not own[1].valid
+    assert (len(lams), invalid) == (498, 6)

@@ -234,6 +234,25 @@ def test_malformed_portraits_raise_portrait_errors():
             ),
             "preimage points do not split evenly over the target's vertices",
         ),
+        (
+            lambda: instantiate_portrait(
+                enumerate_injective_portraits(2, 3)[0],
+                RABBIT,
+                RoundGap(((F(1, 5), F(1, 5) + F(1, 1000)),)),
+                ClassLamination.create(2, [RABBIT]),
+            ),
+            "no preimage points available in the region",
+        ),
+        (
+            # preimages 1/14, 2/7 and 9/14 carry labels 0, 2 and 1
+            lambda: instantiate_portrait(
+                enumerate_injective_portraits(2, 3)[0],
+                RABBIT,
+                RoundGap(tuple((x - F(1, 1000), x + F(1, 1000)) for x in (F(1, 14), F(2, 7), F(9, 14)))),
+                ClassLamination.create(2, [RABBIT]),
+            ),
+            "preimage labels do not repeat cyclically in the region",
+        ),
     ],
 )
 def test_bad_portrait_inputs_raise_classified_errors(call, message):
