@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -614,6 +615,41 @@ def test_pullback_matches_fraction_oracle(rabbit_tree, cubic_tree):
                 _assert_pullback_matches_oracle(node.lamination, crit, 3)
                 placements += 1
     assert placements > 10
+
+
+def _level_digests(seq):
+    return [hashlib.sha256(" ".join(map(str, level.sorted_chords())).encode()).hexdigest() for level in seq.levels]
+
+
+def test_pullback_level_digests_are_pinned(cubic_tree):
+    # the sha256 of each level's sorted chords, pinned before the forced-lift path
+    p = F(15, 112)
+    forced = CriticalChordSet.create(2, [Chord(p, p + F(1, 2))])
+    assert _level_digests(pullback_lamination(ClassLamination.create(2, [RABBIT]), forced, 12)) == [
+        "6e831af825de623d28e838c7281e7fb98be55f9a0e3d2433869c547db1bd3ef3",
+        "8cac441e17730088326db96f894199532862566e891fff6caa63873662f12e13",
+        "cdc99d6e8be1853bb11b6f186c18e21e9c75ec8db50ea1043560e43d1f451cc9",
+        "4f47977389780c5b9944b2520d8aeb54b4f39bc76cff86d988c0c607a1cc096a",
+        "5784fe7ad161a5ce5ae1b53b669316bde5b2788ae60208d6c5664344d0c280a4",
+        "88d2c01fd7a970ec60eef0bbce54f9f13c299c1b7d614fd203c172b7f7844a92",
+        "d0174ed4cf7450e9a655c0433b6bd10b4c26106c104e93f58dc86140643dcdea",
+        "41756fe4986ae80257db3141ae1fcf420473eb0ae6318cbed5abee9bfb66905b",
+        "c67d5bd68904115558579ff691d60b6f085bb648774367c198348bb475465f13",
+        "1e0ed865c498b7bc5133fb99abb1483195311b3babeede40160ec82cff9bc459",
+        "e934d9e75d80b113d6e03d5accd44095855ada044be67da8294ab169a1434762",
+        "daa04144e77fa0a9ae00404b918cda02fea70bd0d358fa30407ee354b2b04916",
+        "0b91cca6f437fa2982aea8cc20402b33bf0c67673046376bfeefb5ebb67dcc9a",
+    ]
+    lvl1 = cubic_tree.levels[1][0].lamination
+    assert _level_digests(pullback_lamination(lvl1, place_critical_chords(lvl1)[0], 6)) == [
+        "cb12b256917dcb376cc443e788b8dcfd4f065ad6f43817fbb4f937c0c632d4b4",
+        "cc039e69e8c1c170386d1573488ccc1da98582a67c55ac032d696e83a527e3c3",
+        "e7f334fa9f0d1015f4202331d8e5458ce22d9a2c608d282b28b24fb4b07ba018",
+        "d07b92ea9febfd8ea105fd11a514163ab9d423f07f79624a541b307f042660c9",
+        "9f624bf9f17f97b78a0a37283c80093fc842c3e0f83aa1a0c203f4760b8735b7",
+        "17a225b580f7e4aeeb782f6fffb8606abd5e4a373fac251071880a3cc6079b5f",
+        "f216b098624e2d04b8145014852a0909d3dbb3d5fcd7ae06e68fb91b73af6479",
+    ]
 
 
 def test_lift_matches_the_connected_first_oracle(monkeypatch, cubic_tree, eighths_tree):
