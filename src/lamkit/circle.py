@@ -77,12 +77,16 @@ def parse_angle(text: str, d: int) -> Angle:
                 raise AngleError(f"digit {digit} out of range for base {d} in {text!r}")
         s, t = len(pre), len(per)
         pre_val, per_val = _digits_value(pre, d), _digits_value(per, d)
-        value = mod1(Fraction(pre_val * (d ** t - 1) + per_val, d ** s * (d ** t - 1)))
-        digits = Decimal(value.denominator).adjusted() + 1  # Decimal converts past CPython's limit on str(int)
-        if 0 < getattr(sys, "get_int_max_str_digits", int)() < digits:  # a limit of 0 is none
-            raise AngleError(f"angle literal's denominator has {digits} digits, too long to convert")
-        return value
+        return _printable(mod1(Fraction(pre_val * (d ** t - 1) + per_val, d ** s * (d ** t - 1))), "angle literal")
     raise AngleError(f"cannot parse angle literal {text!r} (expected p/q or digits_digits)")
+
+
+def _printable(value: Fraction, what: str) -> Fraction:
+    """``value``, unless its denominator has more decimal digits than ``str`` converts."""
+    digits = Decimal(value.denominator).adjusted() + 1  # Decimal converts past CPython's limit on str(int)
+    if 0 < getattr(sys, "get_int_max_str_digits", int)() < digits:  # a limit of 0 is none
+        raise AngleError(f"{what}'s denominator has {digits} digits, too long to convert")
+    return value
 
 
 def _int(digits: str) -> int:

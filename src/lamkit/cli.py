@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .circle import AngleError, parse_angle
+from .circle import AngleError, _printable, parse_angle
 from .core import LaminationError
 from .fdl import (
     FDL,
@@ -168,7 +168,7 @@ def cmd_pullback(args) -> int:
 def cmd_distance(args) -> int:
     a = load_chordset(_read(args.a))
     b = load_chordset(_read(args.b))
-    print(lamination_distance(a, b))
+    print(_printable(lamination_distance(a, b), "distance"))
     return 0
 
 

@@ -8,18 +8,18 @@ branches whose bases each map onto the circle: the regions of
 ``core._regions``, as for round gaps, which group the arcs between cut
 points by the innermost chord around their start.  The chords close a loop
 exactly when fewer regions than distinct chords plus one touch the circle.
-Pulling a chord set back means lifting every chord through every branch: a
-chord's subtended arc of length L lifts to d arcs of length L/d, one per
-preimage of its start point, and the lift whose arc fits inside the branch
-supplies that branch's preimage chord.  When a chord endpoint equals a
-critical value both of its lifts can fit; candidates that would cross the
-inputs are discarded and the shorter surviving lift wins, which reproduces
-the wedges that accumulate at forced endpoints.  A step runs on its input's
-residue view (``ChordSet._view``) rescaled to M, a multiple of d times its
-modulus, so the preimages of x are ``x // d + j * M / d``; one bisect into
-the sorted cut points gives each its branch.  The result is its view mod
-M, so the modulus grows by d per step and no residue is re-derived.  Of the
-input chords that cross a critical chord, an error names the least.
+Pulling a chord set back lifts every chord through every branch.  Away from
+the critical values each branch's basis maps injectively onto the circle,
+so a branch holds exactly one preimage of a point, and the lift is forced:
+the pair of its endpoints' preimages there.  At a critical value a branch
+can hold two preimages; candidates that would cross the inputs are then
+discarded and the shorter surviving lift wins, which reproduces the wedges
+that accumulate at forced endpoints.  A step runs on its input's residue
+view (``ChordSet._view``) rescaled to M, a multiple of d times its modulus,
+so x has the preimages ``x // d + j * M / d``; a bisect into the sorted cut
+points numbers the branch of each, giving each endpoint one row indexed by
+branch.  The result is its view mod M, so the modulus grows by d per step.
+Of the input chords that cross a critical chord, an error names the least.
 
 This module also exposes the exact lamination metric (Hausdorff over
 leaves plus all degenerate leaves, by a pruned nearest-leaf scan on
@@ -195,12 +195,12 @@ def _chains(anchors, k: int, d: int, contains) -> list[list[Chord]]:
 def _lift(x: int, y: int, branch, M: int, obstacles, ends) -> tuple[int, int]:
     """The branch's preimage of the chord ``(x, y)``, all as residues mod M.
 
-    ``ends`` holds the preimages of x and of y in the branch closure;
-    generically one each, and the chord is forced.  When an endpoint equals
-    a critical value, both of its preimages can lie on the branch boundary;
-    then candidates crossing the fixed inputs are discarded and the shortest
-    arc wins, ties going to the smaller pair (``Chord`` order).  That
-    prefers a connected arc-lift, an arc that d maps onto an arc of the
+    ``ends`` holds x's and y's entries of :func:`_preimage_rows` for the
+    branch, never both a lone preimage: the caller forms that forced lift.
+    At a critical value both preimages of an endpoint can lie on the branch
+    boundary; then candidates crossing the fixed inputs are discarded and
+    the shortest arc wins, ties going to the smaller pair (``Chord`` order).
+    That prefers a connected arc-lift, an arc that d maps onto an arc of the
     chord: with l the arc from x to y in turns, a candidate's arcs are
     (l + m)/d and (1 - l + d - 1 - m)/d for some m in 0..d-1; d times them
     is l or 1 - l only when m = 0 or m = d - 1, whose lift l/d or (1 - l)/d
@@ -208,18 +208,15 @@ def _lift(x: int, y: int, branch, M: int, obstacles, ends) -> tuple[int, int]:
     """
 
     def fail(what):
-        arcs = tuple((Fraction(s, M), Fraction(e, M)) for s, e in branch)
+        arcs = " u ".join(f"[{Fraction(s, M)},{Fraction(e, M)}]" for s, e in branch)  # as RoundGap prints them
         raise PullbackError(what.format(Chord(Fraction(x, M), Fraction(y, M)), arcs))
 
-    if not ends[0] or not ends[1]:
+    us, vs = ((e,) if e.__class__ is int else e for e in ends)
+    if not us or not vs:
         fail("branch {1} misses a preimage of {0}")
-    pairs = [(min(u, v), max(u, v)) for u in ends[0] for v in ends[1]]
-    if len(pairs) == 1:
-        return pairs[0]
-
     ranked = [
         (min(v - u, M - v + u), (u, v))
-        for u, v in pairs
+        for u, v in ((min(u, v), max(u, v)) for u in us for v in vs)
         if not any(c != u != e and c != v != e and (u < c < v) != (u < e < v) for c, e in obstacles)
     ]
     if not ranked:
@@ -227,13 +224,30 @@ def _lift(x: int, y: int, branch, M: int, obstacles, ends) -> tuple[int, int]:
     return min(ranked)[1]
 
 
+def _preimage_rows(zs, d: int, M: int, points: list[int], branches) -> dict[int, tuple]:
+    """Each z's preimages ``z // d + j * M / d`` by branch number, each
+    placed by a bisect into the sorted cut points: the branch's one
+    preimage, else a tuple of its 0 or 2+ preimages there, in order."""
+    number = [i for _, i in sorted((s, i) for i, b in enumerate(branches) for s, _ in b)]  # each cut point's branch
+    rows = {}
+    for z in zs:
+        row = [()] * len(branches)
+        for p in range(z // d, M, M // d):
+            k = bisect_right(points, p) - 1  # -1: the arc from the last cut point past 0
+            for i in {number[k], number[k - 1]} if points[k] == p else (number[k],):
+                row[i] += (p,)  # p joins the branch of its arc, and of the arc it ends
+        rows[z] = tuple(ps[0] if len(ps) == 1 else ps for ps in row)
+    return rows
+
+
 def pullback_step(chord_set: ChordSet, crit: CriticalChordSet) -> ChordSet:
     """One level of preimages of every chord, through every branch.
 
     Runs on the input's residue view (``ChordSet._view``) rescaled to M,
-    the lcm of d times its modulus and the critical chords' denominators;
-    each preimage finds its branch by a bisect into the sorted cut points.
-    The result is its view mod M, contains its input and is verified.
+    the lcm of d times its modulus and the critical chords' denominators.
+    A lift is forced, the pair of its endpoints' preimages, when the branch
+    holds one of each (see :func:`_preimage_rows`); :func:`_lift` ranks the
+    rest.  The result is its view mod M, contains its input and is verified.
     """
     d = chord_set.degree
     if d != crit.degree:
@@ -249,14 +263,11 @@ def pullback_step(chord_set: ChordSet, crit: CriticalChordSet) -> ChordSet:
     obstacles = inputs + cuts  # the inputs, then the critical chords
     points = sorted({p for c in cuts for p in c})
     branches = _regions(cuts, points)
-    owner = {s: b for b in branches for s, _ in b}  # the branch of the arc from each cut point
-    ends = {z: {b: [] for b in branches} for pair in inputs for z in pair}  # preimages per branch, in order
-    for z, per in ends.items():
-        for p in range(z // d, M, M // d):
-            k = bisect_right(points, p) - 1  # -1: the arc from the last cut point past 0
-            for b in {owner[points[k]], owner[points[k - 1] if points[k] == p else points[k]]}:
-                per[b].append(p)  # p joins the branch of its arc, and of the arc it ends
-    added = {_lift(x, y, b, M, obstacles, (ends[x][b], ends[y][b])) for x, y in inputs for b in branches}
+    rows = _preimage_rows({z for pair in inputs for z in pair}, d, M, points, branches)
+    added = {
+        ((u, v) if u < v else (v, u)) if u.__class__ is v.__class__ is int else _lift(x, y, b, M, obstacles, (u, v))
+        for x, y in inputs for b, u, v in zip(branches, rows[x], rows[y])
+    }
     made = {(u, v): Chord._from_sorted(Fraction(u, M), Fraction(v, M)) for u, v in added.difference(inputs)}
     items = sorted([*zip(inputs, chords), *made.items()])  # residue pairs sort like chords
     out = _set_view(object.__new__(ChordSet), d, M, items)

@@ -149,7 +149,7 @@ def connected_first_lift(x: int, y: int, branch, M: int, d: int, obstacles):
     pair is forced."""
 
     def fail(what):
-        arcs = tuple((Fraction(s, M), Fraction(e, M)) for s, e in branch)
+        arcs = " u ".join(f"[{Fraction(s, M)},{Fraction(e, M)}]" for s, e in branch)
         raise PullbackError(what.format(Chord(Fraction(x, M), Fraction(y, M)), arcs))
 
     ends = [scan_branch_preimages(z, branch, M, d) for z in (x, y)]

@@ -202,6 +202,18 @@ def test_distance_degree_mismatch(rabbit_file, tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_distances_past_the_digit_limit_are_classified(tmp_path, capsys):
+    # each literal's denominator, 10**2500 + 1 or + 3, has 2,501 decimal
+    # digits; the exact distance's has 5,001, past CPython's limit on str(int)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text('{"degree": 2, "chords": [["1/1%s1", "1/2"]]}' % ("0" * 2499))
+    b.write_text('{"degree": 2, "chords": [["1/1%s3", "1/2"]]}' % ("0" * 2499))
+    assert main(["distance", str(a), str(b)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: distance's denominator has 5001 digits, too long to convert\n"
+    assert captured.out == ""
+
+
 def test_proper(level1_file, capsys):
     assert main(["proper", level1_file]) == 0
     assert "proper so far: True" in capsys.readouterr().out
@@ -437,6 +449,15 @@ def test_crossing_lifts_name_the_pullback_step(tmp_path, capsys):
         "error: pullback step 1: the lifts make crossing chords: "
         "chords (0,1/4) and (1/8,7/8) cross\n"
     )
+    assert captured.out == ""
+
+
+def test_lift_errors_print_the_branch_as_arcs(tmp_path, capsys):
+    p = tmp_path / "lifts.json"
+    p.write_text('{"degree": 2, "chords": [["0","2/5"],["3/5","4/5"]]}')
+    assert main(["pullback", str(p), "--chords", "0:1/2", "--depth", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: every lift of (0,2/5) in branch [1/2,0] crosses the inputs\n"
     assert captured.out == ""
 
 

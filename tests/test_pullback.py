@@ -528,10 +528,12 @@ def _fraction_branch_lift(chord, branch, cuts, d, obstacles):
     def in_branch(p):
         return any(in_closed_arc(p, s, e) for s, e in branch)
 
+    arcs = " u ".join(f"[{s},{e}]" for s, e in branch)
+
     p_a = [p for p in preimages(chord.a, d) if in_branch(p)]
     p_b = [p for p in preimages(chord.b, d) if in_branch(p)]
     if not p_a or not p_b:
-        raise PullbackError(f"branch {branch} misses a preimage of {chord}")
+        raise PullbackError(f"branch {arcs} misses a preimage of {chord}")
     pairs = [(alpha, beta) for alpha in p_a for beta in p_b]
     if len(pairs) == 1:
         return Chord(*pairs[0])
@@ -543,7 +545,7 @@ def _fraction_branch_lift(chord, branch, cuts, d, obstacles):
         lift = _fraction_arc_lift_length(alpha, beta, chord, cuts, d)
         ranked.append((lift is None, lift if lift is not None else cand.length(), cand))
     if not ranked:
-        raise PullbackError(f"every lift of {chord} in branch {branch} crosses the inputs")
+        raise PullbackError(f"every lift of {chord} in branch {arcs} crosses the inputs")
     ranked.sort()
     return ranked[0][2]
 
@@ -654,9 +656,11 @@ def test_pullback_level_digests_are_pinned(cubic_tree):
 
 def test_lift_matches_the_connected_first_oracle(monkeypatch, cubic_tree, eighths_tree):
     # every lift that two pullback steps make through every placement of
-    # the cubic nodes and of the nodes below the cubic root {1/8, 3/8}
-    lift = pullback._lift
-    seen = {"ambiguous": 0, "non-connected": 0}
+    # the cubic nodes and of the nodes below the cubic root {1/8, 3/8}:
+    # _lift on the ambiguous ones, and every forced pair of the preimage rows
+    lift, preimage_rows, step = pullback._lift, pullback._preimage_rows, pullback.pullback_step
+    seen = {"ambiguous": 0, "non-connected": 0, "forced": 0}
+    last = {}
 
     def checked(x, y, branch, M, obstacles, *rest):
         d = node.lamination.degree  # of the node the loop below pulls back
@@ -672,7 +676,25 @@ def test_lift_matches_the_connected_first_oracle(monkeypatch, cubic_tree, eighth
         seen["non-connected"] += any(not_connected for not_connected, _, _ in ranked)
         return want
 
+    def rows(zs, d, M, points, branches):
+        last.update(M=M, branches=branches, rows=preimage_rows(zs, d, M, points, branches))
+        return last["rows"]
+
+    def stepped(chord_set, crit):
+        out = step(chord_set, crit)
+        (M_in, inputs, _), (M, lifts, _) = chord_set._view, out._view
+        assert M == last["M"]
+        for x, y in ((x * (M // M_in), y * (M // M_in)) for x, y in inputs):
+            for branch, u, v in zip(last["branches"], last["rows"][x], last["rows"][y]):
+                if type(u) is type(v) is int:  # a forced pair ranks no candidates, so meets no obstacles
+                    want, ranked = connected_first_lift(x, y, branch, M, chord_set.degree, ())
+                    assert not ranked and want == (min(u, v), max(u, v)) and want in lifts, (x, y, branch, M)
+                    seen["forced"] += 1
+        return out
+
     monkeypatch.setattr(pullback, "_lift", checked)
+    monkeypatch.setattr(pullback, "_preimage_rows", rows)
+    monkeypatch.setattr(pullback, "pullback_step", stepped)
     nodes = [*cubic_tree.all_nodes(), *(n for level in eighths_tree.levels[:3] for n in level)]
     for node in nodes:
         try:
@@ -681,31 +703,37 @@ def test_lift_matches_the_connected_first_oracle(monkeypatch, cubic_tree, eighth
             continue  # a gap without a degree
         for crit in placements:
             pullback_lamination(node.lamination, crit, 2)
-    # 2,642 and 872 when this test was written
-    assert seen["ambiguous"] >= 1000 and seen["non-connected"] >= 500, seen
+    # 2,642 and 872 when this test was written; 242,962 forced of the 245,604 lifts
+    assert seen["ambiguous"] >= 1000 and seen["non-connected"] >= 500 and seen["forced"] >= 240000, seen
 
 
 def test_branch_preimages_match_the_arc_scan_oracle(monkeypatch):
-    # the bisect branch lookup of pullback_step against a scan of every
-    # branch arc, through 3,000 seeded critical-chord sets; the endpoints
-    # include critical values, whose preimages include cut points
-    lift = pullback._lift
-    seen = {"lifts": 0, "at a cut point": 0}
+    # the branch-indexed preimage rows of pullback_step against a scan of
+    # every branch arc, per endpoint and branch, through 3,000 seeded
+    # critical-chord sets; the endpoints include critical values, whose
+    # preimages include cut points
+    preimage_rows = pullback._preimage_rows
+    seen = {"entries": 0, "at a cut point": 0}
 
-    def checked(x, y, branch, M, obstacles, ends):
-        # d: the degree of the step being run, bound below
-        assert ends == tuple(scan_branch_preimages(z, branch, M, d) for z in (x, y)), (x, y, branch, M)
-        cuts = {p for arc in branch for p in arc}
-        seen["lifts"] += 1
-        seen["at a cut point"] += sum(p in cuts for e in ends for p in e)
-        return lift(x, y, branch, M, obstacles, ends)
+    def checked(zs, d, M, points, branches):
+        rows = preimage_rows(zs, d, M, points, branches)
+        assert set(rows) == set(zs)
+        for z, row in rows.items():
+            assert len(row) == len(branches)
+            for ps, branch in zip(row, branches):
+                assert type(ps) is int or len(ps) != 1, (z, branch, M)  # one preimage is held bare
+                got = [ps] if type(ps) is int else list(ps)
+                assert got == scan_branch_preimages(z, branch, M, d), (z, branch, M)
+                seen["entries"] += 1
+                seen["at a cut point"] += sum(p in points for p in got)
+        return rows
 
-    monkeypatch.setattr(pullback, "_lift", checked)
+    monkeypatch.setattr(pullback, "_preimage_rows", checked)
     d = 2
     diameter = CriticalChordSet.create(d, [Chord(F(0), F(1, 2))])
     # 0 has the preimages 0 and 1/2, the cut points, which close arcs of both branches
     pullback_step(ChordSet.create(2, [diameter.chords[0]]), diameter)
-    assert seen == {"lifts": 2, "at a cut point": 4}
+    assert seen == {"entries": 4, "at a cut point": 4}
     rng = random.Random(31)
     sets = 0
     for d, chords in _random_chord_lists(31, 10000):
@@ -730,8 +758,8 @@ def test_branch_preimages_match_the_arc_scan_oracle(monkeypatch):
         if sets == 3000:
             break
     assert sets == 3000
-    # 7,317 and 10,830 when this test was written
-    assert seen["lifts"] >= 7000 and seen["at a cut point"] >= 10000, seen
+    # 15,172 and 11,356 when the rows came in, as many as the per-branch lists held before them
+    assert seen["entries"] >= 15000 and seen["at a cut point"] >= 11000, seen
 
 
 def _fraction_step_error(start, crit):
@@ -745,15 +773,21 @@ def _fraction_step_error(start, crit):
     [
         (
             [((0, 1), (2, 5)), ((3, 5), (4, 5))],
-            ((0, 1), (1, 2)),
-            "every lift of (0,2/5) in branch ((Fraction(1, 2), Fraction(0, 1)),) crosses the inputs",
+            [((0, 1), (1, 2))],
+            "every lift of (0,2/5) in branch [1/2,0] crosses the inputs",
         ),
-        ([((0, 1), (1, 4)), ((1, 4), (3, 4))], ((1, 4), (3, 4)), "chords (0,1/4) and (1/8,7/8) cross"),
+        ([((0, 1), (1, 4)), ((1, 4), (3, 4))], [((1, 4), (3, 4))], "chords (0,1/4) and (1/8,7/8) cross"),
+        (
+            [((1, 15), (1, 10)), ((7, 30), (1, 2))],
+            [((1, 6), (1, 2)), ((0, 1), (2, 3))],
+            "every lift of (7/30,1/2) in branch [0,1/6] u [1/2,2/3] crosses the inputs",
+        ),
     ],
 )
 def test_pullback_errors_match_fraction_oracle(chords, crit, message):
-    crit = CriticalChordSet.create(2, [Chord(F(*crit[0]), F(*crit[1]))])
-    start = ChordSet.create(2, _chords(chords))
+    d = len(crit) + 1
+    crit = CriticalChordSet.create(d, _chords(crit))
+    start = ChordSet.create(d, _chords(chords))
     with pytest.raises((PullbackError, LaminationError)) as err:
         pullback_step(start, crit)
     assert str(err.value) == _fraction_step_error(start, crit) == message
