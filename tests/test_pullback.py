@@ -682,13 +682,14 @@ def test_lift_matches_the_connected_first_oracle(monkeypatch, cubic_tree, eighth
 
     def stepped(chord_set, crit):
         out = step(chord_set, crit)
-        (M_in, inputs, _), (M, lifts, _) = chord_set._view, out._view
+        (M_in, inputs, _), (M, pairs, _) = chord_set._view, out._view
         assert M == last["M"]
+        pairs = set(pairs)
         for x, y in ((x * (M // M_in), y * (M // M_in)) for x, y in inputs):
             for branch, u, v in zip(last["branches"], last["rows"][x], last["rows"][y]):
                 if type(u) is type(v) is int:  # a forced pair ranks no candidates, so meets no obstacles
                     want, ranked = connected_first_lift(x, y, branch, M, chord_set.degree, ())
-                    assert not ranked and want == (min(u, v), max(u, v)) and want in lifts, (x, y, branch, M)
+                    assert not ranked and want == (min(u, v), max(u, v)) and want in pairs, (x, y, branch, M)
                     seen["forced"] += 1
         return out
 
