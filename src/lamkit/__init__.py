@@ -64,7 +64,6 @@ from .portraits import (
     count_injective,
     enumerate_all_portraits,
     enumerate_injective_portraits,
-    instantiate_portrait,
     portrait_to_tree,
     reduce_portrait,
     tree_to_portrait,
@@ -76,7 +75,6 @@ from .pullback import (
     PullbackError,
     hyperbolic_approx,
     lamination_distance,
-    leaf_distance,
     place_critical_chords,
     properness_report,
     pullback_lamination,

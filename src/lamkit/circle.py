@@ -81,11 +81,12 @@ def parse_angle(text: str, d: int) -> Angle:
     raise AngleError(f"cannot parse angle literal {text!r} (expected p/q or digits_digits)")
 
 
-def _printable(value: Fraction, what: str) -> Fraction:
-    """``value``, unless its denominator has more decimal digits than ``str`` converts."""
-    digits = Decimal(value.denominator).adjusted() + 1  # Decimal converts past CPython's limit on str(int)
+def _printable(value, what: str):
+    """``value``, unless it (a ``Fraction``: its denominator) has more decimal digits than ``str`` converts."""
+    big, what = (value, what) if type(value) is int else (value.denominator, f"{what}'s denominator")
+    digits = Decimal(big).adjusted() + 1  # Decimal converts past CPython's limit on str(int)
     if 0 < getattr(sys, "get_int_max_str_digits", int)() < digits:  # a limit of 0 is none
-        raise AngleError(f"{what}'s denominator has {digits} digits, too long to convert")
+        raise AngleError(f"{what} has {digits} digits, too long to convert")
     return value
 
 
@@ -173,15 +174,6 @@ def format_itinerary(a: Angle, d: int) -> str:
 def format_angle(a: Angle) -> str:
     """Reduced-fraction literal, e.g. ``1/7`` or ``0``."""
     return str(a if type(a) is Fraction else Fraction(a))
-
-
-def arc_len(start: Angle, end: Angle) -> Fraction:
-    """Length of the counterclockwise arc from start to end, in (0, 1].
-
-    start == end yields 1 (the full circle), never 0.
-    """
-    diff = (Fraction(end) - Fraction(start)) % 1
-    return diff if diff != 0 else Fraction(1)
 
 
 def in_open_arc(x: Angle, start: Angle, end: Angle) -> bool:

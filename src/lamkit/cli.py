@@ -97,8 +97,10 @@ def cmd_portraits(args) -> int:
             print(s)
         print(f"total: {len(shapes)}")
     else:
-        print(f"injective f({i},{n}) = {count_injective(i, n)}")
-        print(f"all       F({i},{n}) = {count_all(i, n)}")
+        f = _printable(count_injective(i, n), f"injective f({i},{n})")
+        F = _printable(count_all(i, n), f"all F({i},{n})")
+        print(f"injective f({i},{n}) = {f}")
+        print(f"all       F({i},{n}) = {F}")
     return 0
 
 

@@ -75,13 +75,6 @@ class Chord:
     def is_critical(self, d: int) -> bool:
         return sigma(self.a, d) == sigma(self.b, d)
 
-    def image(self, d: int) -> Optional["Chord"]:
-        """Image chord under sigma, or None when it collapses to a point."""
-        ia, ib = sigma(self.a, d), sigma(self.b, d)
-        if ia == ib:
-            return None
-        return Chord(ia, ib)
-
     def length(self) -> Fraction:
         return circle_dist(self.a, self.b)
 
@@ -135,16 +128,6 @@ class PolygonClass:
 
     def edges(self) -> tuple[Chord, ...]:
         return tuple(Chord._from_sorted(a, b) for a, b in _hull_edges(self.vertices))
-
-    def image_vertices(self, d: int) -> tuple[Angle, ...]:
-        return tuple(sorted({sigma(v, d) for v in self.vertices}))
-
-    def image(self, d: int) -> Optional["PolygonClass"]:
-        """Image class under sigma, or None when all vertices collapse."""
-        img = self.image_vertices(d)
-        if len(img) < 2:
-            return None
-        return PolygonClass(img)
 
     def __str__(self):
         return "{" + ",".join(str(v) for v in self.vertices) + "}"
@@ -251,13 +234,6 @@ class _IntModel:
         """A residue tuple as comma-separated reduced fractions."""
         return ",".join([_fmt(x, self.D) for x in c])
 
-    def labels(self, points: Iterable[int]) -> dict[int, Optional[tuple[int, int]]]:
-        """Region label of each point that is no model vertex, read off the
-        :func:`_sweep` groups: two such points share a complementary region
-        exactly when they share the label."""
-        groups = _sweep(self.edges, (p for p in points if p not in self.vertices))[1]
-        return {p: label for (label, _), ps in groups.items() for p in ps}
-
     def angle(self, x: int) -> Angle:
         return Fraction(x, self.D)
 
@@ -339,12 +315,6 @@ class ClassLamination:
 
     def sorted_classes(self) -> list[PolygonClass]:
         return list(self._view[2])
-
-    def all_edges(self) -> set[Chord]:
-        return {e for c in self._view[2] for e in c.edges()}
-
-    def all_vertices(self) -> set[Angle]:
-        return {v for c in self._view[2] for v in c.vertices}
 
     def as_chordset(self) -> "ChordSet":
         """The hull edges as an unchecked chord set on the residues of :attr:`_view`."""

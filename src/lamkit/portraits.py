@@ -1,4 +1,4 @@
-"""Sibling portraits: enumeration, counting, and concrete placement.
+"""Sibling portraits: counting and enumeration.
 
 A portrait shape lives on ``i*n`` cyclically placed abstract points whose
 labels repeat ``0, 1, ..., n-1``.  Its blocks partition all points into
@@ -11,12 +11,9 @@ enumerated through the counting theorem's bijections: the one-to-one
 shapes are the images of the full n-ary trees with i internal nodes, and
 all (i, n)-shapes are the images of the one-to-one (i, n+1)-shapes under
 label removal.  Malformed shapes and trees raise :class:`PortraitError`.
-They are bound to concrete circle geometry by :func:`bind_shape`.
-Placement runs on a ``core._IntModel`` whose classes are scaled by d into
-residues mod d * M: there the preimages of a vertex residue are residues
-too, and a new block crosses no edge exactly when all its points carry one
-region label.  :func:`instantiate_portrait` binds whole shapes with it,
-child enumeration region-local ones where a region holds k*n > n points.
+Shapes here are abstract: child enumeration (``fdl._placements``) alone
+binds them to circle geometry, in each region that holds k*n > n preimage
+points of a deepest n-gon.
 """
 
 from __future__ import annotations
@@ -25,9 +22,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import comb
-from typing import Optional, Sequence
+from typing import Optional
 
-from .core import ClassLamination, PolygonClass, RoundGap, _class_residues, _components, _IntModel
+from .core import _components
 
 
 class PortraitError(ValueError):
@@ -216,97 +213,3 @@ def enumerate_all_portraits(i: int, n: int) -> list[PortraitShape]:
     (i, n+1)-portraits."""
     _check_in(i, n)
     return list(_all(i, n))
-
-
-# --- concrete placement --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Placement:
-    """Outcome of binding a shape to geometry: new classes plus any reuse."""
-
-    new_classes: tuple[PolygonClass, ...]
-    reused: tuple[PolygonClass, ...]
-
-
-def _portrait_residues(
-    target: tuple[int, ...], model: _IntModel, region: Optional[RoundGap]
-) -> list[int]:
-    """Residues mod ``model.D`` of the preimages of ``target`` (scaled like
-    the model's classes) for a portrait: all d per vertex in the whole disk,
-    or those in the closed basis of ``region``, in circular order from the
-    smallest over the first vertex; their labels must repeat 0..n-1."""
-    d, step = model.d, model.D // model.d
-    pts = sorted(v // d + k * step for v in target for k in range(d))
-    if region is not None:
-        pts = [p for p in pts if region.contains_point(model.angle(p))]
-    if not pts:
-        raise PortraitError("no preimage points available in the region")
-    labels = [target.index(model.sigma(p)) for p in pts]
-    if 0 not in labels:
-        raise PortraitError("region holds no preimage of the target's first vertex")
-    i = labels.index(0)
-    pts, labels = pts[i:] + pts[:i], labels[i:] + labels[:i]
-    n = len(target)
-    if len(pts) % n != 0:
-        raise PortraitError("preimage points do not split evenly over the target's vertices")
-    if any(label != k % n for k, label in enumerate(labels)):
-        raise PortraitError("preimage labels do not repeat cyclically in the region")
-    return pts
-
-
-def bind_shape(
-    shape: PortraitShape, points: Sequence[int], model: _IntModel, labels: dict
-) -> Optional[tuple[list, list]]:
-    """Place a shape's blocks onto residue points against the model's classes.
-
-    A block that exactly reproduces a model class is reused; one that
-    otherwise touches a model vertex or spans two regions (``labels`` from
-    ``model.labels``) makes the placement fail.  Returns ``(new residue
-    tuples, reused residue tuples)``, or None on conflict.
-    """
-    new, reused = [], []
-    for block in shape.blocks:
-        vs = tuple(sorted(points[p] for p in block))
-        if vs in model.known:
-            reused.append(vs)
-            continue
-        if any(v in model.vertices for v in vs):
-            return None
-        if len({labels[v] for v in vs}) != 1:
-            return None
-        new.append(vs)
-    return new, reused
-
-
-def instantiate_portrait(
-    shape: PortraitShape,
-    target: PolygonClass,
-    region: Optional[RoundGap],
-    context: ClassLamination,
-) -> Optional[Placement]:
-    """Bind an abstract shape to the preimage points of ``target``.
-
-    ``region=None`` means the whole disk of degree ``context.degree``.
-    Returns None when a block would cross a context edge or would partially
-    overlap an existing class; a block that exactly reproduces an existing
-    class is reported as reused rather than new.
-    """
-    d = context.degree
-    M0, res, _ = context._view
-    M, (vertices,) = _class_residues([target.vertices], M0)
-    s = d * (M // M0)  # the d-fold frame, where every vertex preimage is a residue
-    model = _IntModel(d, d * M, (tuple(s * x for x in r) for r in res))
-    points = _portrait_residues(tuple(d * x for x in vertices), model, region)
-    if len(points) != shape.i * shape.n:
-        raise PortraitError(
-            f"region supplies {len(points) // len(target)} preimages per vertex, "
-            f"but the shape needs degree {shape.i}"
-        )
-    if shape.n != len(target):
-        raise PortraitError(f"shape is for {shape.n}-gons, target has {len(target)} vertices")
-    placed = bind_shape(shape, points, model, model.labels(points))
-    if placed is None:
-        return None
-    new, reused = (tuple(PolygonClass(tuple(map(model.angle, c))) for c in cs) for cs in placed)
-    return Placement(new, reused)

@@ -42,7 +42,6 @@ from .circle import (
     Angle,
     _orbits,
     check_degree,
-    circle_dist,
     in_open_arc,  # unused here; perfbench's tracer test asserts this binding
     mod1,
 )
@@ -307,14 +306,6 @@ def pullback_lamination(
 
 
 # --- the lamination metric --------------------------------------------------------
-
-
-def leaf_distance(c1: Chord, c2: Chord) -> Fraction:
-    """Min over endpoint pairings of the summed circle distances."""
-    return min(
-        circle_dist(c1.a, c2.a) + circle_dist(c1.b, c2.b),
-        circle_dist(c1.a, c2.b) + circle_dist(c1.b, c2.a),
-    )
 
 
 def _nearest_leaf_max(src: list[tuple[int, int]], dst: list[tuple[int, int]], D: int) -> int:

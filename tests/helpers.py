@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from lamkit.circle import Angle, AngleError, _orbits, arc_len, check_degree, parse_angle, preimages, sigma
+from lamkit.circle import Angle, AngleError, _orbits, check_degree, circle_dist, parse_angle, preimages, sigma
 from lamkit.core import (
     Chord,
     ClassLamination,
@@ -13,10 +13,11 @@ from lamkit.core import (
     RoundGap,
     _class_residues,
     _IntModel,
+    _sweep,
 )
 from lamkit.fdl import FdlError, classes_from_chords, enumerate_children
 from lamkit.io import DocumentError, _object_degree, _parse, load_chordset
-from lamkit.portraits import _portrait_residues
+from lamkit.portraits import PortraitError, PortraitShape
 from lamkit.pullback import (
     NestingReport,
     NestingStep,
@@ -87,8 +88,110 @@ def portrait_points(target: PolygonClass, d: int, region: Optional[RoundGap] = N
     """
     check_degree(d)
     model = placement_model(d, *_class_residues([target.vertices]))
-    pts = _portrait_residues(model.classes[0], model, region)
-    return [model.angle(p) for p in pts]
+    return [model.angle(p) for p in portrait_residues(model.classes[0], model, region)]
+
+
+def region_labels(model: _IntModel, points) -> dict:
+    """Region label of each point that is no model vertex, read off the
+    ``_sweep`` groups: two such points share a complementary region of the
+    model's hull edges exactly when they share the label."""
+    groups = _sweep(model.edges, (p for p in points if p not in model.vertices))[1]
+    return {p: label for (label, _), ps in groups.items() for p in ps}
+
+
+def portrait_residues(target: tuple[int, ...], model: _IntModel, region: Optional[RoundGap]) -> list[int]:
+    """Residues mod ``model.D`` of the preimages of ``target`` (scaled like
+    the model's classes) for a portrait: all d per vertex in the whole disk,
+    or those in the closed basis of ``region``, in circular order from the
+    smallest over the first vertex; their labels must repeat 0..n-1."""
+    d, step = model.d, model.D // model.d
+    pts = sorted(v // d + k * step for v in target for k in range(d))
+    if region is not None:
+        pts = [p for p in pts if region.contains_point(model.angle(p))]
+    if not pts:
+        raise PortraitError("no preimage points available in the region")
+    labels = [target.index(model.sigma(p)) for p in pts]
+    if 0 not in labels:
+        raise PortraitError("region holds no preimage of the target's first vertex")
+    i = labels.index(0)
+    pts, labels = pts[i:] + pts[:i], labels[i:] + labels[:i]
+    n = len(target)
+    if len(pts) % n != 0:
+        raise PortraitError("preimage points do not split evenly over the target's vertices")
+    if any(label != k % n for k, label in enumerate(labels)):
+        raise PortraitError("preimage labels do not repeat cyclically in the region")
+    return pts
+
+
+def bind_shape(shape: PortraitShape, points, model: _IntModel, labels: dict) -> Optional[tuple[list, list]]:
+    """The disk-wide binder: a shape's blocks placed onto residue points
+    against the model's classes.  A block that exactly reproduces a model
+    class is reused; one that otherwise touches a model vertex or spans two
+    regions (``labels`` from :func:`region_labels`) makes the placement
+    fail.  Returns ``(new residue tuples, reused residue tuples)``, or None."""
+    new, reused = [], []
+    for block in shape.blocks:
+        vs = tuple(sorted(points[p] for p in block))
+        if vs in model.known:
+            reused.append(vs)
+            continue
+        if any(v in model.vertices for v in vs) or len({labels[v] for v in vs}) != 1:
+            return None
+        new.append(vs)
+    return new, reused
+
+
+def instantiate_portrait(shape: PortraitShape, target: PolygonClass, region: Optional[RoundGap], context):
+    """Bind a shape to the preimage points of ``target`` (the whole disk when
+    ``region`` is None) in the placement frame of ``context``: ``(new
+    classes, reused classes)``, or None when a block would cross a context
+    edge or partly overlap a context class."""
+    M, (vertices, *classes) = _class_residues([p.vertices for p in [target] + context.sorted_classes()])
+    model = placement_model(context.degree, M, classes)
+    points = portrait_residues(tuple(model.d * x for x in vertices), model, region)
+    if len(points) != shape.i * shape.n:
+        raise PortraitError(
+            f"region supplies {len(points) // len(target)} preimages per vertex, "
+            f"but the shape needs degree {shape.i}"
+        )
+    if shape.n != len(target):
+        raise PortraitError(f"shape is for {shape.n}-gons, target has {len(target)} vertices")
+    placed = bind_shape(shape, points, model, region_labels(model, points))
+    if placed is None:
+        return None
+    return tuple(tuple(PolygonClass(tuple(map(model.angle, c))) for c in cs) for cs in placed)
+
+
+def image(x, d: int):
+    """Image of a chord or polygon class under sigma, or None when it
+    collapses to a point."""
+    pts = {sigma(v, d) for v in ((x.a, x.b) if isinstance(x, Chord) else x.vertices)}
+    if len(pts) < 2:
+        return None
+    return Chord(*pts) if isinstance(x, Chord) else PolygonClass(tuple(pts))
+
+
+def all_edges(lam: ClassLamination) -> set[Chord]:
+    return {e for c in lam.sorted_classes() for e in c.edges()}
+
+
+def all_vertices(lam: ClassLamination) -> set[Angle]:
+    return {v for c in lam.sorted_classes() for v in c.vertices}
+
+
+def arc_len(start: Angle, end: Angle) -> Fraction:
+    """Length of the counterclockwise arc from start to end, in (0, 1];
+    start == end yields 1 (the full circle), never 0."""
+    diff = (Fraction(end) - Fraction(start)) % 1
+    return diff if diff != 0 else Fraction(1)
+
+
+def leaf_distance(c1: Chord, c2: Chord) -> Fraction:
+    """Min over endpoint pairings of the summed circle distances."""
+    return min(
+        circle_dist(c1.a, c2.a) + circle_dist(c1.b, c2.b),
+        circle_dist(c1.a, c2.b) + circle_dist(c1.b, c2.a),
+    )
 
 
 def arith_in_open_arc(x, start, end) -> bool:

@@ -56,7 +56,7 @@ from lamkit.pullback import (
     pullback_step,
 )
 
-from helpers import deepest_classes
+from helpers import all_edges, all_vertices, deepest_classes, image
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
@@ -141,8 +141,8 @@ def _region_count(node):
     """
     lam = node.lamination
     d = lam.degree
-    edges = lam.all_edges()
-    taken = lam.all_vertices()
+    edges = all_edges(lam)
+    taken = all_vertices(lam)
     shared = set()
     total = 1
     for target in deepest_classes(node):
@@ -187,7 +187,7 @@ def test_criterion_04_tree_structure(rabbit_tree):
     for parent, child in rabbit_tree.edges():
         d = child.degree
         images = {
-            c.image(d) for c in child.lamination.classes if c.image(d) is not None
+            image(c, d) for c in child.lamination.classes if image(c, d) is not None
         }
         if images != set(parent.lamination.classes):
             failures.append(f"image of {child.key()} is not its parent")
@@ -293,7 +293,7 @@ def test_criterion_08_sibling_balance_fuzz():
         leaf, other = Chord(a, b), Chord(x, y)
         if chords_cross(leaf, other):
             continue
-        img_l, img_o = leaf.image(d), other.image(d)
+        img_l, img_o = image(leaf, d), image(other, d)
         if img_l is None or img_o is None:
             continue
         if img_l.shares_endpoint(img_o) or chords_cross(img_l, img_o):

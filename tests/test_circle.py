@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from lamkit.circle import (
     AngleError,
-    arc_len,
     circle_dist,
     format_itinerary,
     in_closed_arc,
@@ -17,7 +16,7 @@ from lamkit.circle import (
     preimages,
     sigma,
 )
-from helpers import arith_in_closed_arc, arith_in_open_arc
+from helpers import arc_len, arith_in_closed_arc, arith_in_open_arc
 
 
 def test_parse_fraction_forms():

@@ -100,7 +100,13 @@ def test_portraits_counts(capsys):
 
 @pytest.mark.parametrize(
     "i, n, message",
-    [("0", "3", "ambient degree i must be >= 1, got 0"), ("2", "1", "polygon size n must be >= 2, got 1")],
+    [
+        ("0", "3", "ambient degree i must be >= 1, got 0"),
+        ("2", "1", "polygon size n must be >= 2, got 1"),
+        # counts past CPython's limit on str(int): both are checked before either prints
+        ("6000", "2", "all F(6000,2) has 4970 digits, too long to convert"),
+        ("10000", "2", "injective f(10000,2) has 6015 digits, too long to convert"),
+    ],
 )
 def test_portraits_out_of_range_are_classified(capsys, i, n, message):
     assert main(["portraits", "--i", i, "--n", n]) == 1

@@ -8,7 +8,7 @@ from math import lcm
 import pytest
 
 from lamkit import build_pullback_tree
-from lamkit.circle import arc_len, mod1, preimages, sigma
+from lamkit.circle import mod1, preimages, sigma
 from lamkit.core import (
     COLLAPSES_TO_LEAF,
     COLLAPSES_TO_POINT,
@@ -43,7 +43,7 @@ from lamkit.core import (
     gap_degree,
 )
 from lamkit.io import load_lamination, save_lamination
-from helpers import arith_chords_cross, set_shares_endpoint
+from helpers import all_edges, arc_len, arith_chords_cross, image, set_shares_endpoint
 
 RABBIT = PolygonClass((F(1, 7), F(2, 7), F(4, 7)))
 SIBLING = PolygonClass((F(1, 14), F(9, 14), F(11, 14)))
@@ -597,8 +597,8 @@ def test_as_chordset_carries_the_lamination_view(basilica_tree, rabbit_tree, cub
     lams.append(ClassLamination(2, [PolygonClass((F(0), F(1, 3), F(2, 3))), PolygonClass((F(1, 3), F(2, 3)))]))
     for lam in lams:
         cs = lam.as_chordset()
-        assert cs._view == ChordSet(lam.degree, frozenset(lam.all_edges()))._view
-        assert cs.sorted_chords() == sorted(lam.all_edges())
+        assert cs._view == ChordSet(lam.degree, frozenset(all_edges(lam)))._view
+        assert cs.sorted_chords() == sorted(all_edges(lam))
 
 
 def test_laminations_are_equal_exactly_when_their_classes_are(basilica_tree, rabbit_tree, cubic_tree):
@@ -745,7 +745,7 @@ def test_sibling_count_balance_quick():
         leaf, other = Chord(a, b), Chord(x, y)
         if chords_cross(leaf, other):
             continue
-        img_l, img_o = leaf.image(d), other.image(d)
+        img_l, img_o = image(leaf, d), image(other, d)
         if img_l is None or img_o is None:
             continue
         if img_l.shares_endpoint(img_o) or chords_cross(img_l, img_o):

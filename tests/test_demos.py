@@ -1,6 +1,9 @@
-"""Every demo runs and reproduces its committed artefacts byte for byte."""
+"""The docs match the code: every demo runs and reproduces its committed
+artefacts byte for byte, and the README's API list is the package's exports."""
 
+import ast
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -32,3 +35,13 @@ def test_demos_reproduce_committed_artefacts(tmp_path):
         assert run.returncode == 0, f"{script.name} failed:\n{run.stderr}"
     for name in ARTEFACTS:
         assert (demos / name).read_bytes() == (DEMOS / name).read_bytes(), name
+
+
+def test_readme_api_list_matches_the_package_exports():
+    section = (REPO / "README.md").read_text().split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    listed = {}
+    for item in section.split("\n- ")[1:]:
+        module, *names = re.findall(r"`(\w+)`", item)
+        listed[module] = names
+    init = ast.parse((REPO / "src" / "lamkit" / "__init__.py").read_text())
+    assert listed == {n.module: [a.name for a in n.names] for n in init.body if isinstance(n, ast.ImportFrom)}

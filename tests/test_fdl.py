@@ -39,10 +39,18 @@ from lamkit.fdl import (
     validate_fdl,
 )
 from lamkit.io import dumps, load_lamination, save_lamination
-from lamkit.portraits import _portrait_residues, bind_shape, enumerate_all_portraits
+from lamkit.portraits import enumerate_all_portraits
 from lamkit.pullback import hyperbolic_approx
 
-from helpers import deepest_classes, placement_model
+from helpers import (
+    all_vertices,
+    bind_shape,
+    deepest_classes,
+    image,
+    placement_model,
+    portrait_residues,
+    region_labels,
+)
 
 RABBIT = PolygonClass((F(1, 7), F(2, 7), F(4, 7)))
 SIBLING = PolygonClass((F(1, 14), F(9, 14), F(11, 14)))
@@ -240,7 +248,7 @@ def test_rabbit_tree_structure(rabbit_tree):
         assert parent.lamination.classes < child.lamination.classes
         d = child.degree
         images = {
-            c.image(d) for c in child.lamination.classes if c.image(d) is not None
+            image(c, d) for c in child.lamination.classes if image(c, d) is not None
         }
         assert images == set(parent.lamination.classes)
 
@@ -279,7 +287,7 @@ def _oracle_children(fdl):
     for target in deepest_classes(fdl):
         for v in target.vertices:
             pts.update(preimages(v, d))
-    pts = sorted(pts - lam.all_vertices())
+    pts = sorted(pts - all_vertices(lam))
     found = set()
     for blocks in _partitions_blocks(pts):
         if not blocks:
@@ -318,7 +326,7 @@ def _expected_deepest(node):
     if node.depth_n == 0:
         return periodic
     d = lam.degree
-    images = {c.image(d) for c in lam.classes}
+    images = {image(c, d) for c in lam.classes}
     return [c for c in lam.sorted_classes() if c not in periodic and c not in images]
 
 
@@ -377,7 +385,7 @@ def _reference_children(fdl):
     model = placement_model(d, *_class_residues([c.vertices for c in lam.classes]))
     options = []
     for t in _deepest(model, fdl.depth_n):
-        pts = _portrait_residues(t, model, None)
+        pts = portrait_residues(t, model, None)
         placed = [_reference_bind(s, pts, model) for s in enumerate_all_portraits(d, len(t))]
         options.append([p for p in placed if p is not None and p[0]])
     keys = set()
@@ -413,8 +421,8 @@ def _product_children(fdl, census):
     d = fdl.degree
     model = placement_model(d, fdl.modulus, fdl.residues)
     targets = _deepest(model, fdl.depth_n)
-    points = [_portrait_residues(t, model, None) for t in targets]
-    labels = model.labels(p for pts in points for p in pts)
+    points = [portrait_residues(t, model, None) for t in targets]
+    labels = region_labels(model, (p for pts in points for p in pts))
     groups = _groups(model, [tuple(x // d for x in t) for t in targets])
     options = []
     for t, pts in zip(targets, points):
@@ -516,8 +524,8 @@ def test_placements_match_disk_wide_binding_on_random_targets(basilica_tree, rab
                     rng.choice(node.residues),
                 ]
                 for c, model in zip(targets, (whole, whole, kept)):
-                    labels = model.labels(x + k * M for k in range(d) for x in c)
-                    pts = _portrait_residues(tuple(d * x for x in c), model, None)
+                    labels = region_labels(model, (x + k * M for k in range(d) for x in c))
+                    pts = portrait_residues(tuple(d * x for x in c), model, None)
                     bound = (bind_shape(s, pts, model, labels) for s in enumerate_all_portraits(d, len(c)))
                     _check_placements(c, model, [b for b in bound if b is not None], census)
     assert census == {"targets": 1845, "forced": 1162, "free": 19, "none": 664}
@@ -530,7 +538,7 @@ def _region_lemma_cases(d, M, residues, targets, cases):
     # second group's points in the open arc (b, e), counted per index
     model = placement_model(d, M, residues)
     fibers = [[(x + k * M, j) for k in range(d) for j, x in enumerate(c)] for c in targets]
-    labels = model.labels(p for fiber in fibers for p, _ in fiber)
+    labels = region_labels(model, (p for fiber in fibers for p, _ in fiber))
     regions = {}
     for i, fiber in enumerate(fibers):
         for p, j in fiber:
@@ -600,7 +608,7 @@ def _disk_wide_placements(d, model, targets, labels):
     # cross nothing, as sorted block lists
     options = []
     for c in targets:
-        pts = _portrait_residues(tuple(d * x for x in c), model, None)
+        pts = portrait_residues(tuple(d * x for x in c), model, None)
         placed = (bind_shape(s, pts, model, labels) for s in enumerate_all_portraits(d, len(c)))
         options.append([new for new, _ in filter(None, placed)])
     return sorted(
@@ -622,7 +630,7 @@ def test_placements_match_the_disk_wide_product_on_thinned_nodes(basilica_tree, 
             for lost in (set(), dropped)[: 1 + bool(dropped)]:
                 model = placement_model(d, node.modulus, [c for c in node.residues if c not in lost])
                 targets = [c for c in node.deepest if c not in lost]
-                labels = model.labels(x + k * node.modulus for k in range(d) for c in targets for x in c)
+                labels = region_labels(model, (x + k * node.modulus for k in range(d) for c in targets for x in c))
                 got = sorted(map(sorted, _placements(targets, model, _groups(model, targets))))
                 assert got == _disk_wide_placements(d, model, targets, labels), (node.key(), lost)
                 census["thinned" if lost else "whole"] += 1

@@ -25,7 +25,7 @@ from lamkit.io import (
 )
 from lamkit.paramgraph import generational_graph
 
-from helpers import fraction_load_lamination
+from helpers import all_edges, fraction_load_lamination
 
 
 def test_load_rabbit_document():
@@ -102,7 +102,7 @@ def _shuffled_document(rng, lam) -> dict:
     document, with its classes, chords and vertices in random order."""
     d = lam.degree
     if rng.randrange(5) == 0:
-        chords = [[_literal(rng, v, d) for v in rng.sample([c.a, c.b], 2)] for c in lam.all_edges()]
+        chords = [[_literal(rng, v, d) for v in rng.sample([c.a, c.b], 2)] for c in all_edges(lam)]
         rng.shuffle(chords)
         return {"degree": d, "chords": chords}
     classes = [[_literal(rng, v, d) for v in rng.sample(c.vertices, len(c))] for c in lam.classes]
@@ -254,7 +254,7 @@ def test_render_svg_straight_and_arc(rabbit_tree):
     for geodesics in ("straight", "arc"):
         svg = render_svg(lam, geodesics=geodesics)
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
-        assert svg.count("<path") == len(lam.all_edges())
+        assert svg.count("<path") == len(all_edges(lam))
 
 
 def test_render_svg_handles_wedges_and_tiny_chords():

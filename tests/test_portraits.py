@@ -16,21 +16,19 @@ from lamkit.core import (
     gap_degree,
 )
 from lamkit.portraits import (
-    Placement,
     PortraitError,
     PortraitShape,
     count_all,
     count_injective,
     enumerate_all_portraits,
     enumerate_injective_portraits,
-    instantiate_portrait,
     internal_count,
     portrait_to_tree,
     reduce_portrait,
     tree_to_portrait,
 )
 
-from helpers import deepest_classes, portrait_points
+from helpers import deepest_classes, instantiate_portrait, portrait_points
 
 RABBIT = PolygonClass((F(1, 7), F(2, 7), F(4, 7)))
 SIBLING = PolygonClass((F(1, 14), F(9, 14), F(11, 14)))
@@ -326,9 +324,8 @@ def test_instantiate_in_whole_disk():
     shapes = enumerate_injective_portraits(2, 3)
     results = []
     for s in shapes:
-        placed = instantiate_portrait(s, RABBIT, None, lam)
-        assert placed is not None
-        results.append({c.vertices for c in placed.new_classes})
+        new, _ = instantiate_portrait(s, RABBIT, None, lam)
+        results.append({c.vertices for c in new})
     target = {RABBIT.vertices, SIBLING.vertices}
     assert target in results
 
@@ -341,7 +338,7 @@ def test_instantiate_reuse_and_overlap():
         placed = instantiate_portrait(s, RABBIT, None, lam)
         if placed is None:
             outcomes.append("rejected")
-        elif placed.reused:
+        elif placed[1]:  # reused classes
             outcomes.append("reused")
         else:
             outcomes.append("fresh")
@@ -356,9 +353,8 @@ def test_instantiate_inside_round_gap():
     deg1 = next(g for g in gaps if g.arcs == ((F(1, 7), F(2, 7)),))
     target = PolygonClass((F(5, 14), F(11, 28), F(3, 7)))
     shape = enumerate_injective_portraits(1, 3)[0]
-    placed = instantiate_portrait(shape, target, deg1, lam)
-    assert placed is not None and len(placed.new_classes) == 1
-    assert placed.new_classes[0].vertices == (F(5, 28), F(11, 56), F(3, 14))
+    new, _ = instantiate_portrait(shape, target, deg1, lam)
+    assert [c.vertices for c in new] == [(F(5, 28), F(11, 56), F(3, 14))]
 
 
 def test_instantiate_degree2_gap_hexagon():
@@ -376,9 +372,8 @@ def test_instantiate_degree2_gap_hexagon():
     gaps = gap_decomposition(lam).round_gaps
     crit = next(g for g in gaps if gap_degree(g, 2).degree == 2)
     hexagon_shape = PortraitShape(2, 3, ((0, 1, 2, 3, 4, 5),))
-    placed = instantiate_portrait(hexagon_shape, u, crit, lam)
-    assert placed is not None
-    assert [c.vertices for c in placed.new_classes] == [
+    new, _ = instantiate_portrait(hexagon_shape, u, crit, lam)
+    assert [c.vertices for c in new] == [
         tuple(F(k, 112) for k in (9, 11, 15, 65, 67, 71))
     ]
 
@@ -395,7 +390,7 @@ def test_placed_blocks_always_positively_oriented():
         placed = instantiate_portrait(shape, SIBLING, None, lam)
         if placed is None:
             continue
-        for c in placed.new_classes:
+        for c in placed[0]:
             assert covering_degree(c, 2).kind in ("covering", "collapses_to_leaf")
             seen.add(c.vertices)
     assert reversing not in seen
@@ -427,7 +422,7 @@ def _fraction_bind(shape, points, lam):
             return None
         else:
             new.append(poly)
-    return Placement(tuple(new), tuple(reused))
+    return tuple(new), tuple(reused)
 
 
 def test_residue_binding_matches_fraction_geometry(rabbit_tree, basilica_tree, cubic_tree):

@@ -11,7 +11,6 @@ from lamkit import pullback
 from lamkit.circle import (
     OrbitInfo,
     _orbits,
-    arc_len,
     circle_dist,
     in_closed_arc,
     in_open_arc,
@@ -47,14 +46,16 @@ from lamkit.pullback import (
     _gap_inside,
     hyperbolic_approx,
     lamination_distance,
-    leaf_distance,
     place_critical_chords,
     properness_report,
     pullback_lamination,
     pullback_step,
 )
 from helpers import (
+    arc_len,
     connected_first_lift,
+    image,
+    leaf_distance,
     reference_hyperbolic_approx,
     scan_branch_preimages,
     smallest_angle_successor,
@@ -495,7 +496,7 @@ def test_pullback_of_the_critical_chord_itself():
     ChordSet.create(2, out.chords)
     assert Chord(F(0), F(1, 2)) in out.chords
     for c in out.chords:
-        img = c.image(2)
+        img = image(c, 2)
         assert img is None or img == Chord(F(0), F(1, 2))
 
 
@@ -508,7 +509,7 @@ def test_pullback_levels_nest_and_map_down():
         assert prev.chords <= nxt.chords
         ChordSet.create(2, nxt.chords)  # non-crossing
         for c in nxt.chords - prev.chords:
-            img = c.image(2)
+            img = image(c, 2)
             assert img is None or img in prev.chords
 
 
@@ -818,7 +819,7 @@ def test_pullback_degree3(cubic_tree):
         assert prev.chords <= nxt.chords
         ChordSet.create(3, nxt.chords)  # non-crossing
         for c in nxt.chords - prev.chords:
-            img = c.image(3)
+            img = image(c, 3)
             assert img is None or img in prev.chords
 
 
@@ -957,7 +958,7 @@ def _orbit_info_properness(chord_set):
             continue
         for i, c1 in enumerate(incident):
             for c2 in incident[i + 1 :]:
-                i1, i2 = c1.image(d), c2.image(d)
+                i1, i2 = image(c1, d), image(c2, d)
                 if i1 is not None and i1 == i2:
                     wedges.append((v, c1, c2))
     unclean = [(v, len(cs)) for v, cs in sorted(at_point.items()) if len(cs) >= 3]
