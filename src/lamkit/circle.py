@@ -154,21 +154,18 @@ def _orbits(step, starts: Iterable) -> dict:
 
 
 def format_itinerary(a: Angle, d: int) -> str:
-    """Canonical base-d itinerary with minimal preperiod and period.
+    """Canonical base-d itinerary with minimal preperiod and period, its
+    digits ``d * n // q`` read off the numerator walk ``n -> d * n mod q``.
 
     Round-trips through :func:`parse_angle`.
     """
-    check_degree(d)
-    a = mod1(Fraction(a))
     info = orbit_info(a, d)
+    n, q = mod1(a).as_integer_ratio()
     digits = []
-    cur = a
     for _ in range(info.preperiod + info.period):
-        digits.append(int(cur * d))  # floor, since 0 <= cur < 1
-        cur = (cur * d) % 1
-    pre = "".join(str(x) for x in digits[: info.preperiod])
-    per = "".join(str(x) for x in digits[info.preperiod :])
-    return f"{pre}_{per}"
+        digits.append(str(d * n // q))
+        n = d * n % q
+    return "".join(digits[: info.preperiod]) + "_" + "".join(digits[info.preperiod :])
 
 
 def format_angle(a: Angle) -> str:

@@ -44,14 +44,11 @@ from itertools import chain, combinations, product
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
-from .circle import Angle
 from .core import (
     COVERING,
-    Chord,
     ClassLamination,
     LaminationError,
     PolygonClass,
-    _components,
     _covering,
     _events,
     _fmt,
@@ -69,29 +66,6 @@ class FdlError(ValueError):
 def canonical_form(lam: ClassLamination) -> str:
     """Stable text key: degree, then classes sorted by first vertex."""
     return lam._model.key()
-
-
-def classes_from_chords(degree: int, chords: Iterable[Chord]) -> list[PolygonClass]:
-    """Reconstruct classes from raw chords via shared endpoints.
-
-    Components of the endpoint-sharing graph become candidate classes; the
-    component's chords must be exactly the hull edges of its vertex set
-    (otherwise the hull-edge axiom fails).
-    """
-    chords = list(chords)
-    root = _components((c.a, c.b) for c in chords)
-    groups: dict[Angle, list[Chord]] = {}
-    for c in chords:
-        groups.setdefault(root[c.a], []).append(c)
-
-    classes = []
-    for group in groups.values():
-        verts = {p for c in group for p in (c.a, c.b)}
-        poly = PolygonClass(tuple(verts))
-        if set(poly.edges()) != set(group):
-            raise FdlError(f"chords at {poly} are not the hull edges of their class")
-        classes.append(poly)
-    return classes
 
 
 # --- validation ------------------------------------------------------------------
@@ -154,8 +128,8 @@ def validate_fdl(lam: ClassLamination) -> FdlReport:
     depth = model.depths
     periodic = tuple(p for c, p in zip(model.classes, lam._view[2]) if depth[c] == 0)
 
-    # 6: every leaf is a hull edge of its class (structural in this
-    # representation; raw chord imports go through classes_from_chords)
+    # 6: every leaf is a hull edge of its class (structural here; a chord
+    # document's load checks it on its chord set's residues)
     axioms[6] = AxiomResult(True)
 
     # 7: periodic classes cover with positive orientation
@@ -343,7 +317,7 @@ class _Level:
             return s, _events(_hull_edges(s))
 
         self.classes = _Memo(scale)
-        self.points = _Memo(lambda c: [(x + s, 2, 0, c) for s in range(0, d * M, M) for x in c])
+        self.points = _Memo(lambda c: _events((), [x + s for s in range(0, d * M, M) for x in c], c))
         self.blocks: dict = {}
 
 

@@ -4,9 +4,10 @@ The interchange schema is a JSON object ``{"degree": d, "classes":
 [[angle literals]], ...}`` with optional ``name``/``level`` metadata;
 angle literals are ``p/q`` fractions or base-d itineraries (``_001``).
 Chord sets use ``"chords": [["a","b"], ...]`` instead of classes, and the
-lamination loader reassembles them into classes.  The loader parses the
-literals, converts them to residues once and checks the sorted residue view
-that is the lamination.  All emitters are byte-deterministic for identical inputs.
+lamination loader regroups them into classes on the chord set's residues.
+The loader parses the literals, converts them to residues once and checks
+the sorted residue view that is the lamination.  All emitters are
+byte-deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .circle import _INTEGER_RE, Angle, AngleError, check_degree, format_angle, parse_angle
-from .core import Chord, ChordSet, ClassLamination, LaminationError, PolygonClass, _class_residues, _set_view
-from .fdl import FdlError, PullbackTree, classes_from_chords
+from .core import Chord, ChordSet, ClassLamination, LaminationError, PolygonClass
+from .core import _class_residues, _components, _hull_edges, _set_view
+from .fdl import PullbackTree
 from .paramgraph import GenGraph
 
 
@@ -65,18 +67,25 @@ def load_lamination(doc) -> ClassLamination:
     """Parse a lamination document (dict or JSON text) into classes.
 
     Literals, then one residue conversion, then the checked residue view.
-    A chord document is reassembled into classes first: chords are grouped
-    by shared endpoints and each group must be exactly the hull-edge set of
-    its vertices, which is the import-time face of the hull-edge axiom; the
-    group of the least failing chord, in ``Chord`` order, is named.
+    A chord document regroups on its checked chord set's residue view:
+    chords sharing endpoints form vertex-disjoint groups, and each must be
+    exactly the hull-edge set of its vertices, which is the import-time face
+    of the hull-edge axiom; the group of the least failing chord, in
+    ``Chord`` order, is named.
     """
     doc = _parse(doc)
     d = _object_degree(doc)
     if "chords" in doc:
-        try:
-            verts = [c.vertices for c in classes_from_chords(d, load_chordset(doc).sorted_chords())]
-        except FdlError as exc:
-            raise DocumentError(str(exc)) from exc
+        M, pairs, _ = load_chordset(doc)._view
+        root, groups = _components(pairs), {}
+        for e in pairs:  # in Chord order, so each group opens with its least chord
+            groups.setdefault(root[e[0]], []).append(e)
+        classes = [tuple(sorted({x for e in g for x in e})) for g in groups.values()]
+        for vs, g in zip(classes, groups.values()):
+            if set(_hull_edges(vs)) != set(g):
+                poly = PolygonClass._from_sorted(tuple(Fraction(x, M) for x in vs))
+                raise DocumentError(f"chords at {poly} are not the hull edges of their class")
+        return ClassLamination._from_residues(d, M, sorted(classes))
     elif not isinstance(doc.get("classes"), list):
         raise DocumentError("document lacks a 'classes' list")
     else:

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
+from typing import Iterable, Optional
 
 from lamkit.circle import Angle, AngleError, _orbits, check_degree, circle_dist, parse_angle, preimages, sigma
 from lamkit.core import (
@@ -12,10 +12,11 @@ from lamkit.core import (
     PolygonClass,
     RoundGap,
     _class_residues,
+    _components,
     _IntModel,
     _sweep,
 )
-from lamkit.fdl import FdlError, classes_from_chords, enumerate_children
+from lamkit.fdl import FdlError, enumerate_children
 from lamkit.io import DocumentError, _object_degree, _parse, load_chordset
 from lamkit.portraits import PortraitError, PortraitShape
 from lamkit.pullback import (
@@ -34,15 +35,39 @@ def deepest_classes(fdl) -> list[PolygonClass]:
     return [p for r, p in zip(fdl.residues, fdl.lamination.sorted_classes()) if r in deepest]
 
 
+def classes_from_chords(degree: int, chords: Iterable[Chord]) -> list[PolygonClass]:
+    """Reconstruct classes from raw chords via shared endpoints.
+
+    Components of the endpoint-sharing graph become candidate classes; the
+    component's chords must be exactly the hull edges of its vertex set
+    (otherwise the hull-edge axiom fails).
+    """
+    chords = list(chords)
+    root = _components((c.a, c.b) for c in chords)
+    groups: dict[Angle, list[Chord]] = {}
+    for c in chords:
+        groups.setdefault(root[c.a], []).append(c)
+
+    classes = []
+    for group in groups.values():
+        verts = {p for c in group for p in (c.a, c.b)}
+        poly = PolygonClass(tuple(verts))
+        if set(poly.edges()) != set(group):
+            raise FdlError(f"chords at {poly} are not the hull edges of their class")
+        classes.append(poly)
+    return classes
+
+
 def fraction_load_lamination(doc) -> ClassLamination:
     """``io.load_lamination`` on ``Fraction`` classes: each literal parsed,
-    each class built as a :class:`PolygonClass` in turn, then
+    each class built as a :class:`PolygonClass` in turn (a chord document's
+    by :func:`classes_from_chords` over its sorted chords), then
     ``ClassLamination.create`` and the check for a class listed twice."""
     doc = _parse(doc)
     d = _object_degree(doc)
     if "chords" in doc:
         try:
-            classes = classes_from_chords(d, load_chordset(doc).chords)
+            classes = classes_from_chords(d, load_chordset(doc).sorted_chords())
         except FdlError as exc:
             raise DocumentError(str(exc)) from exc
     elif not isinstance(doc.get("classes"), list):

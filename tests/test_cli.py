@@ -3,12 +3,17 @@ import json
 import pytest
 
 from lamkit.cli import main
+from lamkit.core import PARTLY_CRITICAL, ClassLamination, DegreeStatus, criticality_audit
+from lamkit.fdl import FDL
+from lamkit.io import load_lamination
+from lamkit.pullback import PullbackError, place_critical_chords
 
 RABBIT_DOC = '{"degree": 2, "classes": [["_001", "_010", "_100"]]}\n'
 LEVEL1_DOC = (
     '{"degree": 2, "classes": [["_001", "_010", "_100"],'
     ' ["1/14", "9/14", "11/14"]]}\n'
 )
+NO_CRITICAL_GAP_DOC = '{"degree": 2, "classes": [["1/12", "3/8"], ["5/12", "5/8"], ["1/24", "19/24"]]}\n'
 
 
 @pytest.fixture()
@@ -172,6 +177,26 @@ def test_complete(level1_file, capsys):
 def test_complete_partly_critical(rabbit_file, capsys):
     assert main(["complete", rabbit_file]) == 1
 
+
+def test_complete_without_a_critical_gap(tmp_path, capsys):
+    # every gap has degree 1, so the audit applies, fails with excess 0 and
+    # leaves nothing to place
+    p = tmp_path / "no-critical-gap.json"
+    p.write_text(NO_CRITICAL_GAP_DOC)
+    lam = load_lamination(NO_CRITICAL_GAP_DOC)
+    audit = criticality_audit(lam)
+    assert (audit.applicable, audit.passed, audit.excess) == (True, False, 0)
+    with pytest.raises(PullbackError, match=r"^no critical gaps; nothing to place$"):
+        place_critical_chords(lam)
+    assert main(["complete", str(p)]) == 1
+    assert capsys.readouterr() == ("", "error: no critical gaps; nothing to place\n")
+    # printed forms
+    assert [str(e.status) for e in audit.entries] == ["Degree(1)"] * 7
+    assert str(DegreeStatus(PARTLY_CRITICAL)) == "partly_critical"
+    (full,) = criticality_audit(ClassLamination.create(2, [])).entries
+    assert (str(full.gap), str(full.status)) == ("RoundGap(full circle)", "Degree(2)")
+    assert str(lam) == "ClassLamination(d=2, 3 classes)"
+    assert str(FDL(load_lamination(RABBIT_DOC))) == "FDL(n=0, 2|1/7,2/7,4/7)"
 
 def test_pullback_and_svg(rabbit_file, tmp_path, capsys):
     svg = tmp_path / "out.svg"

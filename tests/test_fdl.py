@@ -33,7 +33,6 @@ from lamkit.fdl import (
     _placements,
     build_pullback_tree,
     canonical_form,
-    classes_from_chords,
     enumerate_children,
     root_fdl,
     validate_fdl,
@@ -45,6 +44,7 @@ from lamkit.pullback import hyperbolic_approx
 from helpers import (
     all_vertices,
     bind_shape,
+    classes_from_chords,
     deepest_classes,
     image,
     placement_model,

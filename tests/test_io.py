@@ -152,6 +152,39 @@ _LOAD_ERRORS = (
 )
 
 
+def _faulty_chord_document(rng, lam) -> dict:
+    """The lamination's hull edges as a chord document in random order and
+    mixed literals, after zero to three faults: a hull edge dropped, a
+    diagonal of a class or a chord joining two classes, a degenerate chord,
+    or a random chord that may cross."""
+    d, classes = lam.degree, lam.sorted_classes()
+    chords = [(c.a, c.b) for c in sorted(all_edges(lam))]
+    for _ in range(rng.randrange(4)):
+        fault = rng.randrange(4)
+        if fault == 0 and chords:
+            chords.pop(rng.randrange(len(chords)))
+        elif fault == 1:
+            big = [c for c in classes if len(c) >= 4]
+            if big and rng.randrange(2):
+                vs = rng.choice(big).vertices
+                i = rng.randrange(len(vs))
+                chords.append((vs[i], vs[(i + rng.randrange(2, len(vs) - 1)) % len(vs)]))
+            elif len(classes) >= 2:
+                p, q = rng.sample(classes, 2)
+                chords.append((rng.choice(p.vertices), rng.choice(q.vertices)))
+        elif fault == 2:
+            v = rng.choice(classes).vertices[0] if classes and rng.randrange(2) else F(rng.randrange(12), 12)
+            chords.append((v, v))
+        else:
+            q = rng.choice([4, 6, 8, 12, 14, 26])
+            chords.append(tuple(F(x, q) for x in rng.sample(range(q), 2)))
+    rng.shuffle(chords)
+    return {"degree": d, "chords": [[_literal(rng, v, d) for v in rng.sample(c, 2)] for c in chords]}
+
+
+_CHORD_ERRORS = ("not the hull edges", "cross", "degenerate")
+
+
 def _assert_loads_like_the_oracle(doc):
     text = json.dumps(doc)
     try:
@@ -173,7 +206,8 @@ def _assert_loads_like_the_oracle(doc):
 def test_load_matches_the_fraction_oracle(basilica_tree, rabbit_root, cubic_tree):
     # basilica <= 8, rabbit <= 7 and cubic <= 3 (246 nodes), saved; then
     # seeded documents with shuffled classes and vertices and mixed literals;
-    # then seeded faults, which must raise the oracle's text
+    # then seeded faults of class and of chord documents, which must raise
+    # the oracle's text (for chords, naming the least failing chord's group)
     rabbit_tree = build_pullback_tree(rabbit_root, 7)
     lams = [n.lamination for t in (basilica_tree, rabbit_tree, cubic_tree) for n in t.all_nodes()]
     assert len(lams) == 246
@@ -198,6 +232,13 @@ def test_load_matches_the_fraction_oracle(basilica_tree, rabbit_root, cubic_tree
         errors[kind] = errors.get(kind, 0) + 1
     # 23 to 203 of each error when this test was written
     assert all(errors.get(k, 0) >= 20 for k in _LOAD_ERRORS), errors
+    kinds = {}
+    for _ in range(1500):
+        text = _assert_loads_like_the_oracle(_faulty_chord_document(rng, rng.choice(small)))
+        kind = "valid" if text is None else next(k for k in _CHORD_ERRORS if k in text)
+        kinds[kind] = kinds.get(kind, 0) + 1
+    # 130 to 481 of each when this test was written
+    assert all(kinds.get(k, 0) >= 20 for k in ("valid", *_CHORD_ERRORS)), kinds
 
 
 def test_save_load_round_trip_randomized(rabbit_tree):
