@@ -8,7 +8,7 @@ branches whose bases each map onto the circle: the regions of
 ``core._regions``, as for round gaps, which group the arcs between cut
 points by the innermost chord around their start.  The chords close a loop
 exactly when fewer regions than distinct chords plus one touch the circle.
-Pulling a chord set back lifts every chord through every branch.  Away from
+Pulling a chord set back lifts its chords through every branch.  Away from
 the critical values each branch's basis maps injectively onto the circle,
 so a branch holds exactly one preimage of a point, and the lift is forced:
 the pair of its endpoints' preimages there.  At a critical value a branch
@@ -20,6 +20,13 @@ so x has the preimages ``x // d + j * M / d``; a bisect into the sorted cut
 points numbers the branch of each, giving each endpoint one row indexed by
 branch.  The result is its view mod M, so the modulus grows by d per step.
 Of the input chords that cross a critical chord, an error names the least.
+A step stamps its result with the critical chords and the pairs it added;
+through equal critical chords a stamped input lifts only those pairs, with
+no pre-check.  That is exact: its older chords' lifts are in it, as a
+forced lift depends only on angles, and an ambiguous lift's winner is in
+the checked input and crosses nothing there, while every candidate ranked
+above it crossed a subset of the input; and a lift joins two points of one
+branch's closed basis, so it crosses no critical chord.
 
 This module also exposes the exact lamination metric (Hausdorff over
 leaves plus all degenerate leaves, by a pruned nearest-leaf scan on
@@ -240,37 +247,45 @@ def _preimage_rows(zs, d: int, M: int, points: list[int], branches) -> dict[int,
 
 
 def pullback_step(chord_set: ChordSet, crit: CriticalChordSet) -> ChordSet:
-    """One level of preimages of every chord, through every branch.
+    """One level of preimages of the input's chords, through every branch.
 
     Runs on the input's residue view (``ChordSet._view``) rescaled to M,
     the lcm of d times its modulus and the critical chords' denominators.
     A lift is forced, the pair of its endpoints' preimages, when the branch
     holds one of each (see :func:`_preimage_rows`); :func:`_lift` ranks the
     rest.  The result is its view mod M, contains its input and is verified.
+    An input that this function returned for equal critical chords has only
+    the chords that step added lifted, and is not pre-checked against the
+    critical chords (exact, as the module docstring shows); any other input
+    has every chord lifted and pre-checked.
     """
     d = chord_set.degree
     if d != crit.degree:
         raise PullbackError("degree mismatch between chord set and critical chords")
     M_in, inputs, chords = chord_set._view
-    for s in chords:  # in Chord order, so the first crossing input chord is named
-        for c in crit.chords:
-            if chords_cross(s, c):
-                raise PullbackError(f"chord {s} crosses critical chord {c}")
+    used, fresh = getattr(chord_set, "_stamp", (None, None))
+    if used != crit.chords:  # not a step's output through these critical chords: lift and pre-check all
+        fresh = inputs
+        for s in chords:  # in Chord order, so the first crossing input chord is named
+            for c in crit.chords:
+                if chords_cross(s, c):
+                    raise PullbackError(f"chord {s} crosses critical chord {c}")
 
     M, cuts = _class_residues([(c.a, c.b) for c in crit.chords], d * M_in)
-    inputs = [(x * (M // M_in), y * (M // M_in)) for x, y in inputs]  # still sorted
+    inputs, fresh = ([(x * (M // M_in), y * (M // M_in)) for x, y in ps] for ps in (inputs, fresh))  # still sorted
     obstacles = inputs + cuts  # the inputs, then the critical chords
     points = sorted({p for c in cuts for p in c})
     branches = _regions(cuts, points)
-    rows = _preimage_rows({z for pair in inputs for z in pair}, d, M, points, branches)
+    rows = _preimage_rows({z for pair in fresh for z in pair}, d, M, points, branches)
     added = {
         ((u, v) if u < v else (v, u)) if u.__class__ is v.__class__ is int else _lift(x, y, b, M, obstacles, (u, v))
-        for x, y in inputs for b, u, v in zip(branches, rows[x], rows[y])
+        for x, y in fresh for b, u, v in zip(branches, rows[x], rows[y])
     }
     made = {(u, v): Chord._from_sorted(Fraction(u, M), Fraction(v, M)) for u, v in added.difference(inputs)}
     items = sorted([*zip(inputs, chords), *made.items()])  # residue pairs sort like chords
     out = _set_view(object.__new__(ChordSet), d, M, items)
     out.check()
+    object.__setattr__(out, "_stamp", (crit.chords, sorted(made)))
     return out
 
 
@@ -290,7 +305,10 @@ class ApproxSequence:
 def pullback_lamination(
     start: ClassLamination, crit: CriticalChordSet, depth: int
 ) -> ApproxSequence:
-    """Iterate :func:`pullback_step` from the lamination's edge set."""
+    """Iterate :func:`pullback_step` from the lamination's edge set.
+
+    Step 1 lifts and pre-checks every edge; each later step lifts only the
+    chords the step before it added."""
     if start.degree != crit.degree:
         raise PullbackError("degree mismatch")
     if depth < 0:

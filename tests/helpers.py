@@ -7,6 +7,7 @@ from typing import Iterable, Optional
 from lamkit.circle import Angle, AngleError, _orbits, check_degree, circle_dist, parse_angle, preimages, sigma
 from lamkit.core import (
     Chord,
+    ChordSet,
     ClassLamination,
     LaminationError,
     PolygonClass,
@@ -14,6 +15,7 @@ from lamkit.core import (
     _class_residues,
     _components,
     _IntModel,
+    _set_view,
     _sweep,
 )
 from lamkit.fdl import FdlError, enumerate_children
@@ -267,6 +269,14 @@ def scan_branch_preimages(z: int, branch, M: int, d: int) -> list[int]:
     in increasing order: each of the d preimages tested against every arc,
     the lookup that ``pullback_step`` makes by a bisect into the cut points."""
     return [p for p in range(z // d, M, M // d) if any((p - s) % M <= (e - s) % M for s, e in branch)]
+
+
+def unstamped(chord_set: ChordSet) -> ChordSet:
+    """``chord_set`` on its own residue view, without the stamp that
+    ``pullback_step`` leaves on its output, so a step on it lifts and
+    pre-checks every chord."""
+    M, pairs, chords = chord_set._view
+    return _set_view(object.__new__(ChordSet), chord_set.degree, M, list(zip(pairs, chords)))
 
 
 def connected_first_lift(x: int, y: int, branch, M: int, d: int, obstacles):

@@ -61,6 +61,7 @@ from helpers import (
     smallest_angle_successor,
     sorted_chains,
     three_loop_properness,
+    unstamped,
 )
 
 RABBIT = PolygonClass((F(1, 7), F(2, 7), F(4, 7)))
@@ -624,11 +625,24 @@ def _level_digests(seq):
     return [hashlib.sha256(" ".join(map(str, level.sorted_chords())).encode()).hexdigest() for level in seq.levels]
 
 
-def test_pullback_level_digests_are_pinned(cubic_tree):
-    # the sha256 of each level's sorted chords, pinned before the forced-lift path
+@pytest.fixture(scope="module")
+def pinned_sequences(cubic_tree):
+    # the forced rabbit chord to depth 12 and the cubic level-1 placement to
+    # depth 6, each with the other critical chord sets placed on a node of its degree
     p = F(15, 112)
     forced = CriticalChordSet.create(2, [Chord(p, p + F(1, 2))])
-    assert _level_digests(pullback_lamination(ClassLamination.create(2, [RABBIT]), forced, 12)) == [
+    lvl1 = cubic_tree.levels[1][0].lamination
+    crit = place_critical_chords(lvl1)[0]
+    return [
+        (pullback_lamination(ClassLamination.create(2, [RABBIT]), forced, 12), place_critical_chords(LEVEL1, True)),
+        (pullback_lamination(lvl1, crit, 6), [c for c in place_critical_chords(lvl1, True) if c != crit]),
+    ]
+
+
+def test_pullback_level_digests_are_pinned(pinned_sequences):
+    # the sha256 of each level's sorted chords, pinned before the forced-lift path
+    (forced, _), (cubic, _) = pinned_sequences
+    assert _level_digests(forced) == [
         "6e831af825de623d28e838c7281e7fb98be55f9a0e3d2433869c547db1bd3ef3",
         "8cac441e17730088326db96f894199532862566e891fff6caa63873662f12e13",
         "cdc99d6e8be1853bb11b6f186c18e21e9c75ec8db50ea1043560e43d1f451cc9",
@@ -643,8 +657,7 @@ def test_pullback_level_digests_are_pinned(cubic_tree):
         "daa04144e77fa0a9ae00404b918cda02fea70bd0d358fa30407ee354b2b04916",
         "0b91cca6f437fa2982aea8cc20402b33bf0c67673046376bfeefb5ebb67dcc9a",
     ]
-    lvl1 = cubic_tree.levels[1][0].lamination
-    assert _level_digests(pullback_lamination(lvl1, place_critical_chords(lvl1)[0], 6)) == [
+    assert _level_digests(cubic) == [
         "cb12b256917dcb376cc443e788b8dcfd4f065ad6f43817fbb4f937c0c632d4b4",
         "cc039e69e8c1c170386d1573488ccc1da98582a67c55ac032d696e83a527e3c3",
         "e7f334fa9f0d1015f4202331d8e5458ce22d9a2c608d282b28b24fb4b07ba018",
@@ -653,6 +666,94 @@ def test_pullback_level_digests_are_pinned(cubic_tree):
         "17a225b580f7e4aeeb782f6fffb8606abd5e4a373fac251071880a3cc6079b5f",
         "f216b098624e2d04b8145014852a0909d3dbb3d5fcd7ae06e68fb91b73af6479",
     ]
+
+
+def _step_or_error(chord_set, crit):
+    try:
+        out = pullback_step(chord_set, crit)
+    except (PullbackError, LaminationError) as exc:
+        return str(exc)
+    return out._view, out._stamp
+
+
+def test_stamped_steps_match_steps_on_unstamped_copies(pinned_sequences):
+    # a level stamped for the critical chords it is pulled through lifts only
+    # the chords the last step added; pulled through other critical chords
+    # (in the cubic case, one shared), it lifts and pre-checks every chord
+    for seq, others in pinned_sequences:
+        crit = seq.chords_used
+        for level, nxt in zip(seq.levels, seq.levels[1:]):
+            assert _step_or_error(unstamped(level), crit) == (nxt._view, nxt._stamp)
+            assert nxt._stamp[0] == crit.chords and len(nxt._stamp[1]) == len(nxt) - len(level)
+        for level in seq.levels[: 10 if crit.degree == 2 else 4]:  # deeper levels cost 2-3 times more each
+            for other in others:
+                assert _step_or_error(level, other) == _step_or_error(unstamped(level), other)
+
+
+def test_a_stamp_for_other_critical_chords_keeps_the_precheck():
+    # levels stamped for the forced chord, pulled through 112 diameters: where
+    # a chord crosses the diameter, the error is the unstamped copy's and names
+    # the least crossing chord, an old one (not added by the last step) or a new one
+    p = F(15, 112)
+    forced = CriticalChordSet.create(2, [Chord(p, p + F(1, 2))])
+    seq = pullback_lamination(ClassLamination.create(2, [RABBIT]), forced, 5)
+    seen = Counter()
+    for prev, level in zip(seq.levels, seq.levels[1:]):
+        for k in range(56):
+            diameter = CriticalChordSet.create(2, [Chord(F(k, 112), F(k + 56, 112))])
+            crossing = [s for s in level.sorted_chords() if chords_cross(s, diameter.chords[0])]
+            got = _step_or_error(level, diameter)
+            assert got == _step_or_error(unstamped(level), diameter)
+            if crossing:
+                assert got == f"chord {crossing[0]} crosses critical chord {diameter.chords[0]}"
+                seen["old" if crossing[0] in prev.chords else "new"] += 1
+            seen["an old chord crosses"] += any(s in prev.chords for s in crossing)
+    # {"an old chord crosses": 240, "old": 148, "new": 97} when this test was written
+    assert seen["an old chord crosses"] >= 240 and seen["old"] >= 140 and seen["new"] >= 90, seen
+
+
+def test_random_pullbacks_match_steps_on_unstamped_copies():
+    # the seed-31 critical chord sets, each pulling back one chord to depth 3:
+    # pullback_lamination gives the levels of stepping unstamped copies, or
+    # the error text of the first failing step after the same levels
+    rng = random.Random(31)
+    seen = Counter()
+    for d, chords in _random_chord_lists(31, 3000):
+        try:
+            crit = CriticalChordSet.create(d, chords)
+        except PullbackError:
+            continue
+        values = {sigma(c.a, d) for c in crit.chords}
+        pool = sorted(values | {F(rng.randrange(q), q) for q in rng.sample(range(1, 13), 2)})
+        candidates = [
+            (a, b) for a, b in combinations(pool, 2) if not any(chords_cross(Chord(a, b), c) for c in crit.chords)
+        ]
+        if not candidates:
+            continue
+        start = ClassLamination.create(d, [PolygonClass(rng.choice(candidates))])
+        levels, error = [start.as_chordset()], None
+        while error is None and len(levels) <= 3:
+            try:
+                levels.append(pullback_step(unstamped(levels[-1]), crit))
+            except LaminationError as exc:
+                error = f"pullback step {len(levels)}: the lifts make crossing chords: {exc}"
+            except PullbackError as exc:
+                error = str(exc)
+        try:
+            got = pullback_lamination(start, crit, 3).levels
+        except PullbackError as exc:
+            assert str(exc) == error
+            got = pullback_lamination(start, crit, len(levels) - 1).levels
+            seen[f"error at step {len(levels)}"] += 1
+            seen["crossing lifts"] += "crossing chords" in error
+        else:
+            assert error is None
+            seen["depth 3"] += 1
+        assert [level._view for level in got] == [level._view for level in levels]
+    # {"depth 3": 768, "error at step 1": 91, "error at step 2": 59, "error at step 3": 57,
+    # "crossing lifts": 133} when this test was written
+    assert seen["depth 3"] >= 750 and seen["crossing lifts"] >= 130, seen
+    assert min(seen[f"error at step {k}"] for k in (1, 2, 3)) >= 55, seen
 
 
 def test_lift_matches_the_connected_first_oracle(monkeypatch, cubic_tree, eighths_tree):
@@ -682,6 +783,7 @@ def test_lift_matches_the_connected_first_oracle(monkeypatch, cubic_tree, eighth
         return last["rows"]
 
     def stepped(chord_set, crit):
+        chord_set = unstamped(chord_set)  # so every chord is lifted, as a stamped level's old ones are not
         out = step(chord_set, crit)
         (M_in, inputs, _), (M, pairs, _) = chord_set._view, out._view
         assert M == last["M"]
